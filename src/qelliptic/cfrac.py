@@ -19,6 +19,7 @@ from .numerics import (
     DomainError,
     NonConvergence,
     PrecisionSpec,
+    _settle,
     cv,
 )
 from .qfunctions import qpow
@@ -183,23 +184,17 @@ def m_series(c, q, prec: PrecisionSpec):
     q = cv(ctx, q)
     if abs(q) >= 1:
         raise DomainError(f"M(c, q) needs |q| < 1, got |q| = {abs(q)}")
-    eps = prec.work_eps(ctx)
-    term = ctx.mpf(1)
-    total = ctx.mpf(1)
-    small = 0
-    # term ratio from n-1 to n is c*q^n, so update it incrementally
-    ratio = c * q
-    for _ in range(10**6):
-        term = term * ratio
-        total = total + term
-        ratio = ratio * q
-        if abs(term) <= eps * max(ctx.mpf(1), abs(total)):
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-    raise NonConvergence("M series did not settle within budget")
+
+    def terms():
+        term = ctx.mpf(1)
+        # term ratio from n-1 to n is c*q^n, so update it incrementally
+        ratio = c * q
+        while True:
+            yield term
+            term = term * ratio
+            ratio = ratio * q
+
+    return _settle(ctx, prec.work_eps(ctx), terms())
 
 
 def m_cf(c, q, prec: PrecisionSpec):

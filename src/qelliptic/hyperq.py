@@ -6,10 +6,11 @@ R* quantity.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .cfrac import p_cf
-from .numerics import DomainError, NonConvergence, PrecisionSpec, cv
+from .numerics import DomainError, PrecisionSpec, _settle, cv
 from .qfunctions import INF, pochhammer, qpow, theta4
 from .rquantity import RQParams, rq_star
 
@@ -40,54 +41,25 @@ def phi21(params: Phi21Params, prec: PrecisionSpec):
         raise DomainError(f"2-phi-1 needs |q| < 1, got |q| = {abs(q)}")
     if abs(z) >= 1:
         raise DomainError(f"2-phi-1 series needs |z| < 1, got |z| = {abs(z)}")
-    eps = prec.work_eps(ctx)
-    term = ctx.mpf(1)
-    total = ctx.mpf(1)
-    qn = ctx.mpf(1)  # q^n
-    small = 0
-    for n in range(10**6):
-        denom_c = 1 - c * qn
-        denom_q = 1 - q * qn
-        if denom_c == 0:
-            raise DomainError(f"lower parameter c = q^(-{n}) is a pole")
-        term = term * (1 - a * qn) * (1 - b * qn) / (denom_c * denom_q) * z
-        total = total + term
-        qn = qn * q
-        if abs(term) <= eps * max(ctx.mpf(1), abs(total)):
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-    raise NonConvergence("2-phi-1 series did not settle within budget")
+
+    def terms():
+        term = ctx.mpf(1)
+        qn = ctx.mpf(1)  # q^n
+        for n in itertools.count():
+            yield term
+            denom_c = 1 - c * qn
+            if denom_c == 0:
+                raise DomainError(f"lower parameter c = q^(-{n}) is a pole")
+            term = term * (1 - a * qn) * (1 - b * qn) / (denom_c * (1 - q * qn)) * z
+            qn = qn * q
+
+    return _settle(ctx, prec.work_eps(ctx), terms())
 
 
 def psi_small(a, q, z, prec: PrecisionSpec):
-    """psi(a, q, z) = sum_{n>=0} (a;q)_n / (q;q)_n z^n for |q| < 1, |z| < 1."""
-    ctx = prec.context()
-    a = cv(ctx, a)
-    q = cv(ctx, q)
-    z = cv(ctx, z)
-    if abs(q) >= 1:
-        raise DomainError(f"psi needs |q| < 1, got |q| = {abs(q)}")
-    if abs(z) >= 1:
-        raise DomainError(f"psi series needs |z| < 1, got |z| = {abs(z)}")
-    eps = prec.work_eps(ctx)
-    term = ctx.mpf(1)
-    total = ctx.mpf(1)
-    qn = ctx.mpf(1)
-    small = 0
-    for _ in range(10**6):
-        term = term * (1 - a * qn) / (1 - q * qn) * z
-        total = total + term
-        qn = qn * q
-        if abs(term) <= eps * max(ctx.mpf(1), abs(total)):
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-    raise NonConvergence("psi series did not settle within budget")
+    """psi(a, q, z) = sum_{n>=0} (a;q)_n / (q;q)_n z^n for |q| < 1, |z| < 1:
+    the 2-phi-1 series with b = c = 0."""
+    return phi21(Phi21Params(a, 0, 0, q, z), prec)
 
 
 def psi_small_product(a, q, z, prec: PrecisionSpec):

@@ -107,24 +107,23 @@ def _theta_guard(ctx, z, q):
 
 def theta3(z, q, prec: PrecisionSpec):
     """theta_3(z, q) = 1 + 2 sum_{n>=1} q^(n^2) cos(2 n z)."""
-    ctx = prec.context()
-    z, q, L, t = _theta_guard(ctx, z, q)
-    n_cut = gaussian_cutoff(prec.workdps, L, t)
-    total = ctx.mpf(1)
-    for n in range(1, n_cut + 1):
-        total = total + 2 * qpow(ctx, q, n * n) * ctx.cos(2 * n * z)
-    return total
+    return _theta_series(prec.context(), z, q, 1)
 
 
 def theta4(z, q, prec: PrecisionSpec):
     """theta_4(z, q) = 1 + 2 sum_{n>=1} (-1)^n q^(n^2) cos(2 n z)."""
-    ctx = prec.context()
+    return _theta_series(prec.context(), z, q, -1)
+
+
+def _theta_series(ctx, z, q, s: int):
+    """1 + 2 sum_{n>=1} s^n q^(n^2) cos(2 n z), s = 1 or -1, summed to the
+    Gaussian cutoff of the working precision."""
     z, q, L, t = _theta_guard(ctx, z, q)
-    n_cut = gaussian_cutoff(prec.workdps, L, t)
+    n_cut = gaussian_cutoff(ctx.dps, L, t)
     total = ctx.mpf(1)
     sign = 1
     for n in range(1, n_cut + 1):
-        sign = -sign
+        sign *= s
         total = total + 2 * sign * qpow(ctx, q, n * n) * ctx.cos(2 * n * z)
     return total
 
@@ -149,64 +148,42 @@ def theta4_product(z, q, prec: PrecisionSpec):
 
 
 def theta2(q, prec: PrecisionSpec):
-    """theta_2(0, q) = 2 q^(1/4) sum_{n>=0} q^(n(n+1))."""
+    """theta_2(0, q) = 2 q^(1/4) sum_{n>=0} q^(n(n+1)) = q^(1/4) S_1, since
+    n and -1-n give the same term of S_1 = sum_{n in Z} q^(n^2 + n)."""
     ctx = prec.context()
     q = cv(ctx, q)
-    if abs(q) >= 1:
-        raise DomainError(f"theta series need |q| < 1, got |q| = {abs(q)}")
-    body = sum_series(
-        lambda n: qpow(ctx, q, n * (n + 1)),
-        prec,
-        tail_policy="gaussian-exponent",
-        q_abs=abs(q),
-    )
-    return 2 * qpow(ctx, q, Fraction(1, 4)) * body
+    return qpow(ctx, q, Fraction(1, 4)) * _bilateral_halfsquare(ctx, 2, 2, q, signed=False)
 
 
 def theta_sum_S(z, q, prec: PrecisionSpec):
     """S_z = sum over all integers n of q^(n^2 + z n); z may be complex."""
     ctx = prec.context()
-    z = cv(ctx, z)
+    return _bilateral_halfsquare(ctx, 2 * cv(ctx, z), 2, q, signed=False)
+
+
+def _bilateral_halfsquare(ctx, coeff_lin, p, q, signed: bool):
+    """sum over n in Z of s^n * q^(p n^2 / 2 + coeff_lin * n / 2), s = -1 or 1.
+
+    Shared engine for theta_sum_S (p = 2), theta2, the theta-sum route of
+    [a,p;q] and psi_star; the quadratic coefficient is p/2.  At q = 0 only
+    the n = 0 term is kept, which gives 1.
+    """
     q = cv(ctx, q)
+    p = cv(ctx, p)
+    b = cv(ctx, coeff_lin)
     qa = abs(q)
     if qa >= 1:
         raise DomainError(f"bilateral Gaussian sum needs |q| < 1, got |q| = {qa}")
     if q == 0:
         return ctx.mpf(1)
     logq = ctx.log(q)
-    L = float(-ctx.re(logq))
-    if L <= 0:
-        raise DomainError("bilateral Gaussian sum needs |q| < 1 strictly")
-    # |q^(n^2+zn)| = e^(-L n^2 + c n) with c = -Re(z*ln q); the linear term
-    # shifts the peak, so widen the cutoff by the peak offset.
-    c = float(-ctx.re(z * logq))
-    n_cut = gaussian_cutoff(prec.workdps, L, abs(c) / 2.0)
-    shift = int(math.ceil(abs(c) / (2 * L))) + 1
-    total = ctx.mpf(0)
-    for n in range(-n_cut - shift, n_cut + shift + 1):
-        total = total + ctx.exp((n * n + z * n) * logq)
-    return total
-
-
-def _bilateral_halfsquare(coeff_lin, p, q, prec: PrecisionSpec, signed: bool):
-    """sum over n in Z of s^n * q^(p n^2 / 2 + coeff_lin * n / 2), s = -1 or 1.
-
-    Shared engine for the theta-sum route of [a,p;q] and for psi_star; the
-    quadratic coefficient is p/2 and coeff_lin is (p - 2a).
-    """
-    ctx = prec.context()
-    q = cv(ctx, q)
-    p = cv(ctx, p)
-    b = cv(ctx, coeff_lin)
-    qa = abs(q)
-    if qa >= 1 or qa == 0:
-        raise DomainError(f"theta-sum route needs 0 < |q| < 1, got |q| = {qa}")
-    logq = ctx.log(q)
     L = float(-ctx.re(p * logq)) / 2.0
     if L <= 0:
-        raise DomainError("theta-sum route needs Re(p ln q) < 0")
+        raise DomainError("bilateral Gaussian sum needs Re(p ln q) < 0")
+    # |term| = e^(-L n^2 - c n) with c = -Re(coeff_lin ln q)/2; the linear
+    # term shifts the peak, so widen the cutoff by the peak offset.
     c = float(-ctx.re(b * logq)) / 2.0
-    n_cut = gaussian_cutoff(prec.workdps, L, abs(c) / 2.0)
+    n_cut = gaussian_cutoff(ctx.dps, L, abs(c) / 2.0)
     shift = int(math.ceil(abs(c) / (2 * L))) + 1
     total = ctx.mpf(0)
     for n in range(-n_cut - shift, n_cut + shift + 1):
@@ -249,7 +226,7 @@ def agile(params: AgileParams, q, prec: PrecisionSpec, route: str | None = None)
     if route == "theta":
         if ctx.im(q) != 0 or ctx.re(q) <= 0:
             raise DomainError("theta route needs real q in (0, 1)")
-        numer = _bilateral_halfsquare(p - 2 * a, p, q, prec, signed=True)
+        numer = _bilateral_halfsquare(ctx, p - 2 * a, p, q, signed=True)
         denom = euler_f(qpow(ctx, q, p), prec)
         return numer / denom
     raise DomainError(f"unknown route {route!r}")
@@ -268,10 +245,8 @@ def psi_star(a, p, q, prec: PrecisionSpec, route: str = "sum"):
     q = cv(ctx, q)
     if abs(q) >= 1:
         raise DomainError(f"psi* needs |q| < 1, got |q| = {abs(q)}")
-    if q == 0:
-        return ctx.mpf(1)
     if route == "sum":
-        return _bilateral_halfsquare(p - 2 * a, p, q, prec, signed=False)
+        return _bilateral_halfsquare(ctx, p - 2 * a, p, q, signed=False)
     if route == "product":
         if not (0 < ctx.re(a) < ctx.re(p)):
             raise DomainError(f"product route needs Re(a) in (0, p), got a = {a}")

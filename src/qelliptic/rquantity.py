@@ -13,9 +13,9 @@ from .elliptic import modulus_from_nome
 from .numerics import (
     CrossCheckFailure,
     DomainError,
-    NonConvergence,
     PrecisionSpec,
     cv,
+    prod_infinite,
     sum_series,
 )
 from .qfunctions import AgileParams, agile, psi_star, qpow
@@ -150,20 +150,18 @@ def rq_charprod(a: int, b: int, p: int, q, prec: PrecisionSpec):
     q = cv(ctx, q)
     if abs(q) >= 1:
         raise DomainError(f"character product needs |q| < 1, got |q| = {abs(q)}")
-    eps = prec.work_eps(ctx)
-    total = ctx.mpf(1)
-    small = 0
-    for n in range(1, 10**6):
-        e = chi.exponent(n)
-        if e:
-            total = total * (1 - qpow(ctx, q, n)) ** e
-        if abs(q) ** n <= eps:
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-    raise NonConvergence("character product did not settle within budget")
+
+    def block(k: int):
+        # One factor per period: a single n would often give an exact 1
+        # (exponent 0), which the stopping rule counts as negligible.
+        f = ctx.mpf(1)
+        for n in range(k * p, (k + 1) * p):
+            e = chi.exponent(n)
+            if e:
+                f = f * (1 - qpow(ctx, q, n)) ** e
+        return f
+
+    return prod_infinite(block, prec, start=0)
 
 
 def tau_star(a, p, q, prec: PrecisionSpec):

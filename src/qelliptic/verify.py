@@ -1692,7 +1692,10 @@ def register_builtin_checks() -> list:
 
 def _run_one(check: IdentityCheck, digits: int, seed: int, prec: PrecisionSpec) -> CheckOutcome:
     start = time.perf_counter()
-    if digits < check.min_digits:
+    # A tolerance of 1 or more would let any residual pass, so such a check
+    # is skipped rather than reported as a vacuous pass.
+    tol_exp = check.tolerance_exponent(digits)
+    if digits < check.min_digits or tol_exp >= 0:
         return CheckOutcome(check.id, "skip", "0", 0, time.perf_counter() - start)
     rng = random.Random(f"{seed}:{check.id}")
     errs = check.run(prec, rng)
@@ -1704,7 +1707,7 @@ def _run_one(check: IdentityCheck, digits: int, seed: int, prec: PrecisionSpec) 
     floor = mpmath.mpf(10) ** (-(digits + prec.guard))
     if worst < floor:
         worst = floor
-    tol = mpmath.mpf(10) ** check.tolerance_exponent(digits)
+    tol = mpmath.mpf(10) ** tol_exp
     if worst < tol:
         status = "pass"
     elif check.severity == DISCREPANCY_ALLOWED:

@@ -43,6 +43,13 @@ def test_psi_small_euler_case():
     assert abs(v - 1) < ctx.mpf(10) ** (-45)
 
 
+def test_psi_small_is_phi21_with_b_c_zero():
+    ctx = P50.context()
+    q = Fraction(1, 5)
+    for a, z in ((Fraction(1, 4), Fraction(3, 10)), (ctx.mpc(1, 2), ctx.mpc(-0.25, 0.5))):
+        assert psi_small(a, q, z, P50) == phi21(Phi21Params(a, 0, 0, q, z), P50)
+
+
 def test_psi_small_domain():
     with pytest.raises(DomainError):
         psi_small(Fraction(1, 4), Fraction(3, 2), Fraction(1, 10), P50)

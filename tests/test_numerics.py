@@ -13,7 +13,6 @@ from qelliptic.numerics import (
     PrecisionSpec,
     UnknownSelector,
     VerificationError,
-    ZeroFactor,
     agm,
     cv,
     gamma,
@@ -75,7 +74,6 @@ def test_error_taxonomy():
     for err in (
         NonConvergence,
         DomainError,
-        ZeroFactor,
         VerificationError,
         InsufficientPrecision,
         CrossCheckFailure,
@@ -103,24 +101,6 @@ def test_sum_series_geometric():
     assert abs(s - ctx.mpf(3) / 2) < p.target_eps(ctx)
 
 
-def test_sum_series_bilateral_theta():
-    p = PrecisionSpec(50)
-    ctx = p.context()
-    q = cv(ctx, Fraction(1, 10))
-    s = sum_series(lambda n: q ** (n * n), p, bilateral=True, tail_policy="gaussian-exponent", q_abs=q)
-    # 1 + 2 sum_{n>=1} q^(n^2)
-    ref = 1 + 2 * sum(q ** (n * n) for n in range(1, 40))
-    assert abs(s - ref) < p.target_eps(ctx)
-
-
-def test_sum_series_unknown_policy():
-    p = PrecisionSpec(50)
-    with pytest.raises(UnknownSelector):
-        sum_series(lambda n: 0, p, tail_policy="nonsense")
-    with pytest.raises(UnknownSelector):
-        sum_series(lambda n: 0, p, tail_policy="gaussian-exponent")  # missing q_abs
-
-
 def test_sum_series_nonconvergence():
     p = PrecisionSpec(50)
     with pytest.raises(NonConvergence):
@@ -140,11 +120,17 @@ def test_prod_infinite_euler_style():
 
 def test_prod_infinite_zero_factor():
     p = PrecisionSpec(50)
-    assert prod_infinite(lambda n: 0 if n == 3 else 1 - Fraction(1, 2) ** n, p) == 0
-    with pytest.raises(ZeroFactor):
-        prod_infinite(
-            lambda n: 0 if n == 3 else 1 - Fraction(1, 2) ** n, p, strict_zero=True
-        )
+    v = prod_infinite(lambda n: 0 if n == 3 else 1 - Fraction(1, 2) ** n, p)
+    assert v == 0 and type(v).__name__ == "mpf"
+    # a complex factor before the zero keeps the complex type
+    w = prod_infinite(lambda n: complex(1, 2) if n == 1 else 0, p)
+    assert w == 0 and type(w).__name__ == "mpc"
+
+
+def test_prod_infinite_nonconvergence():
+    p = PrecisionSpec(50)
+    with pytest.raises(NonConvergence):
+        prod_infinite(lambda n: 2, p, max_terms=50)
 
 
 def test_agm_lemniscatic():

@@ -54,6 +54,25 @@ def test_character_product_equals_rq_star():
     assert abs(v1 - v2) < ctx.mpf(10) ** (-45)
 
 
+def test_character_product_all_zero_pattern_is_exactly_one():
+    # a == b, and a == p - b, cancel every exponent
+    for a, b, p in ((2, 2, 5), (1, 4, 5)):
+        assert all(Chi2Character(a, b, p).exponent(n) == 0 for n in range(p))
+        assert rq_charprod(a, b, p, Fraction(1, 2), P50) == 1
+
+
+def test_character_product_runs_past_zero_exponents():
+    # exponents at n = 2, 3, 4 are all zero: three exact factors 1 in a row
+    # must not stop the product
+    ctx = P50.context()
+    chi = Chi2Character(1, 5, 12)
+    assert [chi.exponent(n) for n in (2, 3, 4)] == [0, 0, 0]
+    q = Fraction(1, 2)
+    v1 = rq_charprod(1, 5, 12, q, P50)
+    v2 = rq_star(RQParams(1, 5, 12), q, P50, route="product")
+    assert abs(v1 - v2) < ctx.mpf(10) ** (-50)
+
+
 def test_character_exponent_pattern():
     chi = Chi2Character(1, 2, 5)
     assert [chi.exponent(n) for n in range(6)] == [0, 1, -1, -1, 1, 0]

@@ -5,10 +5,11 @@ import json
 import mpmath
 import pytest
 
-from qelliptic.numerics import UnknownSelector
+from qelliptic.numerics import PrecisionSpec, UnknownSelector
 from qelliptic.verify import (
     DISCREPANCY_ALLOWED,
     NORMATIVE,
+    _run_one,
     register_builtin_checks,
     run_suite,
 )
@@ -125,3 +126,34 @@ def test_escalation_on_sample_suites():
             e40 = mpmath.mpf(c40.max_abs_error)
             e60 = mpmath.mpf(c60.max_abs_error)
             assert e60 <= e40 * mpmath.mpf(10) ** (-10), cid
+
+
+def test_verdicts_follow_registry_metadata_at_40_digits():
+    # skip below min_digits, else pass for normative checks and discrepancy
+    # for the documented alternative readings
+    rep = run_suite("all", digits=40, seed=42)
+    by_id = {c.id: c for c in register_builtin_checks()}
+    assert len(rep.checks) == len(by_id) == 61
+    for outcome in rep.checks:
+        check = by_id[outcome.id]
+        if 40 < check.min_digits:
+            expected = "skip"
+        elif check.severity == NORMATIVE:
+            expected = "pass"
+        else:
+            expected = "discrepancy"
+        assert outcome.status == expected, outcome.id
+
+
+def test_no_pass_against_a_tolerance_of_one_or_more():
+    # the default tolerance 10^(15 - digits) reaches 1 at 15 digits, so a
+    # run there must not report a single pass
+    assert run_suite("all", digits=12).counts["pass"] == 0
+    checks = register_builtin_checks()
+    for digits in range(10, 19):
+        prec = PrecisionSpec(digits)
+        for check in checks:
+            if check.tolerance_exponent(digits) >= 0:
+                outcome = _run_one(check, digits, 42, prec)
+                assert outcome.status == "skip", (check.id, digits)
+                assert outcome.samples == 0
