@@ -22,7 +22,7 @@ from .numerics import (
     _settle,
     cv,
 )
-from .qfunctions import qpow
+from .qfunctions import _qpowers, qpow
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,10 @@ def rr_cf(q, prec: PrecisionSpec):
     1/(1 + q/(1 + q^2/(1 + q^3/(1 + ...))))."""
     ctx = prec.context()
     q = _real_q(ctx, q)
+    power = _qpowers(ctx, q)
     cf = ContinuedFraction(
         b0=0,
-        partial_num=lambda n: 1 if n == 1 else qpow(ctx, q, n - 1),
+        partial_num=lambda n: 1 if n == 1 else power(n - 1),
         partial_den=lambda n: 1,
     )
     return eval_cf(cf, prec)
@@ -145,12 +146,13 @@ def r2_cf(q, prec: PrecisionSpec):
     """q^(1/3)/(1 + (q+q^2)/(1 + (q^2+q^4)/(1 + (q^3+q^6)/(1 + ...))))."""
     ctx = prec.context()
     q = _real_q(ctx, q)
+    power = _qpowers(ctx, q)
 
     def a_n(n: int):
         if n == 1:
             return 1
         m = n - 1
-        return qpow(ctx, q, m) + qpow(ctx, q, 2 * m)
+        return power(m) + power(2 * m)
 
     cf = ContinuedFraction(b0=0, partial_num=a_n, partial_den=lambda n: 1)
     return qpow(ctx, q, Fraction(1, 3)) * eval_cf(cf, prec)
@@ -163,10 +165,11 @@ def r3_cf(q, prec: PrecisionSpec):
     """
     ctx = prec.context()
     q = _real_q(ctx, q)
+    power = _qpowers(ctx, q)
     cf = ContinuedFraction(
         b0=0,
-        partial_num=lambda n: 1 if n == 1 else qpow(ctx, q, 2 * (n - 1)),
-        partial_den=lambda n: 1 + qpow(ctx, q, 2 * n - 1),
+        partial_num=lambda n: 1 if n == 1 else power(2 * (n - 1)),
+        partial_den=lambda n: 1 + power(2 * n - 1),
     )
     return qpow(ctx, q, Fraction(1, 2)) * eval_cf(cf, prec)
 
@@ -213,15 +216,16 @@ def m_cf(c, q, prec: PrecisionSpec):
         raise DomainError("the M fraction is evaluated for real c and q")
     if not (0 < q < 1):
         raise DomainError(f"the M fraction needs real q in (0, 1), got {q}")
+    power = _qpowers(ctx, q)
 
     def a_n(n: int):
         if n == 1:
             return 1
         if n % 2 == 0:
             j = n // 2
-            return -c * qpow(ctx, q, 2 * j - 1)
+            return -c * power(2 * j - 1)
         j = (n - 1) // 2
-        return c * (qpow(ctx, q, j) - qpow(ctx, q, 2 * j))
+        return c * (power(j) - power(2 * j))
 
     cf = ContinuedFraction(b0=0, partial_num=a_n, partial_den=lambda n: 1)
     return eval_cf(cf, prec)
@@ -245,17 +249,18 @@ def p_cf(a, b, q, prec: PrecisionSpec):
         raise DomainError(f"P(a, b, q) needs |q| < 1, got |q| = {abs(q)}")
     if abs(a * b) >= 1:
         raise DomainError(f"P(a, b, q) needs |ab| < 1, got |ab| = {abs(a * b)}")
+    power = _qpowers(ctx, q)
 
     def a_n(n: int):
         if n == 1:
             return 1
-        e = 2 * n - 3
-        return (a - b * qpow(ctx, q, e)) * (b - a * qpow(ctx, q, e))
+        qe = power(2 * n - 3)
+        return (a - b * qe) * (b - a * qe)
 
     def b_n(n: int):
         if n == 1:
             return 1 - a * b
-        return (1 - a * b) * (qpow(ctx, q, 2 * n - 2) + 1)
+        return (1 - a * b) * (power(2 * n - 2) + 1)
 
     cf = ContinuedFraction(b0=0, partial_num=a_n, partial_den=b_n)
     return eval_cf(cf, prec)

@@ -1,25 +1,34 @@
 """Precision plumbing shared by every other module.
 
-Design rule: precision is always an explicit ``PrecisionSpec`` argument and
-every public entry point builds its own fresh mpmath context at the working
-precision.  Nothing here reads or writes the process-global ``mpmath.mp``
-context, so results are reproducible under threads and concurrent suites.
-Returned values are ordinary ``mpf``/``mpc`` instances, which are immutable
-and safe to pass between contexts.
+Design rule: precision is always an explicit ``PrecisionSpec`` argument, and
+every public entry point takes its mpmath context from
+``PrecisionSpec.context()``: one context per thread and working precision,
+built on first use and shared by every later caller in that thread.  Callers
+never change a context's precision (a test parses the package for ``.dps``
+and ``.prec`` assignments), so sharing is invisible to them.
+Nothing here reads or writes the process-global ``mpmath.mp`` context, so
+results are reproducible under threads and concurrent suites.  Returned
+values are ordinary ``mpf``/``mpc`` instances, which are immutable and safe
+to pass between contexts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import dps_to_prec
 
 # Hard budget on series/product terms before we declare divergence.
 MAX_TERMS = 10**6
+
+# Per-thread map workdps -> MPContext, filled by PrecisionSpec.context().
+_contexts = threading.local()
 
 
 class NumericsError(Exception):
@@ -75,9 +84,18 @@ class PrecisionSpec:
         return self.digits + self.guard
 
     def context(self) -> MPContext:
-        """A fresh context at working precision. Costs about 0.5 ms; never shared."""
-        ctx = MPContext()
-        ctx.dps = self.workdps
+        """The calling thread's context at working precision.
+
+        One context per thread and ``workdps``, built on first use (about
+        0.5 ms) and returned to every later call.  Callers must never change
+        its precision; if one did, the next call notices and builds a new
+        context, so the change does not leak to the next caller.
+        """
+        contexts = _contexts.__dict__
+        ctx = contexts.get(self.workdps)
+        if ctx is None or ctx.prec != dps_to_prec(self.workdps):
+            ctx = contexts[self.workdps] = MPContext()
+            ctx.dps = self.workdps
         return ctx
 
     def target_eps(self, ctx: MPContext):

@@ -5,7 +5,8 @@ product quantity [a,p;q] with its theta-sum twin.
 Sign convention used throughout: ``euler_f(q)`` and ``weber_phi(q)`` return
 the products (q;q)_inf and (-q;q)_inf, i.e. the classical symbols f(-q) and
 phi(-q) evaluated so that the caller passes plain q.  Fractional powers of q
-are always e^(x*ln q) on the principal branch, never root extraction.
+are always e^(x*ln q) on the principal branch, never root extraction; the
+integer powers a loop walks through come from ``_qpowers`` by multiplication.
 """
 
 from __future__ import annotations
@@ -54,6 +55,24 @@ def qpow(ctx, q, x):
     return ctx.exp(x * ctx.log(q))
 
 
+def _qpowers(ctx, q):
+    """m -> q^m for integers m >= 0, read from a table that grows by one
+    multiplication per new m (q must already be a number of ``ctx``).
+
+    Used where a loop needs q^1, q^2, ... in turn: m multiplications cost
+    far less than m exp/log pairs and lose at most m ulps, which the guard
+    digits absorb.
+    """
+    table = [ctx.mpf(1), q]
+
+    def power(m: int):
+        while len(table) <= m:
+            table.append(table[-1] * q)
+        return table[m]
+
+    return power
+
+
 def pochhammer(a, q, n, prec: PrecisionSpec):
     """(a; q)_n = prod_{k=0}^{n-1} (1 - a q^k); n may be math.inf."""
     ctx = prec.context()
@@ -62,7 +81,8 @@ def pochhammer(a, q, n, prec: PrecisionSpec):
     if n is INF or n is None:
         if abs(q) >= 1:
             raise DomainError(f"(a;q)_inf needs |q| < 1, got |q| = {abs(q)}")
-        return prod_infinite(lambda m: 1 - a * qpow(ctx, q, m), prec, start=0)
+        power = _qpowers(ctx, q)
+        return prod_infinite(lambda m: 1 - a * power(m), prec, start=0)
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"n must be a non-negative integer or math.inf, got {n!r}")
     total = ctx.mpf(1)
@@ -121,10 +141,18 @@ def _theta_series(ctx, z, q, s: int):
     z, q, L, t = _theta_guard(ctx, z, q)
     n_cut = gaussian_cutoff(ctx.dps, L, t)
     total = ctx.mpf(1)
-    sign = 1
-    for n in range(1, n_cut + 1):
-        sign *= s
-        total = total + 2 * sign * qpow(ctx, q, n * n) * ctx.cos(2 * n * z)
+    # term = s^n q^(n^2) advances by the ratio s q^(2n+1), which advances by
+    # q^2; cos(2nz) follows the Chebyshev recurrence in cos(2z).
+    term = ctx.mpf(1)
+    ratio = s * q
+    q2 = q * q
+    c1 = ctx.cos(2 * z)
+    cos_prev, cos_n = ctx.mpf(1), c1
+    for _ in range(n_cut):
+        term = term * ratio
+        ratio = ratio * q2
+        total = total + 2 * term * cos_n
+        cos_prev, cos_n = cos_n, 2 * c1 * cos_n - cos_prev
     return total
 
 
@@ -138,11 +166,11 @@ def theta4_product(z, q, prec: PrecisionSpec):
     ctx = prec.context()
     z, q, _, _ = _theta_guard(ctx, z, q)
     c = ctx.cos(2 * z)
+    power = _qpowers(ctx, q)
 
     def factor(n: int):
-        q2n = qpow(ctx, q, 2 * n)
-        qodd = qpow(ctx, q, 2 * n - 1)
-        return (1 - q2n) * (1 - 2 * qodd * c + qodd * qodd)
+        qodd = power(2 * n - 1)
+        return (1 - power(2 * n)) * (1 - 2 * qodd * c + qodd * qodd)
 
     return prod_infinite(factor, prec, start=1)
 

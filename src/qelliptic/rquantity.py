@@ -18,7 +18,7 @@ from .numerics import (
     prod_infinite,
     sum_series,
 )
-from .qfunctions import AgileParams, agile, psi_star, qpow
+from .qfunctions import AgileParams, _qpowers, agile, psi_star, qpow
 
 
 @dataclass(frozen=True)
@@ -150,6 +150,7 @@ def rq_charprod(a: int, b: int, p: int, q, prec: PrecisionSpec):
     q = cv(ctx, q)
     if abs(q) >= 1:
         raise DomainError(f"character product needs |q| < 1, got |q| = {abs(q)}")
+    power = _qpowers(ctx, q)
 
     def block(k: int):
         # One factor per period: a single n would often give an exact 1
@@ -158,7 +159,7 @@ def rq_charprod(a: int, b: int, p: int, q, prec: PrecisionSpec):
         for n in range(k * p, (k + 1) * p):
             e = chi.exponent(n)
             if e:
-                f = f * (1 - qpow(ctx, q, n)) ** e
+                f = f * (1 - power(n)) ** e
         return f
 
     return prod_infinite(block, prec, start=0)

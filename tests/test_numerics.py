@@ -1,9 +1,13 @@
 """Precision plumbing: PrecisionSpec, conversion, series/product engines."""
 
+import ast
+import pathlib
+import threading
 from fractions import Fraction
 
 import pytest
 
+import qelliptic
 from qelliptic.numerics import (
     CrossCheckFailure,
     DomainError,
@@ -45,13 +49,74 @@ def test_bumped_adds_digits():
     assert p.digits == 60  # original untouched
 
 
-def test_context_is_fresh_per_call():
+def test_context_is_shared_per_thread_and_precision():
     p = PrecisionSpec(50)
     c1 = p.context()
     c2 = p.context()
-    assert c1 is not c2
+    assert c1 is c2
+    assert PrecisionSpec(50, guard=p.guard + 1).context() is not c1
+    other = []
+    worker = threading.Thread(target=lambda: other.append(p.context()))
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert other[0] is not c1 and other[0].dps == p.workdps
     c1.dps = 7  # mutating one context must not leak into the next
     assert p.context().dps == p.workdps
+    c3 = p.context()
+    c3.prec += 1  # a precision change that keeps dps is caught as well
+    assert c3.dps == p.workdps
+    fresh = p.context()
+    assert fresh is not c3 and fresh.prec == c3.prec - 1
+
+
+# mpmath context methods that change the precision for the length of a block
+PRECISION_BLOCKS = ("workdps", "workprec", "extradps", "extraprec")
+
+
+def _precision_changes(tree):
+    """Sorted (line, name) of every store to a .dps or .prec attribute and of
+    every call of a PRECISION_BLOCKS method, except inside
+    PrecisionSpec.context."""
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "PrecisionSpec":
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "context":
+                    exempt.update(id(sub) for sub in ast.walk(item))
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and node.attr in ("dps", "prec")
+        ):
+            found.append((node.lineno, node.attr))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in PRECISION_BLOCKS
+        ):
+            found.append((node.lineno, node.func.attr))
+    return sorted(found)
+
+
+def test_no_precision_changes_in_the_package():
+    # PrecisionSpec.context() hands one context to every caller in a thread,
+    # which is only safe while nothing else changes a context's precision
+    package = pathlib.Path(qelliptic.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) >= 10
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert _precision_changes(tree) == [], path.name
+    sample = ast.parse(
+        "def f(ctx, spec):\n    spec.prec = 1\n    ctx.dps += 3\n"
+        "    with ctx.extradps(5):\n        return spec.workdps\n"
+    )
+    assert _precision_changes(sample) == [(2, "prec"), (3, "dps"), (4, "extradps")]
 
 
 def test_eps_values():

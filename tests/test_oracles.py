@@ -1,8 +1,9 @@
-"""The theta series and bilateral Gaussian sums against mpmath's jtheta.
+"""Theta functions, bilateral Gaussian sums, q-products and continued
+fractions against mpmath's jtheta and qp.
 
 Inputs are drawn by Hypothesis with a fixed derandomized seed, so every run
-tests the same points.  Each value must agree with jtheta, computed 20 digits
-deeper, to 10^-digits relative.
+tests the same points.  Each value must agree with the mpmath oracle,
+computed 20 digits deeper, to 10^-digits relative.
 """
 
 from fractions import Fraction
@@ -11,16 +12,34 @@ import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qelliptic.cfrac import p_cf, r1_cf, rr_cf
 from qelliptic.numerics import PrecisionSpec
-from qelliptic.qfunctions import theta2, theta3, theta4, theta_sum_S
+from qelliptic.qfunctions import (
+    INF,
+    euler_f,
+    pochhammer,
+    theta2,
+    theta3,
+    theta4,
+    theta4_product,
+    theta_sum_S,
+    weber_phi,
+)
+from qelliptic.rquantity import rq_charprod
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
-digits_st = st.sampled_from([20, 40, 60])
+digits_st = st.sampled_from([20, 40, 60, 200])
 q_st = st.fractions(min_value=Fraction(1, 100), max_value=Fraction(1, 2), max_denominator=1000)
 real_st = st.fractions(min_value=-2, max_value=2, max_denominator=100)
 # |Im z| <= 1/3 keeps |q| e^(2|Im z|) below 1 for every q drawn above
 imag_st = st.fractions(min_value=Fraction(-1, 3), max_value=Fraction(1, 3), max_denominator=100)
+# |ab| < 1 for the P fraction
+unit_st = st.fractions(min_value=Fraction(-9, 10), max_value=Fraction(9, 10), max_denominator=100)
+# period p and residues 0 < a, b < p of the character product
+chi_st = st.integers(2, 7).flatmap(
+    lambda p: st.tuples(st.integers(1, p - 1), st.integers(1, p - 1), st.just(p))
+)
 
 
 def _oracle(digits):
@@ -31,6 +50,10 @@ def _oracle(digits):
 
 def _agree(ctx, value, reference, digits):
     return abs(value - reference) <= ctx.mpf(10) ** (-digits) * max(1, abs(reference))
+
+
+def _num(ctx, x):
+    return ctx.mpf(x.numerator) / x.denominator
 
 
 @SETTINGS
@@ -74,3 +97,77 @@ def test_q_zero_matches_jtheta():
     assert theta2(0, prec) == ctx.jtheta(2, 0, 0) == 0
     for z in (0, Fraction(1, 2), ctx.mpc(1, 2)):
         assert theta_sum_S(z, 0, prec) == ctx.jtheta(3, 0, 0) == 1
+
+
+@SETTINGS
+@given(digits_st, q_st, real_st, real_st)
+def test_pochhammer_matches_qp(digits, q, x, y):
+    ctx = _oracle(digits)
+    prec = PrecisionSpec(digits)
+    qv = _num(ctx, q)
+    for a in (_num(ctx, x), ctx.mpc(_num(ctx, x), _num(ctx, y))):
+        assert _agree(ctx, pochhammer(a, qv, INF, prec), ctx.qp(a, qv), digits)
+
+
+@SETTINGS
+@given(digits_st, q_st)
+def test_euler_and_weber_products_match_qp(digits, q):
+    ctx = _oracle(digits)
+    prec = PrecisionSpec(digits)
+    qv = _num(ctx, q)
+    assert _agree(ctx, euler_f(q, prec), ctx.qp(qv, qv), digits)
+    assert _agree(ctx, weber_phi(q, prec), ctx.qp(-qv, qv), digits)
+
+
+@SETTINGS
+@given(digits_st, q_st, real_st, imag_st)
+def test_theta4_product_matches_jtheta(digits, q, x, y):
+    ctx = _oracle(digits)
+    prec = PrecisionSpec(digits)
+    qv = _num(ctx, q)
+    for z in (_num(ctx, x), ctx.mpc(_num(ctx, x), _num(ctx, y))):
+        assert _agree(ctx, theta4_product(z, q, prec), ctx.jtheta(4, z, qv), digits)
+
+
+@SETTINGS
+@given(digits_st, q_st)
+def test_rogers_ramanujan_fraction_matches_qp(digits, q):
+    # R(q) = q^(1/5) (q;q^5)(q^4;q^5) / ((q^2;q^5)(q^3;q^5))
+    ctx = _oracle(digits)
+    prec = PrecisionSpec(digits)
+    qv = _num(ctx, q)
+    q5 = qv**5
+    bare = ctx.qp(qv, q5) * ctx.qp(qv**4, q5) / (ctx.qp(qv**2, q5) * ctx.qp(qv**3, q5))
+    assert _agree(ctx, rr_cf(q, prec), bare, digits)
+    assert _agree(ctx, r1_cf(q, prec), ctx.root(qv, 5) * bare, digits)
+
+
+@SETTINGS
+@given(digits_st, q_st, unit_st, unit_st)
+def test_p_fraction_matches_its_product_form(digits, q, a, b):
+    # (a^2 q^3; q^4)(b^2 q^3; q^4) / ((a^2 q; q^4)(b^2 q; q^4))
+    ctx = _oracle(digits)
+    prec = PrecisionSpec(digits)
+    qv, av, bv = _num(ctx, q), _num(ctx, a), _num(ctx, b)
+    q4 = qv**4
+    product = (
+        ctx.qp(av * av * qv**3, q4) * ctx.qp(bv * bv * qv**3, q4)
+        / (ctx.qp(av * av * qv, q4) * ctx.qp(bv * bv * qv, q4))
+    )
+    assert _agree(ctx, p_cf(a, b, q, prec), product, digits)
+
+
+@SETTINGS
+@given(digits_st, q_st, chi_st)
+def test_character_product_matches_qp_quotient(digits, q, abp):
+    # R*(a,b,p;q) = [a,p;q]/[b,p;q] with [a,p;q] = (q^(p-a);q^p)(q^a;q^p)
+    a, b, p = abp
+    ctx = _oracle(digits)
+    qv = _num(ctx, q)
+    qp = qv**p
+
+    def agile(e):
+        return ctx.qp(qv ** (p - e), qp) * ctx.qp(qv**e, qp)
+
+    value = rq_charprod(a, b, p, q, PrecisionSpec(digits))
+    assert _agree(ctx, value, agile(a) / agile(b), digits)

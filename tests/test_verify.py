@@ -157,3 +157,14 @@ def test_no_pass_against_a_tolerance_of_one_or_more():
                 outcome = _run_one(check, digits, 42, prec)
                 assert outcome.status == "skip", (check.id, digits)
                 assert outcome.samples == 0
+
+
+def test_no_documented_wrong_reading_passes_at_16_to_24_digits():
+    # some wrong readings miss by about 1e-10 at any precision, which the
+    # default tolerance 10^(15 - digits) forgives up to 24 digits
+    readings = [c for c in register_builtin_checks() if c.severity == DISCREPANCY_ALLOWED]
+    for digits in range(16, 25):
+        prec = PrecisionSpec(digits)
+        for check in readings:
+            outcome = _run_one(check, digits, 42, prec)
+            assert outcome.status != "pass", (check.id, digits, outcome.max_abs_error)
