@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import qelliptic.algrec
 from qelliptic.algrec import (
     MinPolyResult,
     NOT_FOUND,
@@ -64,6 +65,41 @@ def test_height_bound_excludes():
     ctx = P60.context()
     res = find_minpoly(ctx.sqrt(2) - 1, 2, height_bound=1, prec=P60)
     assert res is NOT_FOUND
+
+
+def test_height_bound_is_inclusive():
+    ctx = P60.context()
+    assert find_minpoly(ctx.sqrt(2) - 1, 2, height_bound=2, prec=P60).coeffs == (-1, 2, 1)
+    assert find_minpoly(Fraction(5, 7), 2, height_bound=7, prec=P60).coeffs == (-5, 7)
+    assert find_minpoly(Fraction(5, 7), 2, height_bound=6, prec=P60) is NOT_FOUND
+
+
+def test_zero_and_tiny_inputs_are_roots_of_t():
+    ctx = P80.context()
+    res = find_minpoly(0, 3, prec=P80)
+    assert res.coeffs == (0, 1) and res.residual == 0
+    tiny = ctx.mpf(10) ** (-70)  # below the 10^-65 accept tolerance at 80 digits
+    res = find_minpoly(tiny, 4, prec=P80)
+    assert res.coeffs == (0, 1) and res.residual == tiny
+    # above the tolerance but with powers too small to search: no relation
+    assert find_minpoly(tiny, 8, prec=PrecisionSpec(120)) is NOT_FOUND
+
+
+def test_one_search_per_degree_tried(monkeypatch):
+    # find_minpoly must look _lll_reduce up as a module global once per
+    # degree: the benchmark counts the degrees tried by rebinding it.
+    calls = []
+    search = qelliptic.algrec._lll_reduce
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(qelliptic.algrec, "_lll_reduce", counting)
+    prec = PrecisionSpec(120)
+    res = find_minpoly(prec.context().sqrt(2), 4, prec=prec)
+    assert res.coeffs == (-2, 0, 1)
+    assert len(calls) == 2
 
 
 def test_precision_precondition():

@@ -237,6 +237,14 @@ def test_minpoly_precise_literal_found(capsys):
     assert "unavailable for a literal value" in out
 
 
+def test_minpoly_zero_literal(capsys):
+    code, out, _ = run_cli(capsys, "minpoly", "--value", "0", "--degree", "2")
+    assert code == 0
+    lines = out.split("\n")
+    assert lines[0] == "t"
+    assert "degree: 1" in lines[1]
+
+
 def test_minpoly_flag_validation(capsys):
     code, _, err = run_cli(capsys, "minpoly", "--degree", "2")
     assert code == 2

@@ -1,17 +1,20 @@
 """Theta functions, bilateral Gaussian sums, q-products and continued
-fractions against mpmath's jtheta and qp.
+fractions against mpmath's jtheta and qp; minimal polynomials against their
+closed forms and mpmath's findpoly.
 
 Inputs are drawn by Hypothesis with a fixed derandomized seed, so every run
 tests the same points.  Each value must agree with the mpmath oracle,
 computed 20 digits deeper, to 10^-digits relative.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qelliptic.algrec import PSLQ_MAXSTEPS, find_minpoly
 from qelliptic.cfrac import p_cf, r1_cf, rr_cf
 from qelliptic.numerics import PrecisionSpec
 from qelliptic.qfunctions import (
@@ -25,7 +28,8 @@ from qelliptic.qfunctions import (
     theta_sum_S,
     weber_phi,
 )
-from qelliptic.rquantity import rq_charprod
+from qelliptic.rquantity import RQParams, drq_normalized, rq_charprod
+from qelliptic.verify import DERIV_POLY_125
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -40,6 +44,8 @@ unit_st = st.fractions(min_value=Fraction(-9, 10), max_value=Fraction(9, 10), ma
 chi_st = st.integers(2, 7).flatmap(
     lambda p: st.tuples(st.integers(1, p - 1), st.integers(1, p - 1), st.just(p))
 )
+recognition_digits_st = st.sampled_from([80, 120])
+nonzero_st = st.integers(-9, 9).filter(bool)
 
 
 def _oracle(digits):
@@ -171,3 +177,70 @@ def test_character_product_matches_qp_quotient(digits, q, abp):
 
     value = rq_charprod(a, b, p, q, PrecisionSpec(digits))
     assert _agree(ctx, value, agile(a) / agile(b), digits)
+
+
+def _findpoly(x, max_degree, prec):
+    """mpmath's findpoly at find_minpoly's default settings, in ascending
+    powers with a positive leading coefficient."""
+    ctx = prec.context()
+    found = ctx.findpoly(
+        x,
+        max_degree,
+        maxcoeff=10**8 + 1,
+        maxsteps=PSLQ_MAXSTEPS,
+        tol=ctx.mpf(10) ** (-(prec.digits - 15)),
+    )
+    sign = 1 if found[0] > 0 else -1
+    return tuple(sign * c for c in reversed(found))
+
+
+def _primitive(coeffs):
+    g = math.gcd(*coeffs)
+    return tuple(c // g for c in coeffs)
+
+
+@SETTINGS
+@given(
+    recognition_digits_st,
+    st.integers(-20, 20),
+    nonzero_st,
+    st.integers(2, 30).filter(lambda c: math.isqrt(c) ** 2 != c),
+    st.integers(1, 9),
+)
+def test_quadratic_surd_minpoly(digits, a, b, c, d):
+    # x = (a + b sqrt(c))/d is a root of d^2 t^2 - 2ad t + a^2 - b^2 c
+    prec = PrecisionSpec(digits)
+    ctx = prec.context()
+    x = (a + b * ctx.sqrt(c)) / d
+    expected = _primitive((a * a - b * b * c, -2 * a * d, d * d))
+    res = find_minpoly(x, 4, prec=prec)
+    assert res.coeffs == expected
+    assert _findpoly(x, 4, prec) == expected
+
+
+@SETTINGS
+@given(
+    recognition_digits_st,
+    st.integers(2, 30).filter(lambda r: round(r ** (1 / 3)) ** 3 != r),
+    st.integers(-5, 5),
+)
+def test_cubic_radical_minpoly(digits, r, s):
+    # x = cbrt(r) + s is a root of (t - s)^3 - r
+    prec = PrecisionSpec(digits)
+    ctx = prec.context()
+    x = ctx.cbrt(r) + s
+    expected = (-(s**3) - r, 3 * s * s, -3 * s, 1)
+    res = find_minpoly(x, 4, prec=prec)
+    assert res.coeffs == expected
+    assert _findpoly(x, 4, prec) == expected
+
+
+def test_octic_needs_the_pinned_search_settings():
+    # eq. (54) at (1,2,5): a degree-8 relation that mpmath's default of 100
+    # PSLQ steps does not reach at 120 digits
+    prec = PrecisionSpec(120)
+    ctx = prec.context()
+    x = drq_normalized(RQParams(1, 2, 5), ctx.exp(-ctx.pi), prec)
+    assert find_minpoly(x, 8, prec=prec).coeffs == DERIV_POLY_125
+    assert _findpoly(x, 8, prec) == DERIV_POLY_125
+    assert ctx.findpoly(x, 8, maxcoeff=10**8 + 1) is None
