@@ -1,11 +1,11 @@
 """Integer-relation recognition: find an integer-coefficient polynomial
 annihilating a high-precision real number.
 
-For each degree d = 1, 2, ... in turn, one PSLQ search (Ferguson, Bailey and
-Arno, Math. Comp. 68, 1999; mpmath's ``pslq``) looks for an integer relation
-among (1, x, x^2, ..., x^d).  A relation is normalized to content 1 with
-positive leading coefficient, ascending powers, and accepted only when it is
-square-free and its Horner residual at x is below the accept tolerance.
+One PSLQ search (Ferguson, Bailey and Arno, Math. Comp. 68, 1999; mpmath's
+``pslq``) looks for an integer relation among (1, x, x^2, ..., x^d) at each
+degree d that ``find_minpoly`` tries.  A relation is normalized to content 1
+with positive leading coefficient, ascending powers, and accepted only when
+it is square-free and its Horner residual at x is below the accept tolerance.
 
 PSLQ is a search, not one of the independent second routes the paper's
 checks rely on: a recognized polynomial is trusted because its residual is
@@ -97,7 +97,7 @@ def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
 
     The name predates PSLQ: the benchmark's tracer counts the degrees
     ``find_minpoly`` tries by rebinding this module global, so it is looked
-    up once per degree and keeps its name until the benchmark changes.
+    up once per search and keeps its name until the benchmark changes.
     """
     return ctx.pslq(xs, tol=tol, maxcoeff=maxcoeff, maxsteps=PSLQ_MAXSTEPS)
 
@@ -164,9 +164,16 @@ def find_minpoly(
 
     The height bound is inclusive.  Precondition (enforced): prec.digits >=
     10*max_degree + 40, so that a genuine relation is separated from chance
-    near-relations by many orders of magnitude.  Degrees are tried smallest
-    first; the first degree with an accepted candidate wins.  An |x| below
-    the accept tolerance 10^-(digits-15) is recognized as the root of t.
+    near-relations by many orders of magnitude.  An |x| below the accept
+    tolerance 10^-(digits-15) is recognized as the root of t.
+
+    The lowest degree with an accepted candidate wins.  A search that fails
+    at degree d rules out every degree <= d: a lower-degree relation is a
+    degree-d one with zero top coefficients, and PSLQ gives up only once
+    its bound on every relation's norm passes 100 times the height bound.
+    So degrees 1, 2, 4, 8, ... are probed until a relation turns up, and a
+    relation of degree e, accepted or not, is followed by a search at e - 1,
+    down to the first failure.
 
     confidence is "verified" only when a ``recompute`` callable is supplied:
     it is invoked with a PrecisionSpec 30 digits higher, and the polynomial's
@@ -175,6 +182,8 @@ def find_minpoly(
     """
     if max_degree < 1:
         raise DomainError(f"max_degree must be >= 1, got {max_degree}")
+    if height_bound < 1:
+        raise DomainError(f"height_bound must be >= 1, got {height_bound}")
     if prec is None:
         raise DomainError("find_minpoly requires an explicit PrecisionSpec")
     if prec.digits < 10 * max_degree + 40:
@@ -194,21 +203,32 @@ def find_minpoly(
         cs, residual = (0, 1), abs(xv)
     else:
         xs = [ctx.mpf(1)]
-        for _ in range(max_degree):
+        # PSLQ finds nothing once a power falls below accept_tol/100
+        while len(xs) <= max_degree and abs(xs[-1] * xv) >= accept_tol / 100:
             xs.append(xs[-1] * xv)
-            if abs(xs[-1]) < accept_tol / 100:
-                return NOT_FOUND  # PSLQ finds nothing once a power is this small
-            relation = _lll_reduce(ctx, xs, accept_tol, height_bound + 1)
+        top = len(xs) - 1
+        # no relation has degree <= failed; probe is the galloping degree
+        best, failed, probe, d = None, 0, 1, 1
+        while True:
+            relation = _lll_reduce(ctx, xs[: d + 1], accept_tol, height_bound + 1)
             if relation is None:
-                continue
-            cs = _normalize(relation)
-            if not _is_squarefree(cs):
-                continue
-            residual = verify_root(cs, xv, prec)
-            if residual < accept_tol:
+                failed = d
+            else:
+                while relation[0] == 0:
+                    relation = relation[1:]  # x != 0: divided by t, still one
+                cs = _normalize(relation)
+                residual = verify_root(cs, xv, prec)
+                if residual < accept_tol and _is_squarefree(cs):
+                    best = cs, residual
+                d = len(cs) - 2
+                if d > failed:
+                    continue
+            if best is not None or probe == top:
                 break
-        else:
+            probe = d = min(2 * probe, top)
+        if best is None:
             return NOT_FOUND
+        cs, residual = best
 
     confidence = "unverified"
     if recompute is not None:

@@ -403,6 +403,8 @@ def cmd_minpoly(args) -> int:
     degree = args.degree
     if degree < 1:
         raise UsageError("--degree must be >= 1")
+    if args.height < 1:
+        raise UsageError("--height must be >= 1")
     # find_minpoly needs >= 10*degree + 40 working digits; the requested
     # --digits controls reporting, the working precision is bumped to fit.
     digits_eff = max(args.digits, 10 * degree + 40)

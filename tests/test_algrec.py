@@ -102,6 +102,34 @@ def test_one_search_per_degree_tried(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.fixture
+def searched(monkeypatch):
+    """The degrees find_minpoly searches, in order."""
+    degrees = []
+    search = qelliptic.algrec._lll_reduce
+
+    def counting(ctx, xs, *args, **kwargs):
+        degrees.append(len(xs) - 1)
+        return search(ctx, xs, *args, **kwargs)
+
+    monkeypatch.setattr(qelliptic.algrec, "_lll_reduce", counting)
+    return degrees
+
+
+def test_no_relation_costs_the_galloping_probes_only(searched):
+    # a failed search at degree 8 rules out every lower degree
+    prec = PrecisionSpec(120)
+    assert find_minpoly(prec.context().pi, 8, prec=prec) is NOT_FOUND
+    assert searched == [1, 2, 4, 8]
+
+
+def test_octic_is_confirmed_by_one_failure_below_it(searched):
+    prec = PrecisionSpec(120)
+    res = find_minpoly(prec.context().root(2, 8), 8, prec=prec)
+    assert res.coeffs == (-2, 0, 0, 0, 0, 0, 0, 0, 1)
+    assert searched == [1, 2, 4, 8, 7]
+
+
 def test_precision_precondition():
     ctx = P60.context()
     with pytest.raises(InsufficientPrecision):
@@ -112,6 +140,12 @@ def test_precision_precondition():
         find_minpoly(ctx.sqrt(2) - 1, 2, prec=None)
     with pytest.raises(DomainError):
         find_minpoly(ctx.mpc(1, 1), 2, prec=P60)
+
+
+@pytest.mark.parametrize("height", [0, -3])
+def test_height_bound_below_one_is_a_domain_error(height):
+    with pytest.raises(DomainError, match="height_bound"):
+        find_minpoly(P60.context().sqrt(2), 2, height_bound=height, prec=P60)
 
 
 def test_truncated_rational_rejected_by_squarefree_guard():

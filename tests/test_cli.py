@@ -257,6 +257,12 @@ def test_minpoly_flag_validation(capsys):
     assert code == 2
 
 
+def test_minpoly_height_below_one_is_a_usage_error(capsys):
+    code, _, err = run_cli(capsys, "minpoly", "--value", "0.5", "--height", "0")
+    assert code == 2
+    assert "--height" in err
+
+
 # ----------------------------------------------------------------- table
 
 

@@ -235,6 +235,25 @@ def test_cubic_radical_minpoly(digits, r, s):
     assert _findpoly(x, 4, prec) == expected
 
 
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    st.integers(5, 7),
+    st.integers(2, 30).filter(
+        lambda r: math.isqrt(r) ** 2 != r and round(r ** (1 / 3)) ** 3 != r
+    ),
+    st.integers(-3, 3),
+)
+def test_radical_below_the_degree_bound_minpoly(k, r, s):
+    # x = r^(1/k) + s is a root of (t - s)^k - r, irreducible since r is
+    # neither a square nor a cube; a search at degree 8 may return a proper
+    # multiple of it, so only the descent below 8 finds it
+    prec = PrecisionSpec(120)
+    x = prec.context().root(r, k) + s
+    expected = [math.comb(k, j) * (-s) ** (k - j) for j in range(k + 1)]
+    expected[0] -= r
+    assert find_minpoly(x, 8, prec=prec).coeffs == tuple(expected)
+
+
 def test_octic_needs_the_pinned_search_settings():
     # eq. (54) at (1,2,5): a degree-8 relation that mpmath's default of 100
     # PSLQ steps does not reach at 120 digits
