@@ -173,7 +173,8 @@ def find_minpoly(
     its bound on every relation's norm passes 100 times the height bound.
     So degrees 1, 2, 4, 8, ... are probed until a relation turns up, and a
     relation of degree e, accepted or not, is followed by a search at e - 1,
-    down to the first failure.
+    down to the first failure or to a degree already searched, whose result
+    and descent are known.
 
     confidence is "verified" only when a ``recompute`` callable is supplied:
     it is invoked with a PrecisionSpec 30 digits higher, and the polynomial's
@@ -207,9 +208,11 @@ def find_minpoly(
         while len(xs) <= max_degree and abs(xs[-1] * xv) >= accept_tol / 100:
             xs.append(xs[-1] * xv)
         top = len(xs) - 1
-        # no relation has degree <= failed; probe is the galloping degree
-        best, failed, probe, d = None, 0, 1, 1
+        # no relation has degree <= failed; probe is the galloping degree;
+        # searching a degree in searched again would repeat it and its descent
+        best, failed, probe, d, searched = None, 0, 1, 1, set()
         while True:
+            searched.add(d)
             relation = _lll_reduce(ctx, xs[: d + 1], accept_tol, height_bound + 1)
             if relation is None:
                 failed = d
@@ -221,7 +224,7 @@ def find_minpoly(
                 if residual < accept_tol and _is_squarefree(cs):
                     best = cs, residual
                 d = len(cs) - 2
-                if d > failed:
+                if d > failed and d not in searched:
                     continue
             if best is not None or probe == top:
                 break

@@ -15,7 +15,6 @@ exhausted (no match within the degree and height bounds).
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -32,11 +31,9 @@ from .numerics import (
 )
 from .elliptic import K_of_k, nome_from_r, singular_modulus
 from .qfunctions import (
-    INF,
     AgileParams,
     agile,
     euler_f,
-    pochhammer,
     psi_star,
     qpow,
     theta2,
@@ -56,7 +53,7 @@ from .rquantity import (
 )
 from .hyperq import Phi21Params, phi21, psi_small
 from .algrec import NOT_FOUND, find_minpoly, verify_root
-from .verify import DERIV_POLY_125, run_suite
+from .verify import DERIV_POLY_125, intro_product_rows, run_suite
 
 __all__ = ["NomeExpr", "main"]
 
@@ -389,10 +386,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    report = run_suite(
-        selector=args.suite, digits=args.digits, seed=args.seed, parallelism=jobs
-    )
+    report = run_suite(selector=args.suite, digits=args.digits, seed=args.seed)
     _emit(report.to_json() if args.format == "json" else report.to_text(), args.out)
     return 0 if report.ok else 1
 
@@ -468,50 +462,7 @@ def cmd_table(args) -> int:
     ctx = prec.context()
     pi = ctx.pi
     tol = ctx.mpf(10) ** (-args.digits + 15)
-    rows = []
-
-    q25 = ctx.exp(-pi * ctx.sqrt(cv(ctx, Fraction(2, 5))))
-    computed = pochhammer(-q25, q25, INF, prec) ** 8
-    closed = (7 + 3 * ctx.sqrt(5)) / 8 * ctx.exp(pi / 3 * ctx.sqrt(cv(ctx, Fraction(2, 5))))
-    rows.append(
-        (
-            "prod (1+q^n)^8 at q=exp(-pi*sqrt(2/5))",
-            "(7+3*sqrt(5))/8 * exp(pi*sqrt(2/5)/3)",
-            computed,
-            closed,
-        )
-    )
-
-    q3 = ctx.exp(-pi * ctx.sqrt(3))
-    computed = pochhammer(-q3, q3, INF, prec) ** 8
-    closed = ctx.exp(pi / ctx.sqrt(3)) / (
-        2 ** cv(ctx, Fraction(2, 3)) * (26 + 15 * ctx.sqrt(3)) ** cv(ctx, Fraction(1, 3))
-    )
-    rows.append(
-        (
-            "prod (1+q^n)^8 at q=exp(-pi*sqrt(3))",
-            "exp(pi/sqrt(3)) / (2^(2/3) (26+15*sqrt(3))^(1/3))",
-            computed,
-            closed,
-        )
-    )
-
-    computed = euler_f(q3, prec) ** 8
-    closed = (
-        3
-        * (2 + ctx.sqrt(3))
-        * ctx.exp(pi / ctx.sqrt(3))
-        * gamma(Fraction(1, 3), prec) ** 12
-        / (1024 * pi**8)
-    )
-    rows.append(
-        (
-            "prod (1-q^n)^8 at q=exp(-pi*sqrt(3))",
-            "3 (2+sqrt(3)) exp(pi/sqrt(3)) Gamma(1/3)^12 / (1024 pi^8)",
-            computed,
-            closed,
-        )
-    )
+    rows = intro_product_rows(prec)
 
     qpi = ctx.exp(-pi)
     g14 = gamma(Fraction(1, 4), prec)
@@ -585,9 +536,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, digits_default=50):
         p.add_argument("--digits", type=int, default=digits_default)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--jobs", type=int, default=0)
-        p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("eval", help="evaluate one named quantity")
@@ -599,6 +547,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run identity checks")
     p.add_argument("--suite", default="all")
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--format", choices=("json", "text"), default="text")
     common(p)
     p.set_defaults(func=cmd_verify)
 

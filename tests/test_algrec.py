@@ -130,6 +130,15 @@ def test_octic_is_confirmed_by_one_failure_below_it(searched):
     assert searched == [1, 2, 4, 8, 7]
 
 
+def test_no_degree_is_searched_twice(searched):
+    # the truncation fits no square-free relation, so searches at 4, 8, 7
+    # and 5 return rejected relations; the descent from 5 meets 4 again
+    prec = PrecisionSpec(120)
+    x = cv(prec.context(), Fraction(10**30 // 3, 10**30))
+    assert find_minpoly(x, 8, prec=prec) is NOT_FOUND
+    assert len(searched) == len(set(searched))
+
+
 def test_precision_precondition():
     ctx = P60.context()
     with pytest.raises(InsufficientPrecision):

@@ -1,12 +1,14 @@
 """Command-line interface: golden outputs, expression parsing, exit codes."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
+import qelliptic.verify
 from qelliptic.cli import NomeExpr, UsageError, _parse_scalar, main
-from qelliptic.numerics import PrecisionSpec
+from qelliptic.numerics import CrossCheckFailure, PrecisionSpec
 
 
 def run_cli(capsys, *argv):
@@ -203,6 +205,26 @@ def test_verify_out_file(capsys, tmp_path):
     assert out == ""
     obj = json.loads(target.read_text())
     assert obj["suite"] == "lemma1"
+
+
+def test_verify_exits_1_on_a_raising_check(capsys, monkeypatch):
+    def raising(prec, rng):
+        raise CrossCheckFailure("forced")
+
+    registry = qelliptic.verify._REGISTRY
+    patched = dataclasses.replace(registry["lemma1.K"], run=raising)
+    monkeypatch.setitem(registry, "lemma1.K", patched)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "lemma1", "--digits", "40")
+    assert code == 1
+    assert "CrossCheckFailure" in out
+    assert "lemma1.k" in out
+
+
+def test_verify_only_flags(capsys):
+    # the thread pool is gone, and only verify reads --seed and --format
+    assert run_cli(capsys, "verify", "--suite", "lemma1.K", "--jobs", "2")[0] == 2
+    assert run_cli(capsys, "table", "--digits", "30", "--seed", "1")[0] == 2
+    assert run_cli(capsys, "table", "--digits", "30", "--format", "json")[0] == 2
 
 
 # ----------------------------------------------------------------- minpoly

@@ -1,11 +1,14 @@
 """Identity-check registry and suite runner: determinism, schema, statuses."""
 
+import dataclasses
+import inspect
 import json
 
 import mpmath
 import pytest
 
-from qelliptic.numerics import PrecisionSpec, UnknownSelector
+import qelliptic.verify
+from qelliptic.numerics import NonConvergence, PrecisionSpec, UnknownSelector
 from qelliptic.verify import (
     DISCREPANCY_ALLOWED,
     NORMATIVE,
@@ -27,6 +30,57 @@ def test_registry_shape():
         assert c.formula
         assert isinstance(c.covers, tuple) and c.covers
         assert c.min_digits >= 10
+
+
+def test_every_check_function_is_registered_once():
+    # a _chk_* body without its @check decorator would silently never run
+    bodies = {
+        f
+        for name, f in vars(qelliptic.verify).items()
+        if name.startswith("_chk_") and inspect.isfunction(f)
+    }
+    runs = [c.run for c in register_builtin_checks()]
+    assert len(runs) == len(set(runs)) == 61
+    assert set(runs) == bodies
+
+
+def test_duplicate_check_id_is_rejected():
+    register = qelliptic.verify.check("lemma1.k", covers=("eq8",), description="d", formula="f")
+    with pytest.raises(ValueError, match="duplicate"):
+        register(lambda prec, rng: [])
+    assert len(register_builtin_checks()) == 61
+
+
+@pytest.fixture
+def raising_lemma1_K(monkeypatch):
+    """lemma1.K replaced by a body that raises NonConvergence."""
+
+    def raising(prec, rng):
+        raise NonConvergence("forced")
+
+    registry = qelliptic.verify._REGISTRY
+    patched = dataclasses.replace(registry["lemma1.K"], run=raising)
+    monkeypatch.setitem(registry, "lemma1.K", patched)
+
+
+def test_a_raising_check_is_an_error_not_an_abort(raising_lemma1_K):
+    rep = run_suite("lemma1", digits=40)
+    by_id = {c.id: c for c in rep.checks}
+    assert by_id["lemma1.K"].status == "error"
+    assert by_id["lemma1.K"].max_abs_error == "NonConvergence"
+    assert by_id["lemma1.K"].samples == 0
+    assert by_id["lemma1.k"].status == "pass"
+    assert rep.counts == {"pass": 1, "fail": 0, "discrepancy": 0, "skip": 0, "error": 1}
+    assert not rep.ok
+    assert rep.to_text().endswith("0 skip, 1 error -> FAIL")
+    entry = json.loads(rep.to_json())["checks"][0]
+    assert entry == {
+        "id": "lemma1.K",
+        "status": "error",
+        "max_abs_error": "NonConvergence",
+        "samples": 0,
+        "seconds": 0.0,
+    }
 
 
 def test_tolerance_exponent_default_and_override():
