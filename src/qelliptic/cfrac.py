@@ -10,6 +10,7 @@ Notation: value = b0 + a1/(b1 + a2/(b2 + a3/(b3 + ...))).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -17,7 +18,6 @@ from typing import Callable
 from .numerics import (
     CrossCheckFailure,
     DomainError,
-    NonConvergence,
     PrecisionSpec,
     _settle,
     cv,
@@ -42,70 +42,54 @@ class ContinuedFraction:
 def eval_cf(cf: ContinuedFraction, prec: PrecisionSpec):
     """Evaluate a continued fraction to the requested precision.
 
-    Modified Lentz with a tiny-value floor of 10^(-digits-guard-10);
-    convergence is declared when approximants at depth N and 2N agree
-    (schedule N = 50, 100, 200, ...), then re-confirmed by a backward
-    recurrence from 50 levels deeper.  Disagreement between the two routes
-    raises CrossCheckFailure; running out of depth raises NonConvergence
-    carrying the last two approximants.
+    Modified Lentz with a tiny-value floor of 10^(-digits-guard-10).  Its
+    ratios C_n D_n of consecutive approximants tend to 1, so the forward pass
+    stops by the factor rule of ``numerics._settle``; it is then re-confirmed
+    by a backward recurrence from twice the depth where it settled.
+    Disagreement between the two routes raises CrossCheckFailure; ``max_terms``
+    levels without settling raise NonConvergence.
     """
     ctx = prec.context()
     tiny = ctx.mpf(10) ** (-(prec.digits + prec.guard + 10))
     tol = ctx.mpf(10) ** (-(prec.digits + 2))
-
     b0 = cv(ctx, cf.b0)
-    f = b0 if b0 != 0 else tiny
-    c_acc = f
-    d_acc = ctx.mpf(0)
+    f0 = b0 if b0 != 0 else tiny
+    depth = 0
+    exact = False
 
-    checkpoint = 50
-    prev_appr = None
-    last_appr = None
-    settled_depth = None
-    exact_at = None
+    def lentz_ratios():
+        nonlocal depth, exact
+        c_acc, d_acc = f0, ctx.mpf(0)
+        for n in itertools.count(1):
+            depth = n
+            a = cv(ctx, cf.partial_num(n))
+            if a == 0:
+                exact = True  # tail is exactly zero from here on
+                return
+            b = cv(ctx, cf.partial_den(n))
+            d_acc = b + a * d_acc
+            if d_acc == 0:
+                d_acc = tiny
+            c_acc = b + a / c_acc
+            if c_acc == 0:
+                c_acc = tiny
+            d_acc = 1 / d_acc
+            yield c_acc * d_acc
 
-    n = 0
-    while n < cf.max_terms:
-        n += 1
-        a = cv(ctx, cf.partial_num(n))
-        if a == 0:
-            exact_at = n  # tail is exactly zero from here on
-            break
-        b = cv(ctx, cf.partial_den(n))
-        d_acc = b + a * d_acc
-        if d_acc == 0:
-            d_acc = tiny
-        c_acc = b + a / c_acc
-        if c_acc == 0:
-            c_acc = tiny
-        d_acc = 1 / d_acc
-        f = f * (c_acc * d_acc)
-        if n == checkpoint:
-            prev_appr, last_appr = last_appr, f
-            checkpoint *= 2
-            if prev_appr is not None and abs(last_appr - prev_appr) <= tol * max(
-                ctx.mpf(1), abs(last_appr)
-            ):
-                settled_depth = n
-                break
-
-    if exact_at is None and settled_depth is None:
-        raise NonConvergence(
-            "continued fraction did not settle within "
-            f"{cf.max_terms} terms; last approximants {prev_appr} and {last_appr}"
-        )
+    f = f0 * _settle(
+        ctx, prec.work_eps(ctx), lentz_ratios(), product=True, max_terms=cf.max_terms
+    )
 
     # Independent confirmation: plain backward recurrence from deeper down.
-    depth = (exact_at - 1) if exact_at is not None else settled_depth + 50
     tail = ctx.mpf(0)
-    for j in range(depth, 0, -1):
+    for j in range(depth - 1 if exact else 2 * depth, 0, -1):
         den = cv(ctx, cf.partial_den(j)) + tail
         if den == 0:
             den = tiny
         tail = cv(ctx, cf.partial_num(j)) / den
     back = b0 + tail
 
-    if exact_at is not None:
+    if exact:
         return back  # finite fraction: the backward pass is exact
     if abs(back - f) > 100 * tol * max(ctx.mpf(1), abs(back)):
         raise CrossCheckFailure(

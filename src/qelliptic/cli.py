@@ -20,6 +20,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
+
 from .numerics import (
     InsufficientPrecision,
     NonConvergence,
@@ -236,37 +238,11 @@ EVAL_FNS = (
     "drq",
 )
 
-_NEEDS_Q = {
-    "theta2",
-    "theta3",
-    "theta4",
-    "f",
-    "phi",
-    "agile",
-    "psistar",
-    "rqstar",
-    "rq",
-    "rr",
-    "r1",
-    "r2",
-    "r3",
-    "h",
-    "mseries",
-    "mcf",
-    "pcf",
-    "phi21",
-    "psi",
-    "tau0",
-    "taustar",
-    "drq",
-    "drq-normalized",
-}
-
 
 def _eval_fn(fn: str, params: dict, nome: NomeExpr | None, prec: PrecisionSpec):
     """Dispatch one named quantity to its library call."""
     ctx = prec.context()
-    if fn in _NEEDS_Q:
+    if fn not in ("K", "kr"):  # every other function takes a nome
         if nome is None:
             raise UsageError(f"{fn} needs --q NOME")
         q = nome.realize(prec)
@@ -415,11 +391,9 @@ def cmd_minpoly(args) -> int:
 
         recompute = None
     else:
-        if args.fn not in EVAL_FNS + ("drq-normalized",):
-            raise UsageError(
-                f"unknown function {args.fn!r}; known: "
-                + ", ".join(EVAL_FNS + ("drq-normalized",))
-            )
+        known = EVAL_FNS + ("drq-normalized",)
+        if args.fn not in known:
+            raise UsageError(f"unknown function {args.fn!r}; known: {', '.join(known)}")
         params = _parse_params(args.params)
         nome = NomeExpr.parse(args.q) if args.q else None
 
@@ -450,8 +424,6 @@ def cmd_minpoly(args) -> int:
 
 
 def mp_nstr(x) -> str:
-    import mpmath
-
     return mpmath.nstr(mpmath.mpf(abs(x)), 3)
 
 

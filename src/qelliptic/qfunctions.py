@@ -78,7 +78,7 @@ def pochhammer(a, q, n, prec: PrecisionSpec):
     ctx = prec.context()
     a = cv(ctx, a)
     q = cv(ctx, q)
-    if n is INF or n is None:
+    if n is None or n == INF:
         if abs(q) >= 1:
             raise DomainError(f"(a;q)_inf needs |q| < 1, got |q| = {abs(q)}")
         power = _qpowers(ctx, q)

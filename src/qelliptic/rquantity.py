@@ -18,7 +18,7 @@ from .numerics import (
     prod_infinite,
     sum_series,
 )
-from .qfunctions import AgileParams, _qpowers, agile, psi_star, qpow
+from .qfunctions import AgileParams, _qpowers, agile, psi_star, qpow, theta4
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,6 @@ def rq_theta(a, b, p, x, prec: PrecisionSpec, route: str = "theta"):
     The two routes (and the product route of ``rq``) agree; the suite
     asserts that.
     """
-    from .qfunctions import theta4  # local import keeps module init cheap
-
     ctx = prec.context()
     a = cv(ctx, a)
     b = cv(ctx, b)

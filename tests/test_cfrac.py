@@ -1,9 +1,11 @@
 """Continued-fraction evaluator and the named fractions."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from qelliptic import cfrac
 from qelliptic.cfrac import (
     ContinuedFraction,
     eval_cf,
@@ -16,7 +18,13 @@ from qelliptic.cfrac import (
     r3_cf,
     rr_cf,
 )
-from qelliptic.numerics import DomainError, NonConvergence, PrecisionSpec, cv
+from qelliptic.numerics import (
+    CrossCheckFailure,
+    DomainError,
+    NonConvergence,
+    PrecisionSpec,
+    cv,
+)
 from qelliptic.qfunctions import INF, pochhammer
 
 P60 = PrecisionSpec(60)
@@ -45,6 +53,45 @@ def test_eval_cf_nonconvergence_budget():
         b0=1, partial_num=lambda n: 1, partial_den=lambda n: 1, max_terms=10
     )
     with pytest.raises(NonConvergence):
+        eval_cf(cf, P60)
+
+
+def test_rr_cf_depth_follows_convergence(monkeypatch):
+    # At q = e^(-pi) the approximants close in like q^(n(n-1)/2), so about a
+    # dozen levels reach 60 digits; both passes together stay far below 100.
+    requested = []
+    evaluate = cfrac.eval_cf
+
+    def counting_eval_cf(cf, prec):
+        def partial_num(n):
+            requested.append(n)
+            return cf.partial_num(n)
+
+        return evaluate(dataclasses.replace(cf, partial_num=partial_num), prec)
+
+    monkeypatch.setattr(cfrac, "eval_cf", counting_eval_cf)
+    ctx = P60.context()
+    q = ctx.exp(-ctx.pi)
+    v = rr_cf(q, P60)
+    q5 = q**5
+    bare = ctx.qp(q, q5) * ctx.qp(q**4, q5) / (ctx.qp(q**2, q5) * ctx.qp(q**3, q5))
+    assert abs(v - bare) < ctx.mpf(10) ** (-58)
+    assert len(requested) < 60
+
+
+def test_eval_cf_backward_pass_is_compared():
+    # A numerator that changes on its second request (the backward pass)
+    # turns the golden ratio 1 + 1/(1 + 1/...) into 1 + 2/(1 + 2/...) = 2.
+    seen = set()
+
+    def partial_num(n):
+        if n in seen:
+            return 2
+        seen.add(n)
+        return 1
+
+    cf = ContinuedFraction(b0=1, partial_num=partial_num, partial_den=lambda n: 1)
+    with pytest.raises(CrossCheckFailure):
         eval_cf(cf, P60)
 
 
@@ -155,6 +202,20 @@ def test_p_cf_product_identity():
         )
     )
     assert abs(lhs - rhs) < ctx.mpf(10) ** (-55)
+
+
+@pytest.mark.parametrize("q", [Fraction(9, 10), Fraction(97, 100)])
+def test_p_cf_near_its_q_bound_matches_qp(q):
+    # slow convergence: the forward pass runs to depth 10^2..10^3 here
+    ctx = P60.context()
+    a = b = cv(ctx, Fraction(9, 10))
+    qv = cv(ctx, q)
+    q4 = qv**4
+    product = (
+        ctx.qp(a * a * qv**3, q4) * ctx.qp(b * b * qv**3, q4)
+        / (ctx.qp(a * a * qv, q4) * ctx.qp(b * b * qv, q4))
+    )
+    assert abs(p_cf(a, b, qv, P60) - product) < ctx.mpf(10) ** (-55) * abs(product)
 
 
 def test_p_cf_domain():

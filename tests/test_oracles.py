@@ -1,6 +1,6 @@
 """Theta functions, bilateral Gaussian sums, q-products and continued
-fractions against mpmath's jtheta and qp; minimal polynomials against their
-closed forms and mpmath's findpoly.
+fractions against mpmath's jtheta and qp (the M fraction against its series);
+minimal polynomials against their closed forms and mpmath's findpoly.
 
 Inputs are drawn by Hypothesis with a fixed derandomized seed, so every run
 tests the same points.  Each value must agree with the mpmath oracle,
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qelliptic.algrec import PSLQ_MAXSTEPS, find_minpoly
-from qelliptic.cfrac import p_cf, r1_cf, rr_cf
+from qelliptic.cfrac import h_cf, m_cf, p_cf, r1_cf, r2_cf, r3_cf, rr_cf
 from qelliptic.numerics import PrecisionSpec
 from qelliptic.qfunctions import (
     INF,
@@ -40,6 +40,8 @@ real_st = st.fractions(min_value=-2, max_value=2, max_denominator=100)
 imag_st = st.fractions(min_value=Fraction(-1, 3), max_value=Fraction(1, 3), max_denominator=100)
 # |ab| < 1 for the P fraction
 unit_st = st.fractions(min_value=Fraction(-9, 10), max_value=Fraction(9, 10), max_denominator=100)
+# c of the M fraction, inside the region the suite checks it in
+c_st = st.fractions(min_value=-1, max_value=1, max_denominator=100)
 # period p and residues 0 < a, b < p of the character product
 chi_st = st.integers(2, 7).flatmap(
     lambda p: st.tuples(st.integers(1, p - 1), st.integers(1, p - 1), st.just(p))
@@ -146,6 +148,45 @@ def test_rogers_ramanujan_fraction_matches_qp(digits, q):
     bare = ctx.qp(qv, q5) * ctx.qp(qv**4, q5) / (ctx.qp(qv**2, q5) * ctx.qp(qv**3, q5))
     assert _agree(ctx, rr_cf(q, prec), bare, digits)
     assert _agree(ctx, r1_cf(q, prec), ctx.root(qv, 5) * bare, digits)
+
+
+@SETTINGS
+@given(digits_st, q_st)
+def test_cubic_fraction_matches_qp(digits, q):
+    # R2(q) = q^(1/3) (q;q^6)(q^5;q^6) / (q^3;q^6)^2
+    ctx = _oracle(digits)
+    qv = _num(ctx, q)
+    q6 = qv**6
+    product = ctx.cbrt(qv) * ctx.qp(qv, q6) * ctx.qp(qv**5, q6) / ctx.qp(qv**3, q6) ** 2
+    assert _agree(ctx, r2_cf(q, PrecisionSpec(digits)), product, digits)
+
+
+@SETTINGS
+@given(digits_st, q_st)
+def test_octic_fraction_matches_qp(digits, q):
+    # R3(q) = H(q) = R(1,3,8;q) = q^(1/2) (q;q^8)(q^7;q^8) / ((q^3;q^8)(q^5;q^8))
+    ctx = _oracle(digits)
+    prec = PrecisionSpec(digits)
+    qv = _num(ctx, q)
+    q8 = qv**8
+    product = (
+        ctx.sqrt(qv) * ctx.qp(qv, q8) * ctx.qp(qv**7, q8)
+        / (ctx.qp(qv**3, q8) * ctx.qp(qv**5, q8))
+    )
+    assert _agree(ctx, r3_cf(q, prec), product, digits)
+    assert _agree(ctx, h_cf(q, prec), product, digits)
+
+
+@SETTINGS
+@given(digits_st, q_st, c_st)
+def test_m_fraction_matches_its_series(digits, q, c):
+    # M(c, q) = sum_{n>=0} c^n q^(n(n+1)/2)
+    ctx = _oracle(digits)
+    qv, cv_ = _num(ctx, q), _num(ctx, c)
+    # |c| <= 1, so terms past q^(N(N+1)/2) < 10^-(dps + 10) are negligible
+    N = math.isqrt(int(2 * (ctx.dps + 10) * math.log(10) / -math.log(q))) + 2
+    series = ctx.fsum(cv_**n * qv ** (n * (n + 1) // 2) for n in range(N))
+    assert _agree(ctx, m_cf(c, q, PrecisionSpec(digits)), series, digits)
 
 
 @SETTINGS

@@ -55,6 +55,13 @@ def test_pochhammer_domain():
         pochhammer(Fraction(1, 3), Fraction(1, 7), -1, P60)
 
 
+def test_pochhammer_accepts_float_infinity():
+    ctx = P60.context()
+    q = Fraction(1, 3)
+    assert pochhammer(q, q, float("inf"), P60) == pochhammer(q, q, INF, P60)
+    assert _close(ctx, pochhammer(q, q, float("inf"), P60), ctx.qp(cv(ctx, q)), -58)
+
+
 def test_euler_f_frozen():
     p = PrecisionSpec(45)
     ctx = p.context()
