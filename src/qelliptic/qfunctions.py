@@ -11,6 +11,7 @@ integer powers a loop walks through come from ``_qpowers`` by multiplication.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +20,7 @@ from .numerics import (
     DomainError,
     NonConvergence,
     PrecisionSpec,
+    _settle,
     cv,
     gaussian_cutoff,
     prod_infinite,
@@ -47,11 +49,16 @@ class AgileParams:
 
 
 def qpow(ctx, q, x):
-    """q**x on the principal branch: e^(x*ln q). Exact 0^0 = 1, 0^x = 0."""
+    """q**x on the principal branch: e^(x*ln q). Exact 0^0 = 1 and 0^x = 0
+    for Re(x) > 0; any other power of 0 raises DomainError."""
     q = cv(ctx, q)
     x = cv(ctx, x)
     if q == 0:
-        return ctx.mpf(1) if x == 0 else ctx.mpf(0)
+        if x == 0:
+            return ctx.mpf(1)
+        if ctx.re(x) > 0:
+            return ctx.mpf(0)
+        raise DomainError(f"0^x is not defined for Re(x) <= 0, got x = {x}")
     return ctx.exp(x * ctx.log(q))
 
 
@@ -74,7 +81,25 @@ def _qpowers(ctx, q):
 
 
 def pochhammer(a, q, n, prec: PrecisionSpec):
-    """(a; q)_n = prod_{k=0}^{n-1} (1 - a q^k); n may be math.inf."""
+    """(a; q)_n = prod_{k=0}^{n-1} (1 - a q^k); n may be math.inf.
+
+    For n = inf and |a| < 1 strictly, Euler's identity
+
+        (a; q)_inf = sum_{n>=0} (-a)^n q^(n(n-1)/2) / (q; q)_n
+
+    (Gasper and Rahman, Basic Hypergeometric Series, eq. (1.3.16)) is
+    summed instead: its terms fall like |q|^(n^2/2), so it needs about the
+    square root of the factor count.  Its stopping rule is absolute, so it
+    loses about log10(max(1, sum |t_n|) / |total|) digits to cancellation
+    (near |q| = 1 a tiny product is the sum of huge terms).  The series
+    value is kept only when that loss is at most half the guard digits;
+    otherwise, and for every |a| >= 1 (where a = q^(-k) gives an exact
+    zero), the product is multiplied out.
+
+    Euler's identity is not the Jacobi triple product: checks that set a
+    product against a theta series, and ``psi_small`` against
+    ``psi_small_product``, still compare two different routes.
+    """
     ctx = prec.context()
     a = cv(ctx, a)
     q = cv(ctx, q)
@@ -82,6 +107,20 @@ def pochhammer(a, q, n, prec: PrecisionSpec):
         if abs(q) >= 1:
             raise DomainError(f"(a;q)_inf needs |q| < 1, got |q| = {abs(q)}")
         power = _qpowers(ctx, q)
+        if abs(a) < 1:
+            scale = 0.0  # sum of |t_n|, for the cancellation guard
+
+            def terms():
+                nonlocal scale
+                term = ctx.mpf(1)
+                for m in itertools.count():
+                    scale += float(abs(term))
+                    yield term
+                    term = term * -a * power(m) / (1 - power(m + 1))
+
+            total = _settle(ctx, prec.work_eps(ctx), terms())
+            if max(1.0, scale) <= abs(total) * 10 ** (prec.guard // 2):
+                return total
         return prod_infinite(lambda m: 1 - a * power(m), prec, start=0)
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"n must be a non-negative integer or math.inf, got {n!r}")

@@ -1,22 +1,28 @@
 """Theta functions, bilateral Gaussian sums, q-products and continued
 fractions against mpmath's jtheta and qp (the M fraction against its series);
-minimal polynomials against their closed forms and mpmath's findpoly.
+K, the modulus from the nome and 2-phi-1 against ellipk, jtheta and qhyper;
+minimal polynomials against their closed forms and mpmath's findpoly; the
+documented domain errors.
 
 Inputs are drawn by Hypothesis with a fixed derandomized seed, so every run
 tests the same points.  Each value must agree with the mpmath oracle,
-computed 20 digits deeper, to 10^-digits relative.
+computed 20 digits deeper, to 10^-digits times max(1, |reference|), or to
+10^-digits relative where a value can be tiny.
 """
 
 import math
 from fractions import Fraction
 
 import mpmath
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qelliptic.algrec import PSLQ_MAXSTEPS, find_minpoly
 from qelliptic.cfrac import h_cf, m_cf, p_cf, r1_cf, r2_cf, r3_cf, rr_cf
-from qelliptic.numerics import PrecisionSpec
+from qelliptic.elliptic import K_of_k, modulus_from_nome
+from qelliptic.hyperq import Phi21Params, phi21
+from qelliptic.numerics import DomainError, PrecisionSpec, cv
 from qelliptic.qfunctions import (
     INF,
     euler_f,
@@ -58,6 +64,10 @@ def _oracle(digits):
 
 def _agree(ctx, value, reference, digits):
     return abs(value - reference) <= ctx.mpf(10) ** (-digits) * max(1, abs(reference))
+
+
+def _agree_relative(ctx, value, reference, digits):
+    return abs(value - reference) <= ctx.mpf(10) ** (-digits) * abs(reference)
 
 
 def _num(ctx, x):
@@ -125,6 +135,110 @@ def test_euler_and_weber_products_match_qp(digits, q):
     qv = _num(ctx, q)
     assert _agree(ctx, euler_f(q, prec), ctx.qp(qv, qv), digits)
     assert _agree(ctx, weber_phi(q, prec), ctx.qp(-qv, qv), digits)
+
+
+# qp gives up after 50 * prec factors, too few near |q| = 1
+QP_MAXTERMS = 10**5
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([20, 40]),
+    # q = 1 - 1/m in [1/2, 99/100], most draws close to 1
+    st.integers(2, 100).map(lambda m: 1 - Fraction(1, m)),
+    st.integers(1, 8),
+    st.fractions(min_value=0, max_value=Fraction(99, 100), max_denominator=100),
+    st.fractions(min_value=-4, max_value=4, max_denominator=100),
+)
+def test_pochhammer_near_unit_q_is_relatively_accurate(digits, q, k, r, theta):
+    # (a;q)_inf is tiny for a near 1 or q near 1, where Euler's series sums
+    # huge terms to a small total; max(1, |reference|) would hide the loss
+    ctx = _oracle(digits)
+    prec = PrecisionSpec(digits)
+    qv = _num(ctx, q)
+    near_one = 1 - ctx.mpf(10) ** -k
+    phase = ctx.expj(_num(ctx, theta))
+    for a in (near_one, -near_one, qv, _num(ctx, r) * phase):
+        reference = ctx.qp(a, qv, maxterms=QP_MAXTERMS)
+        assert _agree_relative(ctx, pochhammer(a, qv, INF, prec), reference, digits)
+
+
+@pytest.mark.parametrize("digits", [60, 200])
+@pytest.mark.parametrize("q", [Fraction(97, 100), Fraction(99, 100)])
+def test_pochhammer_cancellation_falls_back_to_the_product(digits, q):
+    # Euler's series alone is off by 2e-44 (0.97) and 1e28 (0.99) relative at
+    # 60 digits, and by 6e-189 and 5e-118 at 200 digits
+    ctx = _oracle(digits)
+    qv = _num(ctx, q)
+    value = pochhammer(qv, qv, INF, PrecisionSpec(digits))
+    assert _agree_relative(ctx, value, ctx.qp(qv, qv), digits)
+
+
+def test_pochhammer_exact_edges():
+    prec = PrecisionSpec(40)
+    ctx = prec.context()
+    for a in (Fraction(1, 3), Fraction(-9, 10), 3, ctx.mpc(0.5, -0.25)):
+        assert pochhammer(a, 0, INF, prec) == 1 - cv(ctx, a)
+    for q in (Fraction(1, 3), Fraction(-99, 100), ctx.mpc(0, 0.5)):
+        assert pochhammer(0, q, INF, prec) == 1
+
+
+@SETTINGS
+@given(digits_st, st.fractions(min_value=0, max_value=Fraction(99, 100), max_denominator=1000))
+def test_K_of_k_matches_ellipk(digits, k):
+    ctx = _oracle(digits)
+    kv = _num(ctx, k)
+    assert _agree(ctx, K_of_k(k, PrecisionSpec(digits)), ctx.ellipk(kv * kv), digits)
+
+
+@SETTINGS
+@given(digits_st, q_st)
+def test_modulus_from_nome_matches_jtheta(digits, q):
+    # k = (theta2/theta3)^2, k' = (theta4/theta3)^2, K = pi theta3^2 / 2
+    ctx = _oracle(digits)
+    qv = _num(ctx, q)
+    t2, t3, t4 = (ctx.jtheta(j, 0, qv) for j in (2, 3, 4))
+    k, k_prime = (t2 / t3) ** 2, (t4 / t3) ** 2
+    mod = modulus_from_nome(q, PrecisionSpec(digits))
+    assert _agree_relative(ctx, mod.k, k, digits)
+    assert _agree(ctx, mod.k_prime, k_prime, digits)
+    assert _agree(ctx, mod.K, ctx.pi / 2 * t3**2, digits)
+    assert _agree(ctx, mod.K_prime, ctx.ellipk(k_prime**2), digits)
+
+
+@SETTINGS
+@given(digits_st, q_st, unit_st, unit_st, unit_st, unit_st.filter(bool))
+def test_phi21_matches_qhyper(digits, q, a, b, c, z):
+    # |c| < 1 keeps c off the poles q^(-n); qhyper never settles at z = 0
+    ctx = _oracle(digits)
+    qv, av, bv, cv_, zv = (_num(ctx, x) for x in (q, a, b, c, z))
+    value = phi21(Phi21Params(a, b, c, q, z), PrecisionSpec(digits))
+    assert _agree(ctx, value, ctx.qhyper([av, bv], [cv_], qv, zv), digits)
+
+
+outside_unit_st = st.fractions(min_value=1, max_value=3, max_denominator=100)
+sign_st = st.sampled_from([1, -1])
+
+
+@SETTINGS
+@given(outside_unit_st, sign_st, unit_st)
+def test_domain_guards_raise_domain_error(x, sign, y):
+    prec = PrecisionSpec(20)
+    ctx = prec.context()
+    with pytest.raises(DomainError):
+        pochhammer(y, sign * x, INF, prec)
+    with pytest.raises(DomainError):
+        pochhammer(y, ctx.mpc(0, cv(ctx, x)), INF, prec)
+    with pytest.raises(DomainError):
+        pochhammer(y, Fraction(1, 2), x + Fraction(1, 1000), prec)  # not an integer
+    with pytest.raises(DomainError):
+        K_of_k(x, prec)
+    with pytest.raises(DomainError):
+        phi21(Phi21Params(y, y, y, Fraction(1, 2), sign * x), prec)
+    with pytest.raises(DomainError):
+        modulus_from_nome(x, prec)
+    with pytest.raises(DomainError):
+        modulus_from_nome(-y * y, prec)
 
 
 @SETTINGS

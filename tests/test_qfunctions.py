@@ -40,6 +40,14 @@ def test_qpow_exact_corner_cases():
     assert _close(ctx, qpow(ctx, Fraction(1, 4), Fraction(1, 2)), ctx.mpf(1) / 2, -70)
 
 
+def test_qpow_of_zero_needs_a_positive_real_part():
+    ctx = P60.context()
+    assert qpow(ctx, 0, ctx.mpc(0.25, 3)) == 0
+    for x in (-1, Fraction(-1, 5), ctx.mpc(0, 1), ctx.mpc(-2, 1)):
+        with pytest.raises(DomainError):
+            qpow(ctx, 0, x)
+
+
 def test_pochhammer_finite():
     ctx = P60.context()
     a, q = cv(ctx, Fraction(1, 3)), cv(ctx, Fraction(1, 7))

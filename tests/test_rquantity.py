@@ -150,3 +150,11 @@ def test_drq_normalized_octic_value():
     rho = drq_normalized(RQParams(1, 2, 5), q, p)
     ref = cv(ctx, "0.233180615907676532931907241202520808076943167")
     assert abs(rho - ref) < ctx.mpf(10) ** (-42)
+
+
+def test_rq_at_q_zero():
+    # the exponent -(a-b)/2 + (a^2-b^2)/(2p) is -1/5 for (2,1,5): R diverges
+    with pytest.raises(DomainError):
+        rq(RQParams(2, 1, 5), 0, PrecisionSpec(30))
+    # and +1/5 for (1,2,5): R vanishes
+    assert rq(RQParams(1, 2, 5), 0, PrecisionSpec(30)) == 0
