@@ -6,7 +6,8 @@ The CLI is a thin shell over the library: it parses flags, dispatches to
 library calls, and formats output.  All numeric values are bit-identical to
 the corresponding direct library calls.
 
-Exit codes: 0 success; 1 a normative verification check failed; 2 usage or
+Exit codes: 0 success; 1 a normative verification check failed, or a
+``table`` row does not match its closed form; 2 usage or
 parse error (including an unknown suite selector and insufficient requested
 precision); 3 a computation failed to converge; 4 minimal-polynomial search
 exhausted (no match within the degree and height bounds).
@@ -19,6 +20,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import mpmath
 
@@ -29,7 +31,6 @@ from .numerics import (
     PrecisionSpec,
     UnknownSelector,
     cv,
-    gamma,
 )
 from .elliptic import K_of_k, nome_from_r, singular_modulus
 from .qfunctions import (
@@ -37,7 +38,6 @@ from .qfunctions import (
     agile,
     euler_f,
     psi_star,
-    qpow,
     theta2,
     theta3,
     theta4,
@@ -55,7 +55,7 @@ from .rquantity import (
 )
 from .hyperq import Phi21Params, phi21, psi_small
 from .algrec import NOT_FOUND, find_minpoly, verify_root
-from .verify import DERIV_POLY_125, intro_product_rows, run_suite
+from .verify import DERIV_POLY_125, deriv_closed_forms, intro_product_rows, run_suite
 
 __all__ = ["NomeExpr", "main"]
 
@@ -195,13 +195,6 @@ def _parse_params(text: str | None) -> dict:
     return out
 
 
-def _need(params: dict, fn: str, *keys):
-    missing = [k for k in keys if k not in params]
-    if missing:
-        raise UsageError(f"{fn} needs parameter(s): {', '.join(missing)}")
-    return [params[k] for k in keys]
-
-
 def _realize_scalar(ctx, v):
     if isinstance(v, tuple) and v and v[0] == "complex":
         return ctx.mpc(cv(ctx, v[1]), cv(ctx, v[2]))
@@ -211,120 +204,85 @@ def _realize_scalar(ctx, v):
 # --------------------------------------------------------------------------
 # eval dispatch
 
-EVAL_FNS = (
-    "K",
-    "kr",
-    "theta2",
-    "theta3",
-    "theta4",
-    "f",
-    "phi",
-    "agile",
-    "psistar",
-    "rqstar",
-    "rq",
-    "rr",
-    "r1",
-    "r2",
-    "r3",
-    "h",
-    "mseries",
-    "mcf",
-    "pcf",
-    "phi21",
-    "psi",
-    "tau0",
-    "taustar",
-    "drq",
-)
+
+class _Fn(NamedTuple):
+    """A named quantity: ``call(*required, *optional, q, prec)``, with ``q``
+    passed only when ``needs_q``; ``defaults`` holds (key, value) pairs."""
+
+    call: Callable
+    keys: tuple = ()
+    defaults: tuple = ()
+    needs_q: bool = True
 
 
-def _eval_fn(fn: str, params: dict, nome: NomeExpr | None, prec: PrecisionSpec):
-    """Dispatch one named quantity to its library call."""
-    ctx = prec.context()
-    if fn not in ("K", "kr"):  # every other function takes a nome
-        if nome is None:
-            raise UsageError(f"{fn} needs --q NOME")
-        q = nome.realize(prec)
-    if fn == "K":
-        (k,) = _need(params, fn, "k")
-        return K_of_k(_realize_scalar(ctx, k), prec)
-    if fn == "kr":
-        (r,) = _need(params, fn, "r")
-        if not isinstance(r, Fraction):
-            raise UsageError("kr needs a rational r")
-        return singular_modulus(r, prec)
-    if fn == "theta2":
-        return theta2(q, prec)
-    if fn == "theta3":
-        z = params.get("z", Fraction(0))
-        return theta3(_realize_scalar(ctx, z), q, prec)
-    if fn == "theta4":
-        z = params.get("z", Fraction(0))
-        return theta4(_realize_scalar(ctx, z), q, prec)
-    if fn == "f":
-        return euler_f(q, prec)
-    if fn == "phi":
-        return weber_phi(q, prec)
-    if fn == "agile":
-        a, p = _need(params, fn, "a", "p")
-        return agile(
-            AgileParams(_realize_scalar(ctx, a), _realize_scalar(ctx, p)), q, prec
-        )
-    if fn == "psistar":
-        a, p = _need(params, fn, "a", "p")
-        return psi_star(_realize_scalar(ctx, a), _realize_scalar(ctx, p), q, prec)
-    if fn in ("rqstar", "rq", "drq", "drq-normalized"):
-        a, b, p = _need(params, fn, "a", "b", "p")
-        rp = RQParams(
-            _realize_scalar(ctx, a), _realize_scalar(ctx, b), _realize_scalar(ctx, p)
-        )
-        if fn == "rqstar":
-            return rq_star(rp, q, prec)
-        if fn == "rq":
-            return rq(rp, q, prec)
-        if fn == "drq":
-            return drq_dq(rp, q, prec)
-        return drq_normalized(rp, q, prec)
-    if fn == "rr":
-        return rr_cf(q, prec)
-    if fn == "r1":
-        return r1_cf(q, prec)
-    if fn == "r2":
-        return r2_cf(q, prec)
-    if fn == "r3":
-        return r3_cf(q, prec)
-    if fn == "h":
-        return h_cf(q, prec)
-    if fn in ("mseries", "mcf"):
-        (c,) = _need(params, fn, "c")
-        c = _realize_scalar(ctx, c)
-        return m_series(c, q, prec) if fn == "mseries" else m_cf(c, q, prec)
-    if fn == "pcf":
-        a, b = _need(params, fn, "a", "b")
-        return p_cf(_realize_scalar(ctx, a), _realize_scalar(ctx, b), q, prec)
-    if fn == "phi21":
-        a, b, c, z = _need(params, fn, "a", "b", "c", "z")
-        return phi21(
-            Phi21Params(
-                _realize_scalar(ctx, a),
-                _realize_scalar(ctx, b),
-                _realize_scalar(ctx, c),
-                q,
-                _realize_scalar(ctx, z),
-            ),
-            prec,
-        )
-    if fn == "psi":
-        a, z = _need(params, fn, "a", "z")
-        return psi_small(_realize_scalar(ctx, a), q, _realize_scalar(ctx, z), prec)
-    if fn == "tau0":
-        (a,) = _need(params, fn, "a")
-        return tau0(_realize_scalar(ctx, a), q, prec)
-    if fn == "taustar":
-        a, p = _need(params, fn, "a", "p")
-        return tau_star(_realize_scalar(ctx, a), _realize_scalar(ctx, p), q, prec)
-    raise UsageError(f"unknown function {fn!r}; known: {', '.join(EVAL_FNS)}")
+def _kr(r, prec: PrecisionSpec):
+    if not isinstance(r, Fraction):
+        raise UsageError("kr needs a rational r")
+    return singular_modulus(r, prec)
+
+
+def _on_rq(fn):
+    return _Fn(lambda a, b, p, q, prec: fn(RQParams(a, b, p), q, prec), ("a", "b", "p"))
+
+
+_Z0 = (("z", Fraction(0)),)
+
+# The one list of names that `eval` and `minpoly --fn` accept.
+FUNCTIONS = {
+    "K": _Fn(K_of_k, ("k",), needs_q=False),
+    "kr": _Fn(_kr, ("r",), needs_q=False),
+    "theta2": _Fn(theta2),
+    "theta3": _Fn(theta3, defaults=_Z0),
+    "theta4": _Fn(theta4, defaults=_Z0),
+    "f": _Fn(euler_f),
+    "phi": _Fn(weber_phi),
+    "agile": _Fn(lambda a, p, q, prec: agile(AgileParams(a, p), q, prec), ("a", "p")),
+    "psistar": _Fn(psi_star, ("a", "p")),
+    "rqstar": _on_rq(rq_star),
+    "rq": _on_rq(rq),
+    "rr": _Fn(rr_cf),
+    "r1": _Fn(r1_cf),
+    "r2": _Fn(r2_cf),
+    "r3": _Fn(r3_cf),
+    "h": _Fn(h_cf),
+    "mseries": _Fn(m_series, ("c",)),
+    "mcf": _Fn(m_cf, ("c",)),
+    "pcf": _Fn(p_cf, ("a", "b")),
+    "phi21": _Fn(
+        lambda a, b, c, z, q, prec: phi21(Phi21Params(a, b, c, q, z), prec),
+        ("a", "b", "c", "z"),
+    ),
+    "psi": _Fn(lambda a, z, q, prec: psi_small(a, q, z, prec), ("a", "z")),
+    "tau0": _Fn(tau0, ("a",)),
+    "taustar": _Fn(tau_star, ("a", "p")),
+    "drq": _on_rq(drq_dq),
+    "drq-normalized": _on_rq(drq_normalized),
+}
+
+
+def _evaluator(fn: str, params_text: str | None, q_text: str | None):
+    """Check the name, parse ``--params`` and ``--q``, and return the
+    function of a PrecisionSpec that evaluates the named quantity."""
+    entry = FUNCTIONS.get(fn)
+    if entry is None:
+        raise UsageError(f"unknown function {fn!r}; known: {', '.join(FUNCTIONS)}")
+    params = _parse_params(params_text)
+    nome = NomeExpr.parse(q_text) if q_text else None
+
+    def compute(prec: PrecisionSpec):
+        ctx = prec.context()
+        q_args = []
+        if entry.needs_q:
+            if nome is None:
+                raise UsageError(f"{fn} needs --q NOME")
+            q_args = [nome.realize(prec)]
+        missing = [k for k in entry.keys if k not in params]
+        if missing:
+            raise UsageError(f"{fn} needs parameter(s): {', '.join(missing)}")
+        values = [params[k] for k in entry.keys] + [params.get(k, v) for k, v in entry.defaults]
+        return entry.call(*(_realize_scalar(ctx, v) for v in values), *q_args, prec)
+
+    return compute
 
 
 def _format_value(prec: PrecisionSpec, val, digits: int) -> list:
@@ -351,12 +309,9 @@ def _emit(text: str, out_path: str | None):
 
 
 def cmd_eval(args) -> int:
-    if args.fn not in EVAL_FNS:
-        raise UsageError(f"unknown function {args.fn!r}; known: {', '.join(EVAL_FNS)}")
-    params = _parse_params(args.params)
-    nome = NomeExpr.parse(args.q) if args.q else None
+    compute = _evaluator(args.fn, args.params, args.q)
     prec = PrecisionSpec(args.digits)
-    val = _eval_fn(args.fn, params, nome, prec)
+    val = compute(prec)
     _emit("\n".join(_format_value(prec, val, args.digits)), args.out)
     return 0
 
@@ -391,16 +346,7 @@ def cmd_minpoly(args) -> int:
 
         recompute = None
     else:
-        known = EVAL_FNS + ("drq-normalized",)
-        if args.fn not in known:
-            raise UsageError(f"unknown function {args.fn!r}; known: {', '.join(known)}")
-        params = _parse_params(args.params)
-        nome = NomeExpr.parse(args.q) if args.q else None
-
-        def compute(pr: PrecisionSpec):
-            return _eval_fn(args.fn, params, nome, pr)
-
-        recompute = compute
+        compute = recompute = _evaluator(args.fn, args.params, args.q)
 
     res = find_minpoly(
         compute(prec), degree, height_bound=args.height, prec=prec, recompute=recompute
@@ -432,34 +378,23 @@ def cmd_table(args) -> int:
         raise UsageError("table needs --digits >= 30")
     prec = PrecisionSpec(args.digits)
     ctx = prec.context()
-    pi = ctx.pi
     tol = ctx.mpf(10) ** (-args.digits + 15)
-    rows = intro_product_rows(prec)
-
-    qpi = ctx.exp(-pi)
-    g14 = gamma(Fraction(1, 4), prec)
-    computed = drq_dq(RQParams(1, 2, 4), qpi, prec)
-    closed = ctx.exp(pi) * g14**4 / (64 * 2 ** cv(ctx, Fraction(5, 8)) * pi**3)
-    rows.append(
+    qpi = ctx.exp(-ctx.pi)
+    closed124, factor125 = deriv_closed_forms(prec)
+    rows = intro_product_rows(prec) + [
         (
             "d/dq R(1,2,4;q) at q=exp(-pi)",
             "exp(pi) Gamma(1/4)^4 / (64 2^(5/8) pi^3)",
-            computed,
-            closed,
-        )
-    )
-
-    computed = drq_dq(RQParams(1, 2, 5), qpi, prec)
-    rho = _octic_root(prec)
-    closed = ctx.exp(pi) * g14**4 / (16 * pi**3) * rho
-    rows.append(
+            drq_dq(RQParams(1, 2, 4), qpi, prec),
+            closed124,
+        ),
         (
             "d/dq R(1,2,5;q) at q=exp(-pi)",
             "exp(pi) Gamma(1/4)^4 rho / (16 pi^3), rho the octic root below 1/2",
-            computed,
-            closed,
-        )
-    )
+            drq_dq(RQParams(1, 2, 5), qpi, prec),
+            factor125 * _octic_root(prec),
+        ),
+    ]
 
     lines = []
     any_mismatch = False
@@ -474,7 +409,7 @@ def cmd_table(args) -> int:
         lines.append(f"  |diff| {mp_nstr(diff)}  {status}")
     lines.append("all rows agree" if not any_mismatch else "MISMATCH in at least one row")
     _emit("\n".join(lines), args.out)
-    return 0
+    return 1 if any_mismatch else 0
 
 
 def _octic_root(prec: PrecisionSpec):

@@ -201,16 +201,6 @@ def prod_infinite(
     return _settle(ctx, prec.work_eps(ctx), factors, product=True, max_terms=max_terms)
 
 
-def agm(a, b, prec: PrecisionSpec):
-    """Arithmetic-geometric mean of two positive reals."""
-    ctx = prec.context()
-    a = cv(ctx, a)
-    b = cv(ctx, b)
-    if ctx.im(a) != 0 or ctx.im(b) != 0 or a <= 0 or b <= 0:
-        raise DomainError(f"agm needs positive real arguments, got {a}, {b}")
-    return ctx.agm(a, b)
-
-
 def gamma(x, prec: PrecisionSpec):
     """Euler Gamma for positive real x."""
     ctx = prec.context()

@@ -433,6 +433,19 @@ def intro_product_rows(prec) -> list:
     ]
 
 
+def deriv_closed_forms(prec) -> tuple:
+    """e^pi Gamma(1/4)^4 / (64 2^(5/8) pi^3), the closed form of dR(1,2,4)/dq
+    at q = e^-pi, and e^pi Gamma(1/4)^4 / (16 pi^3), the factor that
+    multiplies rho in dR(1,2,5)/dq there: the residuals of ``deriv.eq57``
+    and the last rows of ``qelliptic table``."""
+    ctx = prec.context()
+    g14 = gamma(Fraction(1, 4), prec)
+    return (
+        ctx.exp(ctx.pi) * g14**4 / (64 * 2 ** cv(ctx, Fraction(5, 8)) * ctx.pi**3),
+        ctx.exp(ctx.pi) * g14**4 / (16 * ctx.pi**3),
+    )
+
+
 @check(
     "prodid.intro",
     covers=("eq5", "eq6", "eq7"),
@@ -1199,18 +1212,15 @@ def _chk_deriv_eq56(prec, rng):
     formula="dR(1,2,4)/dq = e^pi Gamma(1/4)^4/(64 2^(5/8) pi^3); dR(1,2,5)/dq = e^pi Gamma(1/4)^4/(16 pi^3) rho",
 )
 def _chk_deriv_eq57(prec, rng):
-    errs = []
     ctx = prec.context()
     q = ctx.exp(-ctx.pi)
-    g14 = gamma(Fraction(1, 4), prec)
-    d124 = drq_dq(RQParams(1, 2, 4), q, prec)
-    closed = ctx.exp(ctx.pi) * g14**4 / (64 * 2 ** cv(ctx, Fraction(5, 8)) * ctx.pi**3)
-    errs.append(abs(d124 - closed))
+    closed124, factor125 = deriv_closed_forms(prec)
     rho = drq_normalized(RQParams(1, 2, 5), q, prec)
-    errs.append(abs(verify_root(DERIV_POLY_125, rho, prec)))
-    d125 = drq_dq(RQParams(1, 2, 5), q, prec)
-    errs.append(abs(d125 - ctx.exp(ctx.pi) * g14**4 / (16 * ctx.pi**3) * rho))
-    return errs
+    return [
+        abs(drq_dq(RQParams(1, 2, 4), q, prec) - closed124),
+        abs(verify_root(DERIV_POLY_125, rho, prec)),
+        abs(drq_dq(RQParams(1, 2, 5), q, prec) - factor125 * rho),
+    ]
 
 
 @check(

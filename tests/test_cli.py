@@ -2,13 +2,17 @@
 
 import dataclasses
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
+import qelliptic.cli
 import qelliptic.verify
-from qelliptic.cli import NomeExpr, UsageError, _parse_scalar, main
+from qelliptic.algrec import MinPolyResult
+from qelliptic.cli import FUNCTIONS, NomeExpr, UsageError, _parse_scalar, main
 from qelliptic.numerics import CrossCheckFailure, PrecisionSpec
+from qelliptic.rquantity import RQParams, drq_normalized
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +115,74 @@ def test_eval_out_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text() == "1.57079632679489661923132169164\n"
+
+
+# One case per eval name: parameters and nome that make the call succeed, the
+# frozen 30-digit output, and the missing-parameter list (None when every
+# parameter is optional).  Each case also checks both usage messages.
+EVAL_GOLDEN = [
+    ("K", "k=1/2", None, "1.6857503548125960428712036578", "k"),
+    ("kr", "r=2", None, "0.41421356237309504880168872421", "r"),
+    ("theta2", None, "0.3", "1.6144603411944334908162357373", None),
+    ("theta3", "z=1/3", "0.3", "1.47532681546062482859660646585", None),
+    ("theta4", "z=1/5", "0.3", "0.458635787463012082513906840604", None),
+    ("f", None, "0.2", "0.760332795871232420101488296293", None),
+    ("phi", None, "0.2", "1.26050080671010753238887315774", None),
+    ("agile", "a=1,p=3", "0.2", "0.766513964455482695474221629477", "a, p"),
+    ("psistar", "a=1,p=3", "0.2", "1.24033280412876842010148898371", "a, p"),
+    ("rqstar", "a=1,b=2,p=5", "r=1", "0.958650181595838792605863223565", "a, b, p"),
+    ("rq", "a=1,b=2,p=5", "r=1", "0.511428455403703519294633013543", "a, b, p"),
+    ("rr", None, "0.1", "0.909909099171983628753495806843", None),
+    ("r1", None, "0.1", "0.574113828931919596631074014097", None),
+    ("r2", None, "0.1", "0.418575509095258734016059132796", None),
+    ("r3", None, "0.1", "0.284892699450442412422482017754", None),
+    ("h", None, "0.1", "0.284892699450442412422482017754", None),
+    ("mseries", "c=1/2", "0.1", "1.050250125006250031250015625", "c"),
+    ("mcf", "c=1/2", "0.1", "1.050250125006250031250015625", "c"),
+    ("pcf", "a=1/2,b=1/3", "0.2", "1.07356617256291425173600775563", "a, b"),
+    (
+        "phi21",
+        "a=1/2,b=1/3+1/2i,c=1/4,z=1/5-1/5i",
+        "0.3",
+        "0.970917712477268878266723235123\n-0.256570847289635890777393046957",
+        "a, b, c, z",
+    ),
+    ("psi", "a=1/2,z=1/3", "0.3", "1.34853458852190572524244768672", "a, z"),
+    ("tau0", "a=1/3", "0.2", "1.99136088911271623622740339459", "a"),
+    ("taustar", "a=1,p=3", "0.2", "1.16898673940640764921850637977", "a, p"),
+    ("drq", "a=1,b=2,p=5", "0.2", "0.154509062683547580731634263008", "a, b, p"),
+]
+
+
+@pytest.mark.parametrize("fn, params, q, frozen, missing", EVAL_GOLDEN)
+def test_eval_every_name_golden(capsys, fn, params, q, frozen, missing):
+    param_args = ["--params", params] if params else []
+    q_args = ["--q", q] if q else []
+    code, out, _ = run_cli(capsys, "eval", "--fn", fn, *param_args, *q_args, "--digits", "30")
+    assert (code, out) == (0, frozen)
+    if missing:
+        code, _, err = run_cli(capsys, "eval", "--fn", fn, *q_args)
+        assert (code, err) == (2, f"error: {fn} needs parameter(s): {missing}")
+    if q:
+        code, _, err = run_cli(capsys, "eval", "--fn", fn, *param_args)
+        assert (code, err) == (2, f"error: {fn} needs --q NOME")
+
+
+def test_eval_drq_normalized_matches_library(capsys):
+    code, out, _ = run_cli(
+        capsys, "eval", "--fn", "drq-normalized", "--params", "a=1,b=2,p=5",
+        "--q", "r=1", "--digits", "30",
+    )
+    prec = PrecisionSpec(30)
+    ctx = prec.context()
+    direct = drq_normalized(RQParams(1, 2, 5), ctx.exp(-ctx.pi), prec)
+    assert (code, out) == (0, ctx.nstr(direct, 30))
+
+
+def test_readme_documents_every_eval_name():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### eval\n", 1)[1].split("\n### ", 1)[0]
+    assert [name for name in FUNCTIONS if f"| `{name}` |" not in section] == []
 
 
 # ----------------------------------------------------------------- NomeExpr
@@ -241,6 +313,19 @@ def test_minpoly_fn_verified(capsys):
     assert "confidence: verified" in lines[1]
 
 
+def test_minpoly_fn_drq_normalized(capsys):
+    code, out, _ = run_cli(
+        capsys, "minpoly", "--fn", "drq-normalized", "--params", "a=1,b=2,p=5",
+        "--q", "r=1", "--degree", "8",
+    )
+    assert code == 0
+    lines = out.split("\n")
+    expected = MinPolyResult(qelliptic.verify.DERIV_POLY_125, 8, 0, "verified")
+    assert lines[0] == expected.as_text()
+    assert "degree: 8" in lines[1]
+    assert "confidence: verified" in lines[1]
+
+
 def test_minpoly_underprecise_literal_not_found(capsys):
     code, _, err = run_cli(
         capsys, "minpoly", "--value", "0.333333333333333333333333333333", "--degree", "2"
@@ -301,6 +386,17 @@ def test_table_golden_rows(capsys):
     ):
         assert frozen in out
     assert "MISMATCH" not in out
+
+
+def test_table_exits_1_on_a_mismatch(capsys, monkeypatch):
+    def one_wrong_row(prec):
+        ctx = prec.context()
+        return [("wrong row", "1", ctx.mpf(1), ctx.mpf(2))]
+
+    monkeypatch.setattr(qelliptic.cli, "intro_product_rows", one_wrong_row)
+    code, out, _ = run_cli(capsys, "table", "--digits", "30")
+    assert code == 1
+    assert "MISMATCH in at least one row" in out
 
 
 def test_table_digits_floor(capsys):

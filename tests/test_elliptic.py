@@ -12,13 +12,16 @@ from qelliptic.elliptic import (
     nome_from_r,
     singular_modulus,
 )
-from qelliptic.numerics import DomainError, PrecisionSpec, cv
+from qelliptic.numerics import DomainError, PrecisionSpec, cv, gamma
 
 
 def test_K_at_zero():
     p = PrecisionSpec(60)
     ctx = p.context()
     assert abs(K_of_k(0, p) - ctx.pi / 2) < p.target_eps(ctx)
+    # the lemniscatic value K(1/sqrt2) = Gamma(1/4)^2 / (4 sqrt(pi))
+    lemniscatic = gamma(Fraction(1, 4), p) ** 2 / (4 * ctx.sqrt(ctx.pi))
+    assert abs(K_of_k(1 / ctx.sqrt(2), p) - lemniscatic) < p.target_eps(ctx)
 
 
 def test_K_domain():

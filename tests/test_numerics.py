@@ -17,7 +17,6 @@ from qelliptic.numerics import (
     PrecisionSpec,
     UnknownSelector,
     VerificationError,
-    agm,
     cv,
     gamma,
     gaussian_cutoff,
@@ -196,21 +195,6 @@ def test_prod_infinite_nonconvergence():
     p = PrecisionSpec(50)
     with pytest.raises(NonConvergence):
         prod_infinite(lambda n: 2, p, max_terms=50)
-
-
-def test_agm_lemniscatic():
-    # pi/(2 agm(1, sqrt(1/2))) = Gamma(1/4)^2 / (4 sqrt(pi))
-    p = PrecisionSpec(80)
-    ctx = p.context()
-    left = ctx.pi / (2 * agm(1, ctx.sqrt(cv(ctx, Fraction(1, 2))), p))
-    right = gamma(Fraction(1, 4), p) ** 2 / (4 * ctx.sqrt(ctx.pi))
-    assert abs(left - right) < p.target_eps(ctx)
-
-
-def test_agm_domain():
-    p = PrecisionSpec(40)
-    with pytest.raises(DomainError):
-        agm(-1, 2, p)
 
 
 def test_gamma_half():
