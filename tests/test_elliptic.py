@@ -19,7 +19,12 @@ def test_K_at_zero():
     p = PrecisionSpec(60)
     ctx = p.context()
     assert abs(K_of_k(0, p) - ctx.pi / 2) < p.target_eps(ctx)
-    # the lemniscatic value K(1/sqrt2) = Gamma(1/4)^2 / (4 sqrt(pi))
+
+
+def test_K_lemniscatic():
+    # K(1/sqrt2) = Gamma(1/4)^2 / (4 sqrt(pi))
+    p = PrecisionSpec(80)
+    ctx = p.context()
     lemniscatic = gamma(Fraction(1, 4), p) ** 2 / (4 * ctx.sqrt(ctx.pi))
     assert abs(K_of_k(1 / ctx.sqrt(2), p) - lemniscatic) < p.target_eps(ctx)
 
