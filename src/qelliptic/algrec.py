@@ -1,11 +1,14 @@
 """Integer-relation recognition: find an integer-coefficient polynomial
 annihilating a high-precision real number.
 
-One PSLQ search (Ferguson, Bailey and Arno, Math. Comp. 68, 1999; mpmath's
-``pslq``) looks for an integer relation among (1, x, x^2, ..., x^d) at each
-degree d that ``find_minpoly`` tries.  A relation is normalized to content 1
-with positive leading coefficient, ascending powers, and accepted only when
-it is square-free and its Horner residual at x is below the accept tolerance.
+One PSLQ search (Ferguson, Bailey and Arno, Math. Comp. 68, 1999) looks for
+an integer relation among (1, x, x^2, ..., x^d) at each degree d that
+``find_minpoly`` tries.  The search is a local transcription of mpmath
+1.3.0's ``pslq`` that skips work whose result is unread or known exactly
+(see ``_lll_reduce``); it returns exactly what ``pslq`` returns, and the
+tests use ``pslq`` as its oracle.  A relation is normalized to content 1 with positive leading coefficient,
+ascending powers, and accepted only when it is square-free and its Horner
+residual at x is below the accept tolerance.
 
 PSLQ is a search, not one of the independent second routes the paper's
 checks rely on: a recognized polynomial is trusted because its residual is
@@ -20,11 +23,14 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Sequence
 
+from mpmath.libmp import sqrt_fixed
+
 from .numerics import DomainError, InsufficientPrecision, PrecisionSpec, cv
 
-# mpmath's default of 100 PSLQ steps misses degree-8 relations at 120 digits
-# (the eq. (54) octic among them); a search without a relation stops long
-# before this, once its norm bound passes the height bound.
+# The step limit of every PSLQ search.  mpmath's default of 100 steps misses
+# degree-8 relations at 120 digits (the eq. (54) octic among them); a search
+# without a relation stops long before this, once its norm bound passes the
+# height bound.
 PSLQ_MAXSTEPS = 200000
 
 
@@ -91,15 +97,107 @@ def verify_root(coeffs: Sequence[int], x, prec: PrecisionSpec):
 
 
 def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
-    """One integer-relation search over ``xs = [1, x, ..., x^d]`` by mpmath's
-    PSLQ on the caller's context: the first relation c it meets with
-    max|c| < maxcoeff and |sum c_i x^i| below `tol` relative to |xs|, or None.
+    """One PSLQ search over ``xs = [1, x, ..., x^d]`` at the caller's
+    context: the first relation c it meets with max|c| < maxcoeff and
+    |sum c_i x^i| below `tol` relative to |xs|, or None.
+
+    A transcription of mpmath 1.3.0's ``identification.pslq`` (Bailey's
+    pseudocode in fixed point at ``ctx.prec + 60`` bits).  For the inputs
+    ``find_minpoly`` passes (two or more entries, ``ctx.prec >= 53``) it
+    returns the same relation or None as ``ctx.pslq(xs, tol=tol,
+    maxcoeff=maxcoeff, maxsteps=PSLQ_MAXSTEPS)``; the tests hold it to that.  The ``H``, ``y``
+    and ``s`` arithmetic and every exit are mpmath's, bit for bit.  Dropped
+    is work that is never read or whose result is known exactly: the matrix
+    A; the 2^prec scaling of B, whose multipliers are integers, so B holds
+    plain integers; tuple-keyed dicts (``H`` is a list of rows and ``B`` a
+    list of columns, so a swap exchanges two references); the powers of g,
+    recomputed each step; and reductions whose multiplier rounds to 0.
 
     The name predates PSLQ: the benchmark's tracer counts the degrees
     ``find_minpoly`` tries by rebinding this module global, so it is looked
     up once per search and keeps its name until the benchmark changes.
     """
-    return ctx.pslq(xs, tol=tol, maxcoeff=maxcoeff, maxsteps=PSLQ_MAXSTEPS)
+    n = len(xs)
+    prec = ctx.prec + 60
+    half = 1 << (prec - 1)
+    tol = ctx.to_fixed(ctx.convert(tol), prec)
+    x = [ctx.to_fixed(ctx.mpf(v), prec) for v in xs]
+    minx = min(abs(v) for v in x)
+    if not minx:
+        raise ValueError("PSLQ requires a vector of nonzero numbers")
+    if minx < tol // 100:
+        return None
+    g = sqrt_fixed((4 << prec) // 3, prec)
+    # the weights g^i |H_ii| of the step's row choice, as (g^i, shift) pairs
+    weights = [(g ** (i + 1), prec * i) for i in range(n - 1)]
+    s, t = [0] * n, 0
+    for k in range(n - 1, -1, -1):
+        t += x[k] ** 2 >> prec
+        s[k] = sqrt_fixed(t, prec)
+    y = [(v << prec) // s[0] for v in x]
+    s = [(v << prec) // s[0] for v in s]
+    # mpmath's H is n x n, but its last column is never written: it stays 0
+    H = [[0] * (n - 1) for _ in range(n)]
+    for i in range(n):
+        if i < n - 1 and s[i]:
+            H[i][i] = (s[i + 1] << prec) // s[i]
+        for j in range(i):
+            if s[j] * s[j + 1]:
+                H[i][j] = ((-y[i] * y[j]) << prec) // (s[j] * s[j + 1])
+    B = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def reduce_row(i, top, skip_zero):
+        # size-reduce row i of H against rows top..0; a zero pivot skips
+        # one row at set-up and, as mpmath's ZeroDivisionError, ends the
+        # loop in the main iteration
+        Hi, Bi = H[i], B[i]
+        for j in range(top, -1, -1):
+            Hj = H[j]
+            if not Hj[j]:
+                if skip_zero:
+                    continue
+                break
+            if 2 * abs(Hi[j]) < abs(Hj[j]):
+                continue  # rounds to T = 0, which changes nothing
+            T = ((Hi[j] << prec) // Hj[j] + half) >> prec
+            y[j] += T * y[i]
+            for k in range(j + 1):
+                Hi[k] -= T * Hj[k]
+            Bj = B[j]
+            for k in range(n):
+                Bj[k] += T * Bi[k]
+
+    for i in range(1, n):
+        reduce_row(i, i - 1, True)
+    for _ in range(PSLQ_MAXSTEPS):
+        m, szmax = 0, -1
+        for i, (gi, shift) in enumerate(weights):
+            sz = gi * abs(H[i][i]) >> shift
+            if sz > szmax:
+                m, szmax = i, sz
+        y[m], y[m + 1] = y[m + 1], y[m]
+        H[m], H[m + 1] = H[m + 1], H[m]
+        B[m], B[m + 1] = B[m + 1], B[m]
+        if m <= n - 3:
+            a, b = H[m][m], H[m][m + 1]
+            t0 = sqrt_fixed((a * a + b * b) >> prec, prec)
+            if not t0:
+                break
+            t1, t2 = (a << prec) // t0, (b << prec) // t0
+            for Hi in H[m:]:
+                t3, t4 = Hi[m], Hi[m + 1]
+                Hi[m] = (t1 * t3 + t2 * t4) >> prec
+                Hi[m + 1] = (-t2 * t3 + t1 * t4) >> prec
+        for i in range(m + 1, n):
+            reduce_row(i, min(i - 1, m + 1), False)
+        for yi, column in zip(y, B):
+            if abs(yi) < tol and max(abs(c) for c in column) < maxcoeff:
+                return list(column)
+        # a lower bound on the norm of any relation, divided by 100
+        recnorm = max(abs(h) for row in H for h in row)
+        if not recnorm or ((1 << (2 * prec)) // recnorm >> prec) // 100 >= maxcoeff:
+            break
+    return None
 
 
 def _poly_mod(a: list, b: list) -> list:

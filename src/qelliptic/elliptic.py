@@ -75,8 +75,10 @@ def modulus_from_nome(q, prec: PrecisionSpec) -> Modulus:
 
         k = 8 sqrt(q) w^12 / (1 + sqrt(1 + 64 q w^24)),
 
-    K is the matching closed form in (q; q)_inf and w, k' = sqrt(1 - k^2),
-    and K' = K_of_k(k').  Accepts a Nome or a bare number.
+    K is the matching closed form in (q; q)_inf and w, k' = sqrt(2/(1 + s))
+    with s = sqrt(1 + 64 q w^24), which equals sqrt(1 - k^2) exactly but
+    loses no digits to cancellation as k nears 1, and K' = K_of_k(k').
+    Accepts a Nome or a bare number.
     """
     nome = q if isinstance(q, Nome) else Nome(q=q)
     ctx = prec.context()
@@ -88,7 +90,7 @@ def modulus_from_nome(q, prec: PrecisionSpec) -> Modulus:
     root = ctx.sqrt(1 + 64 * qv * w**24)
     k = 8 * ctx.sqrt(qv) * w**12 / (1 + root)
     K = f * f * ctx.pi * ctx.sqrt(1 + root) / (2 * ctx.sqrt(2) * w * w)
-    k_prime = ctx.sqrt(1 - k * k)
+    k_prime = ctx.sqrt(2 / (1 + root))
     K_prime = K_of_k(k_prime, prec)
     return Modulus(k=k, k_prime=k_prime, K=K, K_prime=K_prime)
 

@@ -31,7 +31,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import mpmath
 

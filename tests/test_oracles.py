@@ -1,8 +1,9 @@
 """Theta functions, bilateral Gaussian sums, q-products and continued
 fractions against mpmath's jtheta and qp (the M fraction against its series);
 K, the modulus from the nome and 2-phi-1 against ellipk, jtheta and qhyper;
-minimal polynomials against their closed forms and mpmath's findpoly; the
-documented domain errors.
+minimal polynomials against their closed forms and mpmath's findpoly, and
+the PSLQ search behind them against mpmath's pslq; the documented domain
+errors.
 
 Inputs are drawn by Hypothesis with a fixed derandomized seed, so every run
 tests the same points.  Each value must agree with the mpmath oracle,
@@ -11,6 +12,7 @@ computed 20 digits deeper, to 10^-digits times max(1, |reference|), or to
 """
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qelliptic.algrec import PSLQ_MAXSTEPS, find_minpoly
+from qelliptic.algrec import PSLQ_MAXSTEPS, _lll_reduce, find_minpoly
 from qelliptic.cfrac import h_cf, m_cf, p_cf, r1_cf, r2_cf, r3_cf, rr_cf
 from qelliptic.elliptic import K_of_k, modulus_from_nome
 from qelliptic.hyperq import Phi21Params, phi21
@@ -206,6 +208,18 @@ def test_modulus_from_nome_matches_jtheta(digits, q):
     assert _agree(ctx, mod.K_prime, ctx.ellipk(k_prime**2), digits)
 
 
+@pytest.mark.parametrize("digits", [30, 60, 120, 200])
+def test_modulus_from_nome_k_prime_keeps_the_working_precision(digits):
+    # k' = sqrt(1 - k^2) lost about four digits to cancellation as k nears 1
+    prec = PrecisionSpec(digits)
+    ctx = _oracle(prec.workdps)
+    for q in ("0.01", "0.05", "0.2", "0.35", "0.45", "0.49", "0.499"):
+        qv = ctx.mpf(q)
+        k_prime = (ctx.jtheta(4, 0, qv) / ctx.jtheta(3, 0, qv)) ** 2
+        err = abs(modulus_from_nome(Fraction(q), prec).k_prime - k_prime) / k_prime
+        assert err < ctx.mpf(10) ** (2 - prec.workdps), q
+
+
 @SETTINGS
 @given(digits_st, q_st, unit_st, unit_st, unit_st, unit_st.filter(bool))
 def test_phi21_matches_qhyper(digits, q, a, b, c, z):
@@ -334,6 +348,55 @@ def test_character_product_matches_qp_quotient(digits, q, abp):
     assert _agree(ctx, value, agile(a) / agile(b), digits)
 
 
+nonsquare_st = st.integers(2, 30).filter(lambda c: math.isqrt(c) ** 2 != c)
+# x as (kind, arguments): the surds and radicals drawn below, and random
+# reals, whose powers satisfy no relation under the height bound
+search_x_st = st.one_of(
+    st.tuples(st.just("surd"), st.integers(-20, 20), nonzero_st, nonsquare_st, st.integers(1, 9)),
+    st.tuples(st.just("radical"), st.integers(2, 30), st.integers(2, 7), st.integers(-5, 5)),
+    st.tuples(st.just("random"), st.integers(0, 2**32)),
+)
+
+
+def _search_x(ctx, kind, *args):
+    if kind == "surd":
+        a, b, c, d = args
+        return (a + b * ctx.sqrt(c)) / d
+    if kind == "radical":
+        r, k, s = args
+        return ctx.root(r, k) + s
+    bits = random.Random(args[0]).getrandbits(700)
+    return ctx.mpf(bits - 2**699) / 2**698
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(digits=st.integers(80, 200), spec=search_x_st)
+def test_local_pslq_matches_mpmath_pslq(degree, digits, spec):
+    # the search find_minpoly runs returns exactly what mpmath's pslq does
+    ctx = PrecisionSpec(digits).context()
+    x = _search_x(ctx, *spec)
+    xs = [x**i for i in range(degree + 1)]
+    tol, maxcoeff = ctx.mpf(10) ** (15 - digits), 10**8 + 1
+    relation = _lll_reduce(ctx, xs, tol, maxcoeff)
+    assert relation == ctx.pslq(xs, tol=tol, maxcoeff=maxcoeff, maxsteps=PSLQ_MAXSTEPS)
+    if spec[0] == "random":
+        assert relation is None
+
+
+@pytest.mark.parametrize(
+    "x, degree, expected", [(-1, 3, [1, 0, -1, 0]), ("1e-50", 2, None)]
+)
+def test_local_pslq_precision_exhausted_exit(x, degree, expected):
+    # a zero diagonal entry of H ends only the current row's reduction, as
+    # mpmath's ZeroDivisionError does; both inputs reach that exit
+    ctx = PrecisionSpec(120).context()
+    xs = [ctx.mpf(x) ** i for i in range(degree + 1)]
+    tol, maxcoeff = ctx.mpf(10) ** -105, 10**8 + 1
+    assert _lll_reduce(ctx, xs, tol, maxcoeff) == expected
+    assert ctx.pslq(xs, tol=tol, maxcoeff=maxcoeff, maxsteps=PSLQ_MAXSTEPS) == expected
+
+
 def _findpoly(x, max_degree, prec):
     """mpmath's findpoly at find_minpoly's default settings, in ascending
     powers with a positive leading coefficient."""
@@ -359,7 +422,7 @@ def _primitive(coeffs):
     recognition_digits_st,
     st.integers(-20, 20),
     nonzero_st,
-    st.integers(2, 30).filter(lambda c: math.isqrt(c) ** 2 != c),
+    nonsquare_st,
     st.integers(1, 9),
 )
 def test_quadratic_surd_minpoly(digits, a, b, c, d):
