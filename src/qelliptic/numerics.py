@@ -147,7 +147,17 @@ def _settle(ctx, eps, items, *, product: bool = False, max_terms: int = MAX_TERM
     A factor that is exactly zero makes the product exactly zero; a finite
     iterable gives its exact total; ``max_terms`` items without settling
     raise NonConvergence.  Items must already be numbers of ``ctx``.
+
+    Most items are far from the threshold, so binary exponents settle them
+    first: ``ctx.mag`` gives |x| <= 2^mag(x), and |x| >= 2^(mag(x) - 2) for
+    mpf and mpc alike.  A term with mag(t) - 2 > mag(eps) + max(0,
+    mag(total)), or a factor with mag(f - 1) - 2 > mag(eps), is therefore
+    not negligible, and the exact test runs only for the rest.  The
+    prefilter never changes a decision; it costs an integer comparison
+    where the exact test costs an abs and a multiplication.
     """
+    mag = ctx.mag
+    mag_eps = mag(eps)
     one = ctx.mpf(1)
     total = one if product else ctx.mpf(0)
     small = 0
@@ -156,10 +166,14 @@ def _settle(ctx, eps, items, *, product: bool = False, max_terms: int = MAX_TERM
             if x == 0:
                 return total * x  # exact zero, of the joint real/complex type
             total = total * x
-            negligible = abs(x - 1) <= eps
+            d = x - 1
+            negligible = mag(d) - 2 <= mag_eps and abs(d) <= eps
         else:
             total = total + x
-            negligible = abs(x) <= eps * max(one, abs(total))
+            negligible = (
+                mag(x) - 2 <= mag_eps + max(0, mag(total))
+                and abs(x) <= eps * max(one, abs(total))
+            )
         small = small + 1 if negligible else 0
         if small == 3:
             return total

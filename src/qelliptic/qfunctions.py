@@ -5,8 +5,11 @@ product quantity [a,p;q] with its theta-sum twin.
 Sign convention used throughout: ``euler_f(q)`` and ``weber_phi(q)`` return
 the products (q;q)_inf and (-q;q)_inf, i.e. the classical symbols f(-q) and
 phi(-q) evaluated so that the caller passes plain q.  Fractional powers of q
-are always e^(x*ln q) on the principal branch, never root extraction; the
-integer powers a loop walks through come from ``_qpowers`` by multiplication.
+are always e^(x*ln q) on the principal branch, never root extraction.  No
+series loop calls exp or log per term: the integer powers a loop walks
+through come from ``_qpowers`` or from a running product, and a term of a
+bilateral sum from its neighbour times a ratio that itself advances by
+multiplication.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .numerics import (
     cv,
     gaussian_cutoff,
     prod_infinite,
-    sum_series,
 )
 
 INF = math.inf
@@ -234,6 +236,13 @@ def _bilateral_halfsquare(ctx, coeff_lin, p, q, signed: bool):
     Shared engine for theta_sum_S (p = 2), theta2, the theta-sum route of
     [a,p;q] and psi_star; the quadratic coefficient is p/2.  At q = 0 only
     the n = 0 term is kept, which gives 1.
+
+    The terms are walked out from n = 0 in both directions by
+    multiplication: term(n +- 1) / term(n) starts at
+    s e^((p/2 +- coeff_lin/2) ln q) and gains a factor Q = e^(p ln q) per
+    step.  Three exp calls per sum, whatever the precision; exp turns the
+    sum of exponents into the product exactly, so the branch is the
+    principal one of the closed form.
     """
     q = cv(ctx, q)
     p = cv(ctx, p)
@@ -252,12 +261,17 @@ def _bilateral_halfsquare(ctx, coeff_lin, p, q, signed: bool):
     c = float(-ctx.re(b * logq)) / 2.0
     n_cut = gaussian_cutoff(ctx.dps, L, abs(c) / 2.0)
     shift = int(math.ceil(abs(c) / (2 * L))) + 1
-    total = ctx.mpf(0)
-    for n in range(-n_cut - shift, n_cut + shift + 1):
-        term = ctx.exp((p * n * n / 2 + b * n / 2) * logq)
-        if signed and (n & 1):
-            term = -term
-        total = total + term
+    step = ctx.exp(p * logq)
+    total = ctx.mpf(1)
+    for sign in (1, -1):
+        ratio = ctx.exp((p + sign * b) / 2 * logq)
+        if signed:
+            ratio = -ratio
+        term = ctx.mpf(1)
+        for _ in range(n_cut + shift):
+            term = term * ratio
+            ratio = ratio * step
+            total = total + term
     return total
 
 
@@ -330,7 +344,9 @@ def hyperbolic_log_sum(t, a, prec: PrecisionSpec):
     """sum_{k>=1} cosh(2 t k) / (k sinh(pi a k)) for a > 0, |t| < pi a / 2.
 
     The terms decay like e^((2|t| - pi a) k), so the decay region is exactly
-    |t| < pi a / 2.
+    |t| < pi a / 2.  With E = e^(2t) and F = e^(pi a), the k-th term is
+    (E^k + E^-k) / (k (F^k - F^-k)); the four powers advance by one
+    multiplication each, so the sum costs two exp calls.
     """
     ctx = prec.context()
     t = cv(ctx, t)
@@ -339,8 +355,13 @@ def hyperbolic_log_sum(t, a, prec: PrecisionSpec):
         raise DomainError(f"need positive real a, got {a}")
     if ctx.im(t) != 0 or 2 * abs(t) >= ctx.pi * a:
         raise DomainError(f"need real t with |t| < pi a / 2, got t = {t}")
-    return sum_series(
-        lambda k: ctx.cosh(2 * t * k) / (k * ctx.sinh(ctx.pi * a * k)),
-        prec,
-        start=1,
-    )
+    e, f = ctx.exp(2 * t), ctx.exp(ctx.pi * a)
+    e_inv, f_inv = 1 / e, 1 / f
+
+    def terms():
+        ek, e_negk, fk, f_negk = e, e_inv, f, f_inv
+        for k in itertools.count(1):
+            yield (ek + e_negk) / (k * (fk - f_negk))
+            ek, e_negk, fk, f_negk = ek * e, e_negk * e_inv, fk * f, f_negk * f_inv
+
+    return _settle(ctx, prec.work_eps(ctx), terms())

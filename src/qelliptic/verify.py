@@ -45,6 +45,7 @@ from .qfunctions import (
     pochhammer,
     psi_star,
     qpow,
+    theta2,
     theta3,
     theta4,
     theta4_product,
@@ -228,17 +229,27 @@ class Report:
         }
         return json.dumps(obj, separators=(",", ":"))
 
+    def spare_digits(self, outcome: CheckOutcome) -> str:
+        """log10(tolerance / max_abs_error) to two decimals: how many digits
+        the residual stays below the check's tolerance (negative when it
+        misses).  "-" for a skip or an error, which measured nothing."""
+        if outcome.status in ("skip", "error"):
+            return "-"
+        tol_exp = _REGISTRY[outcome.id].tolerance_exponent(self.digits)
+        spare = tol_exp - mpmath.log10(mpmath.mpf(outcome.max_abs_error))
+        return f"{float(spare):.2f}"
+
     def to_text(self) -> str:
         width = max([len(c.id) for c in self.checks] + [4])
         lines = [f"suite: {self.suite}   digits: {self.digits}   seed: {self.seed}"]
         lines.append(
             f"{'id':<{width}}  {'status':<11}  {'max_abs_error':<14}  "
-            f"{'samples':>7}  {'seconds':>8}"
+            f"{'spare':>7}  {'samples':>7}  {'seconds':>8}"
         )
         for c in self.checks:
             lines.append(
                 f"{c.id:<{width}}  {c.status:<11}  {c.max_abs_error:<14}  "
-                f"{c.samples:>7}  {c.seconds:>8.2f}"
+                f"{self.spare_digits(c):>7}  {c.samples:>7}  {c.seconds:>8.2f}"
             )
         n = self.counts
         verdict = "PASS" if self.ok else "FAIL"
@@ -333,18 +344,18 @@ def _chk_prodid_eq5(prec, rng):
     "prodid.eq6",
     covers=("eq6",),
     description="eighth power of the (-q;q) product in k",
-    formula="q^(1/3) prod (1+q^n)^8 = 2^(-4/3) (k/(1-k^2))^(2/3)",
+    formula="q^(1/3) prod (1+q^n)^8 = 2^(-4/3) (k/(1-k^2))^(2/3), k = (theta2/theta3)^2",
 )
 def _chk_prodid_eq6(prec, rng):
+    # k from the theta series, not from modulus_from_nome: that closed form
+    # is built on w = weber_phi(q) and would make both sides q^(1/3) w^8.
     errs = []
     for r in (1, 2, 3, 5):
         ctx = prec.context()
         q = nome_from_r(r, prec).q
-        mod = modulus_from_nome(q, prec)
+        k = (theta2(q, prec) / theta3(0, q, prec)) ** 2
         lhs = qpow(ctx, q, Fraction(1, 3)) * weber_phi(q, prec) ** 8
-        rhs = 2 ** cv(ctx, Fraction(-4, 3)) * (mod.k / (1 - mod.k**2)) ** cv(
-            ctx, Fraction(2, 3)
-        )
+        rhs = 2 ** cv(ctx, Fraction(-4, 3)) * (k / (1 - k**2)) ** cv(ctx, Fraction(2, 3))
         errs.append(abs(lhs - rhs))
     return errs
 

@@ -6,6 +6,8 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qelliptic
 from qelliptic.numerics import (
@@ -17,6 +19,7 @@ from qelliptic.numerics import (
     PrecisionSpec,
     UnknownSelector,
     VerificationError,
+    _settle,
     cv,
     gamma,
     gaussian_cutoff,
@@ -195,6 +198,83 @@ def test_prod_infinite_nonconvergence():
     p = PrecisionSpec(50)
     with pytest.raises(NonConvergence):
         prod_infinite(lambda n: 2, p, max_terms=50)
+
+
+def _settle_reference(ctx, eps, items, product):
+    """The stopping loop of _settle as it was before the exponent
+    prefilter: the exact negligibility test on every item."""
+    one = ctx.mpf(1)
+    total = one if product else ctx.mpf(0)
+    small = 0
+    for x in items:
+        if product:
+            if x == 0:
+                return total * x
+            total = total * x
+            negligible = abs(x - 1) <= eps
+        else:
+            total = total + x
+            negligible = abs(x) <= eps * max(one, abs(total))
+        small = small + 1 if negligible else 0
+        if small == 3:
+            return total
+    return total
+
+
+# an item: (kind, log2 of its size relative to the threshold, phase);
+# kind "zero" is an exact 0 term or an exact 1 factor
+settle_item_st = st.tuples(
+    st.sampled_from(["real", "complex", "zero"]),
+    st.floats(min_value=-8, max_value=8),
+    st.floats(min_value=0, max_value=6.3),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    product=st.booleans(),
+    lead=st.one_of(st.none(), st.floats(min_value=-8, max_value=8)),
+    lead_complex=st.booleans(),
+    cancel=st.booleans(),
+    items=st.lists(settle_item_st, min_size=1, max_size=12),
+)
+def test_settle_prefilter_never_changes_a_decision(product, lead, lead_complex, cancel, items):
+    # Items near the negligibility threshold, within +-8 bits: the
+    # exponent prefilter must stop at the same item with the same total as
+    # the exact test alone.  For a series, the lead item sets |total| to
+    # 2^lead (both sides of 1), or to an exact 0 (lead None, or cancelled
+    # by its negative); for a product, a lead of None is an exact 0 factor.
+    prec = PrecisionSpec(40)
+    ctx = prec.context()
+    eps = prec.work_eps(ctx)
+    seq = []
+    if lead is None:
+        seq.append(ctx.mpf(0))
+    elif not product:
+        head = ctx.mpf(2) ** lead * (ctx.expjpi(ctx.mpf(1) / 3) if lead_complex else 1)
+        seq += [head, -head] if cancel else [head]
+    scale = eps * (1 if product or cancel or lead is None else max(1, ctx.mpf(2) ** lead))
+    for kind, shift, phase in items:
+        if kind == "zero":
+            x = ctx.mpf(0)
+        else:
+            x = scale * ctx.mpf(2) ** shift
+            x = x * ctx.expj(phase) if kind == "complex" else x * (1 if phase < 3.15 else -1)
+        seq.append(1 + x if product else x)
+    seq += [ctx.mpf(1) if product else ctx.mpf(0)] * 3  # every run settles
+
+    for trial in (seq, seq[::-1]):
+        seen = {"new": 0, "old": 0}
+
+        def counted(key, values=trial):
+            for v in values:
+                seen[key] += 1
+                yield v
+
+        new = _settle(ctx, eps, counted("new"), product=product)
+        old = _settle_reference(ctx, eps, counted("old"), product)
+        assert seen["new"] == seen["old"]
+        assert new == old and type(new) is type(old)
 
 
 def test_gamma_half():

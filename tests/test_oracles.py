@@ -1,5 +1,7 @@
 """Theta functions, bilateral Gaussian sums, q-products and continued
 fractions against mpmath's jtheta and qp (the M fraction against its series);
+R by theta quotient and by exponential sum, its q-derivative, psi*, [a,p;q]
+and the hyperbolic log sum against qp, jtheta and mpmath's diff;
 K, the modulus from the nome and 2-phi-1 against ellipk, jtheta and qhyper;
 minimal polynomials against their closed forms and mpmath's findpoly, and
 the PSLQ search behind them against mpmath's pslq; the documented domain
@@ -27,8 +29,12 @@ from qelliptic.hyperq import Phi21Params, phi21
 from qelliptic.numerics import DomainError, PrecisionSpec, cv
 from qelliptic.qfunctions import (
     INF,
+    AgileParams,
+    agile,
     euler_f,
+    hyperbolic_log_sum,
     pochhammer,
+    psi_star,
     theta2,
     theta3,
     theta4,
@@ -36,7 +42,7 @@ from qelliptic.qfunctions import (
     theta_sum_S,
     weber_phi,
 )
-from qelliptic.rquantity import RQParams, drq_normalized, rq_charprod
+from qelliptic.rquantity import RQParams, drq_dq, drq_normalized, rq_charprod, rq_theta
 from qelliptic.verify import DERIV_POLY_125
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
@@ -346,6 +352,87 @@ def test_character_product_matches_qp_quotient(digits, q, abp):
 
     value = rq_charprod(a, b, p, q, PrecisionSpec(digits))
     assert _agree(ctx, value, agile(a) / agile(b), digits)
+
+
+# exponents of [a,p;q]: period p and a = p u with u inside (0, 1); the
+# engines rewritten as recurrences are tested from 30 to 200 digits
+period_st = st.integers(1, 5)
+share_st = st.fractions(min_value=Fraction(1, 10), max_value=Fraction(9, 10), max_denominator=100)
+series_digits_st = st.sampled_from([30, 60, 120, 200])
+
+
+def _agile_qp(ctx, a, p, qv):
+    """[a,p;q] = (q^(p-a); q^p)_inf (q^a; q^p)_inf by mpmath's qp."""
+    return ctx.qp(qv ** (p - a), qv**p) * ctx.qp(qv**a, qv**p)
+
+
+def _r_qp(ctx, a, b, p, qv):
+    """R(a,b,p;q) = q^(-(a-b)/2 + (a^2-b^2)/(2p)) [a,p;q]/[b,p;q] by qp."""
+    expo = -(a - b) / 2 + (a * a - b * b) / (2 * p)
+    return qv**expo * _agile_qp(ctx, a, p, qv) / _agile_qp(ctx, b, p, qv)
+
+
+@SETTINGS
+@given(
+    series_digits_st,
+    period_st,
+    share_st,
+    share_st,
+    st.fractions(min_value=Fraction(7, 10), max_value=4, max_denominator=100),
+)
+def test_rq_theta_routes_match_qp_quotient(digits, p, u, v, x):
+    ctx = _oracle(digits)
+    prec = PrecisionSpec(digits)
+    a, b = u * p, v * p
+    reference = _r_qp(ctx, _num(ctx, a), _num(ctx, b), ctx.mpf(p), ctx.exp(-_num(ctx, x)))
+    for route in ("theta", "expsum"):
+        assert _agree(ctx, rq_theta(a, b, p, x, prec, route=route), reference, digits)
+
+
+@SETTINGS
+@given(series_digits_st, q_st, period_st, share_st, imag_st)
+def test_psi_star_and_agile_theta_routes_match_qp_at_complex_a(digits, q, p, u, y):
+    # psi*(a,p;q) = (q^p;q^p)(-q^a;q^p)(-q^(p-a);q^p) for 0 < Re(a) < p
+    ctx = _oracle(digits)
+    prec = PrecisionSpec(digits)
+    qv, pv = _num(ctx, q), ctx.mpf(p)
+    a = ctx.mpc(_num(ctx, u * p), _num(ctx, y))
+    qp = qv**pv
+    psi = ctx.qp(qp, qp) * ctx.qp(-(qv**a), qp) * ctx.qp(-(qv ** (pv - a)), qp)
+    assert _agree(ctx, psi_star(a, p, q, prec, route="sum"), psi, digits)
+    value = agile(AgileParams(a, p), q, prec, route="theta")
+    assert _agree(ctx, value, _agile_qp(ctx, a, pv, qv), digits)
+
+
+@SETTINGS
+@given(
+    series_digits_st,
+    st.fractions(min_value=Fraction(1, 2), max_value=2, max_denominator=100),
+    st.fractions(min_value=Fraction(-11, 10), max_value=Fraction(11, 10), max_denominator=100),
+)
+def test_hyperbolic_log_sum_matches_qp_and_jtheta(digits, a, u):
+    # log theta4(it, q) = log (q^2;q^2)_inf - sum_k cosh(2tk) / (k sinh(k ln(1/q)))
+    # at q = e^(-pi a); |t| = |u| a <= 1.1 a stays inside |t| < pi a / 2
+    ctx = _oracle(digits)
+    av = _num(ctx, a)
+    t = u * a
+    tv = _num(ctx, t)
+    reference = ctx.log(ctx.qp(ctx.exp(-2 * ctx.pi * av))) - ctx.log(
+        ctx.jtheta(4, ctx.j * tv, ctx.exp(-ctx.pi * av))
+    )
+    assert _agree(ctx, hyperbolic_log_sum(t, a, PrecisionSpec(digits)), reference, digits)
+
+
+@pytest.mark.parametrize("digits", [30, 200])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(q=q_st, p=period_st, u=share_st, v=share_st)
+def test_drq_dq_matches_diff_of_qp_quotient(digits, q, p, u, v):
+    ctx = _oracle(digits)
+    a, b = u * p, v * p
+    av, bv, pv = _num(ctx, a), _num(ctx, b), ctx.mpf(p)
+    reference = ctx.diff(lambda qq: _r_qp(ctx, av, bv, pv, qq), _num(ctx, q))
+    value = drq_dq(RQParams(a, b, p), q, PrecisionSpec(digits))
+    assert _agree(ctx, value, reference, digits)
 
 
 nonsquare_st = st.integers(2, 30).filter(lambda c: math.isqrt(c) ** 2 != c)

@@ -25,6 +25,7 @@ from qelliptic.qfunctions import (
     theta_sum_S,
     weber_phi,
 )
+from qelliptic.rquantity import RQParams, drq_dq, rq_theta
 
 P60 = PrecisionSpec(60)
 
@@ -218,3 +219,33 @@ def test_hyperbolic_log_sum_domain():
         hyperbolic_log_sum(0, -1, P60)
     with pytest.raises(DomainError):
         hyperbolic_log_sum(4, 2, P60)  # |t| >= pi a / 2 would diverge
+
+
+def _transcendental_calls(monkeypatch, digits):
+    """exp and log calls on the context of PrecisionSpec(digits) made by the
+    series engines that walk their terms by multiplication."""
+    prec = PrecisionSpec(digits)
+    ctx = prec.context()
+    calls = {"exp": 0, "log": 0}
+    for name in calls:
+        original = getattr(ctx, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ctx, name, counted)
+    theta_sum_S(ctx.mpc(1, 1) / 3, Fraction(1, 5), prec)
+    psi_star(Fraction(2, 3), 3, Fraction(1, 4), prec)
+    agile(AgileParams(ctx.mpc(1, 1), 3), Fraction(1, 4), prec, route="theta")
+    rq_theta(1, 2, 5, Fraction(3, 2), prec, route="expsum")
+    hyperbolic_log_sum(Fraction(1, 2), 1, prec)
+    drq_dq(RQParams(1, 2, 5), Fraction(1, 5), prec)
+    monkeypatch.undo()
+    return calls
+
+
+def test_exp_and_log_calls_do_not_grow_with_precision(monkeypatch):
+    # a series loop that called exp per term would make these counts grow
+    # with the number of terms, i.e. with the digits
+    assert _transcendental_calls(monkeypatch, 200) == _transcendental_calls(monkeypatch, 40)

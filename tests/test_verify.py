@@ -73,6 +73,7 @@ def test_a_raising_check_is_an_error_not_an_abort(raising_lemma1_K):
     assert rep.counts == {"pass": 1, "fail": 0, "discrepancy": 0, "skip": 0, "error": 1}
     assert not rep.ok
     assert rep.to_text().endswith("0 skip, 1 error -> FAIL")
+    assert rep.to_text().splitlines()[2].split()[:4] == ["lemma1.K", "error", "NonConvergence", "-"]
     entry = json.loads(rep.to_json())["checks"][0]
     assert entry == {
         "id": "lemma1.K",
@@ -150,6 +151,22 @@ def test_text_report_format():
     assert "suite: lemma1   digits: 40   seed: 42" in text
     assert "-> PASS" in text
     assert "max_abs_error" in text
+
+
+def test_text_report_spare_digits_column():
+    # spare = log10(10^tol_exp / max_abs_error), tolerance from the registry
+    rep = run_suite("lemma1.k", digits=40)
+    (outcome,) = rep.checks
+    tol_exp = qelliptic.verify._REGISTRY["lemma1.k"].tolerance_exponent(40)
+    spare = tol_exp - mpmath.log10(mpmath.mpf(outcome.max_abs_error))
+    header, row = rep.to_text().splitlines()[1:3]
+    assert header.split() == ["id", "status", "max_abs_error", "spare", "samples", "seconds"]
+    assert row.split()[:4] == ["lemma1.k", "pass", outcome.max_abs_error, f"{float(spare):.2f}"]
+    assert 20 < spare < 40
+    # a skip measured nothing; the JSON format has no spare field
+    skipped = run_suite("obs1.algebraic", digits=60)
+    assert skipped.to_text().splitlines()[2].split()[3] == "-"
+    assert "spare" not in rep.to_json()
 
 
 def test_counts_and_ok():
