@@ -333,7 +333,7 @@ def find_minpoly(
 
     confidence = "unverified"
     if recompute is not None:
-        high = PrecisionSpec(prec.digits + 30, prec.guard)
+        high = prec.bumped(30)
         hctx = high.context()
         residual_high = verify_root(cs, recompute(high), high)
         floor_low = ctx.mpf(10) ** (-prec.workdps)

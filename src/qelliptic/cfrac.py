@@ -24,6 +24,9 @@ from .numerics import (
 )
 from .qfunctions import _qpowers, qpow
 
+# Levels of the forward pass before ``eval_cf`` declares divergence.
+MAX_LEVELS = 100_000
+
 
 @dataclass(frozen=True)
 class ContinuedFraction:
@@ -36,7 +39,6 @@ class ContinuedFraction:
     b0: object
     partial_num: Callable[[int], object]
     partial_den: Callable[[int], object]
-    max_terms: int = 100_000
 
 
 def eval_cf(cf: ContinuedFraction, prec: PrecisionSpec):
@@ -46,8 +48,8 @@ def eval_cf(cf: ContinuedFraction, prec: PrecisionSpec):
     ratios C_n D_n of consecutive approximants tend to 1, so the forward pass
     stops by the factor rule of ``numerics._settle``; it is then re-confirmed
     by a backward recurrence from twice the depth where it settled.
-    Disagreement between the two routes raises CrossCheckFailure; ``max_terms``
-    levels without settling raise NonConvergence.
+    Disagreement between the two routes raises CrossCheckFailure;
+    ``MAX_LEVELS`` levels without settling raise NonConvergence.
     """
     ctx = prec.context()
     tiny = ctx.mpf(10) ** (-(prec.digits + prec.guard + 10))
@@ -77,7 +79,7 @@ def eval_cf(cf: ContinuedFraction, prec: PrecisionSpec):
             yield c_acc * d_acc
 
     f = f0 * _settle(
-        ctx, prec.work_eps(ctx), lentz_ratios(), product=True, max_terms=cf.max_terms
+        ctx, prec.work_eps(ctx), lentz_ratios(), product=True, max_terms=MAX_LEVELS
     )
 
     # Independent confirmation: plain backward recurrence from deeper down.

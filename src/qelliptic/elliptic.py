@@ -18,7 +18,7 @@ from .numerics import (
     VerificationError,
     cv,
 )
-from .qfunctions import euler_f, qpow, weber_phi
+from .qfunctions import euler_f, weber_phi
 
 
 @dataclass(frozen=True)
@@ -147,5 +147,4 @@ __all__ = [
     "singular_modulus",
     "landen_descend",
     "landen_chain",
-    "qpow",
 ]

@@ -1,7 +1,7 @@
 """Basic hypergeometric series: the 2-phi-1 sum, the one-parameter psi sum
 with its q-binomial product twin, the Gauss product evaluation, and the
-residual checks tying 2-phi-1 evaluations to theta quotients and to the
-R* quantity.
+residual of Theorem 6 tying a series-times-quotient product to the P
+continued fraction.
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 from .cfrac import p_cf
 from .numerics import DomainError, PrecisionSpec, _settle, cv
-from .qfunctions import INF, pochhammer, qpow, theta4
-from .rquantity import RQParams, rq_star
+from .qfunctions import INF, pochhammer, qpow
 
 
 @dataclass(frozen=True)
@@ -124,67 +123,3 @@ def thm6_check_i(A, B, q, prec: PrecisionSpec):
     rhs = p_cf(qpow(ctx, q, A), qpow(ctx, q, B), qpow(ctx, q, A + B), prec)
     return abs(lhs - rhs)
 
-
-def thm6_check_ii(a, b, p, q, prec: PrecisionSpec) -> dict:
-    """Residuals of three 2-phi-1 evaluations against their stated targets.
-
-    "eq65" (normative): |2-phi-1(q^(b-a), q^(a+b-p); q^b; q^p, q^(p-b))
-                         - R*(a,b,p;q)|.
-    "eq62" (as printed): the same series with upper parameters q^a, q^b,
-        lower q^b, argument q^((p-a-b)/2), against the theta quotient
-        theta4((a-b) i ln q / 4, q^(p/2)) / theta4((a+b) i ln q / 4, q^(p/2)).
-    "eq63": upper q^a, q^b, lower q^((a+b+p)/2), argument q^((p-a-b)/2),
-        against the same theta quotient.
-
-    All three are returned; the caller decides which are asserted.
-    """
-    ctx = prec.context()
-    af = cv(ctx, a)
-    bf = cv(ctx, b)
-    pf = cv(ctx, p)
-    q = cv(ctx, q)
-    if ctx.im(q) != 0 or not (0 < q < 1):
-        raise DomainError(f"these checks run at real q in (0, 1), got {q}")
-    logq = ctx.log(q)
-
-    r_star = rq_star(RQParams(a, b, p), q, prec)
-    lhs65 = phi21(
-        Phi21Params(
-            a=qpow(ctx, q, bf - af),
-            b=qpow(ctx, q, af + bf - pf),
-            c=qpow(ctx, q, bf),
-            q=qpow(ctx, q, pf),
-            z=qpow(ctx, q, pf - bf),
-        ),
-        prec,
-    )
-    out = {"eq65": abs(lhs65 - r_star)}
-
-    theta_quot = theta4(
-        (af - bf) * ctx.mpc(0, 1) * logq / 4, qpow(ctx, q, pf / 2), prec
-    ) / theta4((af + bf) * ctx.mpc(0, 1) * logq / 4, qpow(ctx, q, pf / 2), prec)
-
-    lhs62 = phi21(
-        Phi21Params(
-            a=qpow(ctx, q, af),
-            b=qpow(ctx, q, bf),
-            c=qpow(ctx, q, bf),
-            q=qpow(ctx, q, pf),
-            z=qpow(ctx, q, (pf - af - bf) / 2),
-        ),
-        prec,
-    )
-    out["eq62"] = abs(lhs62 - theta_quot)
-
-    lhs63 = phi21(
-        Phi21Params(
-            a=qpow(ctx, q, af),
-            b=qpow(ctx, q, bf),
-            c=qpow(ctx, q, (af + bf + pf) / 2),
-            q=qpow(ctx, q, pf),
-            z=qpow(ctx, q, (pf - af - bf) / 2),
-        ),
-        prec,
-    )
-    out["eq63"] = abs(lhs63 - theta_quot)
-    return out

@@ -10,16 +10,18 @@ Nothing here reads or writes the process-global ``mpmath.mp`` context, so
 results are reproducible under threads and concurrent suites.  Returned
 values are ordinary ``mpf``/``mpc`` instances, which are immutable and safe
 to pass between contexts.
+
+Every infinite series, product and continued fraction in the package is
+summed or multiplied by ``_settle``: callers hand it an iterable of numbers
+of their context, and it applies the one stopping rule and term budget.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import dps_to_prec
@@ -147,6 +149,14 @@ def _settle(ctx, eps, items, *, product: bool = False, max_terms: int = MAX_TERM
     A factor that is exactly zero makes the product exactly zero; a finite
     iterable gives its exact total; ``max_terms`` items without settling
     raise NonConvergence.  Items must already be numbers of ``ctx``.
+    Callers pass ``eps = prec.work_eps(ctx)``; series and products keep the
+    default budget ``MAX_TERMS``, and ``cfrac.eval_cf`` passes its own
+    level budget.
+
+    Products are multiplied directly rather than summed as logarithms:
+    every factor used in this package is within a geometrically shrinking
+    distance of 1, so the relative error after N factors is bounded by N
+    ulps, and the branch bookkeeping of complex logarithms is avoided.
 
     Most items are far from the threshold, so binary exponents settle them
     first: ``ctx.mag`` gives |x| <= 2^mag(x), and |x| >= 2^(mag(x) - 2) for
@@ -181,38 +191,6 @@ def _settle(ctx, eps, items, *, product: bool = False, max_terms: int = MAX_TERM
             kind = "product" if product else "series"
             raise NonConvergence(f"{kind} did not settle within {max_terms} terms")
     return total
-
-
-def sum_series(
-    term_fn: Callable[[int], object],
-    prec: PrecisionSpec,
-    *,
-    start: int = 0,
-    max_terms: int = MAX_TERMS,
-):
-    """sum_{n >= start} term_fn(n), stopped by the rule of ``_settle``."""
-    ctx = prec.context()
-    terms = (cv(ctx, term_fn(n)) for n in itertools.count(start))
-    return _settle(ctx, prec.work_eps(ctx), terms, max_terms=max_terms)
-
-
-def prod_infinite(
-    factor_fn: Callable[[int], object],
-    prec: PrecisionSpec,
-    *,
-    start: int = 1,
-    max_terms: int = MAX_TERMS,
-):
-    """prod_{n >= start} factor_fn(n), stopped by the rule of ``_settle``.
-
-    Direct multiplication rather than summed logarithms: every factor used in
-    this package is within a geometrically shrinking distance of 1, so the
-    relative error after N factors is bounded by N ulps and the log branch
-    bookkeeping for complex factors is avoided.
-    """
-    ctx = prec.context()
-    factors = (cv(ctx, factor_fn(n)) for n in itertools.count(start))
-    return _settle(ctx, prec.work_eps(ctx), factors, product=True, max_terms=max_terms)
 
 
 def gamma(x, prec: PrecisionSpec):

@@ -9,7 +9,8 @@ are always e^(x*ln q) on the principal branch, never root extraction.  No
 series loop calls exp or log per term: the integer powers a loop walks
 through come from ``_qpowers`` or from a running product, and a term of a
 bilateral sum from its neighbour times a ratio that itself advances by
-multiplication.
+multiplication.  Infinite sums and products reach ``numerics._settle`` as
+generators of numbers of the working context.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .numerics import (
     _settle,
     cv,
     gaussian_cutoff,
-    prod_infinite,
 )
 
 INF = math.inf
@@ -123,7 +123,8 @@ def pochhammer(a, q, n, prec: PrecisionSpec):
             total = _settle(ctx, prec.work_eps(ctx), terms())
             if max(1.0, scale) <= abs(total) * 10 ** (prec.guard // 2):
                 return total
-        return prod_infinite(lambda m: 1 - a * power(m), prec, start=0)
+        factors = (1 - a * power(m) for m in itertools.count())
+        return _settle(ctx, prec.work_eps(ctx), factors, product=True)
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"n must be a non-negative integer or math.inf, got {n!r}")
     total = ctx.mpf(1)
@@ -209,11 +210,12 @@ def theta4_product(z, q, prec: PrecisionSpec):
     c = ctx.cos(2 * z)
     power = _qpowers(ctx, q)
 
-    def factor(n: int):
-        qodd = power(2 * n - 1)
-        return (1 - power(2 * n)) * (1 - 2 * qodd * c + qodd * qodd)
+    def factors():
+        for n in itertools.count(1):
+            qodd = power(2 * n - 1)
+            yield (1 - power(2 * n)) * (1 - 2 * qodd * c + qodd * qodd)
 
-    return prod_infinite(factor, prec, start=1)
+    return _settle(ctx, prec.work_eps(ctx), factors(), product=True)
 
 
 def theta2(q, prec: PrecisionSpec):

@@ -17,7 +17,6 @@ from .numerics import (
     PrecisionSpec,
     _settle,
     cv,
-    prod_infinite,
 )
 from .qfunctions import AgileParams, _qpowers, agile, psi_star, qpow, theta4
 
@@ -152,17 +151,18 @@ def rq_charprod(a: int, b: int, p: int, q, prec: PrecisionSpec):
         raise DomainError(f"character product needs |q| < 1, got |q| = {abs(q)}")
     power = _qpowers(ctx, q)
 
-    def block(k: int):
+    def blocks():
         # One factor per period: a single n would often give an exact 1
         # (exponent 0), which the stopping rule counts as negligible.
-        f = ctx.mpf(1)
-        for n in range(k * p, (k + 1) * p):
-            e = chi.exponent(n)
-            if e:
-                f = f * (1 - power(n)) ** e
-        return f
+        for k in itertools.count():
+            f = ctx.mpf(1)
+            for n in range(k * p, (k + 1) * p):
+                e = chi.exponent(n)
+                if e:
+                    f = f * (1 - power(n)) ** e
+            yield f
 
-    return prod_infinite(block, prec, start=0)
+    return _settle(ctx, prec.work_eps(ctx), blocks(), product=True)
 
 
 def tau_star(a, p, q, prec: PrecisionSpec):
@@ -239,7 +239,7 @@ def drq_dq(params: RQParams, q, prec: PrecisionSpec):
     value = rq(params, qv, prec) * log_deriv
 
     # Independent confirmation by central difference at raised precision.
-    cd_prec = PrecisionSpec(prec.digits + prec.digits // 2 + 20, prec.guard)
+    cd_prec = prec.bumped(prec.digits // 2 + 20)
     cctx = cd_prec.context()
     step = cctx.mpf(10) ** (-(prec.digits // 2))
     qc = cv(cctx, qv)

@@ -25,6 +25,7 @@ times are reported only in the text rendering, and checks are sorted by id.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -35,7 +36,7 @@ from typing import Callable
 
 import mpmath
 
-from .numerics import NumericsError, PrecisionSpec, UnknownSelector, cv, gamma, sum_series
+from .numerics import NumericsError, PrecisionSpec, UnknownSelector, _settle, cv, gamma
 from .qfunctions import (
     INF,
     AgileParams,
@@ -89,7 +90,6 @@ from .hyperq import (
     psi_small,
     psi_small_product,
     thm6_check_i,
-    thm6_check_ii,
 )
 from .algrec import NOT_FOUND, find_minpoly, verify_root
 
@@ -697,9 +697,8 @@ def _chk_theta_eq19(prec, rng):
 def _chk_theta_def_printed(prec, rng):
     ctx = prec.context()
     z, q = cv(ctx, Fraction(3, 10)), cv(ctx, Fraction(1, 5))
-    printed = 1 + sum_series(
-        lambda n: (-1) ** n * q ** (n * n) * ctx.cos(2 * n * z), prec, start=1
-    )
+    terms = ((-1) ** n * q ** (n * n) * ctx.cos(2 * n * z) for n in itertools.count(1))
+    printed = 1 + _settle(ctx, prec.work_eps(ctx), terms)
     return [abs(printed - theta4_product(z, q, prec))]
 
 
@@ -761,12 +760,11 @@ def _chk_rr_eq2324(prec, rng):
     for x in (ctx.mpf(1), ctx.mpf(2), ctx.pi):
         R = r1_cf(ctx.exp(-x), prec)
         errs.append(abs(R - rq_theta(1, 2, 5, x, prec, route="expsum")))
-        s = sum_series(
-            lambda n: (ctx.cosh(n * x / 2) - ctx.cosh(3 * n * x / 2))
-            / (n * ctx.sinh(5 * n * x / 2)),
-            prec,
-            start=1,
+        terms = (
+            (ctx.cosh(n * x / 2) - ctx.cosh(3 * n * x / 2)) / (n * ctx.sinh(5 * n * x / 2))
+            for n in itertools.count(1)
         )
+        s = _settle(ctx, prec.work_eps(ctx), terms)
         errs.append(abs(R - ctx.exp(-x / 5 + s)))
     return errs
 
@@ -1193,7 +1191,11 @@ def _agile_deriv_normalized(a, p, prec):
     def dlog(m):  # d/dq log(1 - q^m)
         return -m * q ** (m - 1) / (1 - q**m)
 
-    s = sum(sum_series(lambda n: dlog(base + p * n), prec) for base in (p - a, a))
+    eps = prec.work_eps(ctx)
+    s = sum(
+        _settle(ctx, eps, (dlog(base + p * n) for n in itertools.count()))
+        for base in (p - a, a)
+    )
     dg = g * (cv(ctx, e) / q + s)
     K = modulus_from_nome(q, prec).K
     return ctx.re(dg * q * ctx.pi**2 / K**2)
@@ -1299,9 +1301,43 @@ def _chk_thm6_eq61_general(prec, rng):
 )
 def _chk_thm6_eq65(prec, rng):
     errs = []
+    ctx = prec.context()
     for a, b, p, q in ((1, 2, 5, Fraction(1, 5)), (1, 3, 8, Fraction(3, 20)), (2, 3, 7, Fraction(1, 5))):
-        errs.append(abs(thm6_check_ii(a, b, p, q, prec)["eq65"]))
+        q = cv(ctx, q)
+        lhs = phi21(
+            Phi21Params(
+                a=qpow(ctx, q, b - a),
+                b=qpow(ctx, q, a + b - p),
+                c=qpow(ctx, q, b),
+                q=qpow(ctx, q, p),
+                z=qpow(ctx, q, p - b),
+            ),
+            prec,
+        )
+        errs.append(abs(lhs - rq_star(RQParams(a, b, p), q, prec)))
     return errs
+
+
+def _thm6_theta_residual(a, b, c, p, q, prec):
+    """|phi21(q^a, q^b; q^c; q^p, q^((p-a-b)/2)) - theta4((a-b) i ln q / 4, q^(p/2))
+    / theta4((a+b) i ln q / 4, q^(p/2))| at real q in (0, 1)."""
+    ctx = prec.context()
+    a, b, c, p, q = (cv(ctx, v) for v in (a, b, c, p, q))
+    logq = ctx.log(q)
+    theta_quot = theta4(
+        (a - b) * ctx.mpc(0, 1) * logq / 4, qpow(ctx, q, p / 2), prec
+    ) / theta4((a + b) * ctx.mpc(0, 1) * logq / 4, qpow(ctx, q, p / 2), prec)
+    lhs = phi21(
+        Phi21Params(
+            a=qpow(ctx, q, a),
+            b=qpow(ctx, q, b),
+            c=qpow(ctx, q, c),
+            q=qpow(ctx, q, p),
+            z=qpow(ctx, q, (p - a - b) / 2),
+        ),
+        prec,
+    )
+    return abs(lhs - theta_quot)
 
 
 @check(
@@ -1313,7 +1349,7 @@ def _chk_thm6_eq65(prec, rng):
 def _chk_thm6_eq63(prec, rng):
     errs = []
     for a, b, p, q in ((1, 2, 5, Fraction(1, 5)), (1, 3, 8, Fraction(3, 20)), (2, 3, 7, Fraction(1, 5))):
-        errs.append(abs(thm6_check_ii(a, b, p, q, prec)["eq63"]))
+        errs.append(_thm6_theta_residual(a, b, Fraction(a + b + p, 2), p, q, prec))
     return errs
 
 
@@ -1328,7 +1364,7 @@ def _chk_thm6_eq63(prec, rng):
 def _chk_thm6_eq62_printed(prec, rng):
     errs = []
     for a, b, p, q in ((1, 2, 5, Fraction(1, 5)), (2, 3, 7, Fraction(1, 5))):
-        errs.append(abs(thm6_check_ii(a, b, p, q, prec)["eq62"]))
+        errs.append(_thm6_theta_residual(a, b, b, p, q, prec))
     return errs
 
 

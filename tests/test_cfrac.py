@@ -48,10 +48,9 @@ def test_eval_cf_exact_termination():
     assert v == 0.5
 
 
-def test_eval_cf_nonconvergence_budget():
-    cf = ContinuedFraction(
-        b0=1, partial_num=lambda n: 1, partial_den=lambda n: 1, max_terms=10
-    )
+def test_eval_cf_nonconvergence_budget(monkeypatch):
+    monkeypatch.setattr(cfrac, "MAX_LEVELS", 10)
+    cf = ContinuedFraction(b0=1, partial_num=lambda n: 1, partial_den=lambda n: 1)
     with pytest.raises(NonConvergence):
         eval_cf(cf, P60)
 

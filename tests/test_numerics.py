@@ -1,6 +1,7 @@
 """Precision plumbing: PrecisionSpec, conversion, series/product engines."""
 
 import ast
+import itertools
 import pathlib
 import threading
 from fractions import Fraction
@@ -23,8 +24,6 @@ from qelliptic.numerics import (
     cv,
     gamma,
     gaussian_cutoff,
-    prod_infinite,
-    sum_series,
 )
 
 
@@ -160,44 +159,52 @@ def test_gaussian_cutoff_grows_with_digits():
     assert math.exp(-(n * n)) < 1e-40
 
 
-def test_sum_series_geometric():
+def test_settle_geometric_series():
     p = PrecisionSpec(50)
     ctx = p.context()
     z = cv(ctx, Fraction(1, 3))
-    s = sum_series(lambda n: z**n, p)
+    s = _settle(ctx, p.work_eps(ctx), (z**n for n in itertools.count()))
     assert abs(s - ctx.mpf(3) / 2) < p.target_eps(ctx)
 
 
-def test_sum_series_nonconvergence():
+def test_settle_series_nonconvergence():
     p = PrecisionSpec(50)
+    ctx = p.context()
     with pytest.raises(NonConvergence):
-        sum_series(lambda n: 1, p, max_terms=50)
+        _settle(ctx, p.work_eps(ctx), itertools.repeat(ctx.mpf(1)), max_terms=50)
 
 
-def test_prod_infinite_euler_style():
+def test_settle_euler_product():
     p = PrecisionSpec(50)
     ctx = p.context()
     q = cv(ctx, Fraction(1, 10))
-    v = prod_infinite(lambda n: 1 - q**n, p)
+    factors = (1 - q**n for n in itertools.count(1))
+    v = _settle(ctx, p.work_eps(ctx), factors, product=True)
     ref = ctx.mpf(1)
     for n in range(1, 200):
         ref *= 1 - q**n
     assert abs(v - ref) < p.target_eps(ctx)
 
 
-def test_prod_infinite_zero_factor():
+def test_settle_zero_factor():
     p = PrecisionSpec(50)
-    v = prod_infinite(lambda n: 0 if n == 3 else 1 - Fraction(1, 2) ** n, p)
+    ctx = p.context()
+    eps = p.work_eps(ctx)
+    half = cv(ctx, Fraction(1, 2))
+    factors = (ctx.mpf(0) if n == 3 else 1 - half**n for n in itertools.count(1))
+    v = _settle(ctx, eps, factors, product=True)
     assert v == 0 and type(v).__name__ == "mpf"
     # a complex factor before the zero keeps the complex type
-    w = prod_infinite(lambda n: complex(1, 2) if n == 1 else 0, p)
+    factors = (ctx.mpc(1, 2) if n == 1 else ctx.mpf(0) for n in itertools.count(1))
+    w = _settle(ctx, eps, factors, product=True)
     assert w == 0 and type(w).__name__ == "mpc"
 
 
-def test_prod_infinite_nonconvergence():
+def test_settle_product_nonconvergence():
     p = PrecisionSpec(50)
+    ctx = p.context()
     with pytest.raises(NonConvergence):
-        prod_infinite(lambda n: 2, p, max_terms=50)
+        _settle(ctx, p.work_eps(ctx), itertools.repeat(ctx.mpf(2)), product=True, max_terms=50)
 
 
 def _settle_reference(ctx, eps, items, product):
