@@ -25,11 +25,9 @@ from typing import Callable, NamedTuple
 import mpmath
 
 from .numerics import (
-    InsufficientPrecision,
     NonConvergence,
     NumericsError,
     PrecisionSpec,
-    UnknownSelector,
     cv,
 )
 from .elliptic import K_of_k, nome_from_r, singular_modulus
@@ -484,7 +482,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (UsageError, UnknownSelector, InsufficientPrecision) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NonConvergence as exc:

@@ -1,7 +1,5 @@
 """Basic hypergeometric series: the 2-phi-1 sum, the one-parameter psi sum
-with its q-binomial product twin, the Gauss product evaluation, and the
-residual of Theorem 6 tying a series-times-quotient product to the P
-continued fraction.
+with its q-binomial product twin, and the Gauss product evaluation.
 """
 
 from __future__ import annotations
@@ -9,9 +7,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cfrac import p_cf
 from .numerics import DomainError, PrecisionSpec, _settle, cv
-from .qfunctions import INF, pochhammer, qpow
+from .qfunctions import INF, pochhammer
 
 
 @dataclass(frozen=True)
@@ -90,36 +87,4 @@ def gauss_product(a, b, c, q, prec: PrecisionSpec):
     if denom == 0:
         raise ZeroDivisionError("Gauss product denominator is exactly zero")
     return numer / denom
-
-
-def thm6_check_i(A, B, q, prec: PrecisionSpec):
-    """Residual |psi(q^a, q^p, q^(p-a)) R*(a,b,p;q) - P(q^A, q^B, q^(A+B))|
-    with a = 2A + 3p/4, b = 2B + p/4, p = 4(A+B).
-
-    The psi factor is taken in its product form, under which the
-    left side collapses to (q^p; q^p)_inf (q^a; q^p)_inf / [b,p;q]; that
-    collapsed form is also the correct continuation at A = B, where the
-    series psi and R* individually degenerate (pole against zero).  The
-    right side is evaluated independently through the continued fraction.
-    """
-    ctx = prec.context()
-    A = cv(ctx, A)
-    B = cv(ctx, B)
-    q = cv(ctx, q)
-    if A <= 0 or B <= 0:
-        raise DomainError("need A, B > 0")
-    p = 4 * (A + B)
-    a = 2 * A + 3 * p / 4
-    b = 2 * B + p / 4
-    Q = qpow(ctx, q, p)
-    lhs = (
-        pochhammer(Q, Q, INF, prec)
-        * pochhammer(qpow(ctx, q, a), Q, INF, prec)
-        / (
-            pochhammer(qpow(ctx, q, p - b), Q, INF, prec)
-            * pochhammer(qpow(ctx, q, b), Q, INF, prec)
-        )
-    )
-    rhs = p_cf(qpow(ctx, q, A), qpow(ctx, q, B), qpow(ctx, q, A + B), prec)
-    return abs(lhs - rhs)
 

@@ -11,9 +11,14 @@ results are reproducible under threads and concurrent suites.  Returned
 values are ordinary ``mpf``/``mpc`` instances, which are immutable and safe
 to pass between contexts.
 
-Every infinite series, product and continued fraction in the package is
-summed or multiplied by ``_settle``: callers hand it an iterable of numbers
-of their context, and it applies the one stopping rule and term budget.
+Infinite series, products and continued fractions are summed or
+multiplied by ``_settle``: callers hand it an iterable of numbers of their
+context, and it applies the one stopping rule and term budget.  The two
+Gaussian sums are the exception: ``qfunctions._theta_series`` and
+``qfunctions._bilateral_halfsquare`` (behind theta2/3/4, ``theta_sum_S``,
+``psi_star`` and the theta route of ``agile``) run to ``gaussian_cutoff``,
+a term count fixed in advance from |q| and the working digits, with no
+per-term test.
 """
 
 from __future__ import annotations

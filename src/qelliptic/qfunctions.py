@@ -10,7 +10,10 @@ series loop calls exp or log per term: the integer powers a loop walks
 through come from ``_qpowers`` or from a running product, and a term of a
 bilateral sum from its neighbour times a ratio that itself advances by
 multiplication.  Infinite sums and products reach ``numerics._settle`` as
-generators of numbers of the working context.
+generators of numbers of the working context, except the Gaussian sums
+(``_theta_series`` and ``_bilateral_halfsquare``), whose terms fall like
+|q|^(n^2): they stop at ``numerics.gaussian_cutoff``, known before the
+first term, because a per-term test costs more there than it saves.
 """
 
 from __future__ import annotations

@@ -85,14 +85,14 @@ def rq_star(params: RQParams, q, prec: PrecisionSpec, route: str | None = None):
     return numer / denom
 
 
-def rq(params: RQParams, q, prec: PrecisionSpec, route: str | None = None):
+def rq(params: RQParams, q, prec: PrecisionSpec):
     """R(a,b,p;q) = q^(-(a-b)/2 + (a^2-b^2)/(2p)) * R*(a,b,p;q)."""
     ctx = prec.context()
     a = cv(ctx, params.a)
     b = cv(ctx, params.b)
     p = cv(ctx, params.p)
     exponent = -(a - b) / 2 + (a * a - b * b) / (2 * p)
-    return qpow(ctx, q, exponent) * rq_star(params, q, prec, route=route)
+    return qpow(ctx, q, exponent) * rq_star(params, q, prec)
 
 
 def rq_theta(a, b, p, x, prec: PrecisionSpec, route: str = "theta"):

@@ -12,10 +12,11 @@ severities:
   does not fail the suite.  These checks keep the record honest: the
   neighbouring normative check evaluates the corrected reading.
 
-Each check is a ``_chk_*`` function registered by the ``@check`` decorator,
-which carries its id, the equations it covers, its severity and its
-tolerance.  A check that raises a ``NumericsError`` is reported with status
-``error`` instead of aborting the suite.
+Each check is a ``_chk_*`` generator function that yields its absolute
+residuals, registered by the ``@check`` decorator, which carries its id,
+the equations it covers, its severity and its tolerance.  A check that
+raises a ``NumericsError``, even after yielding some residuals, is reported
+with status ``error`` instead of aborting the suite.
 
 ``run_suite`` is deterministic: two runs with the same (selector, digits,
 seed) produce byte-identical JSON reports.  Per-check sample
@@ -25,6 +26,7 @@ times are reported only in the text rendering, and checks are sorted by id.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -32,11 +34,11 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 import mpmath
 
-from .numerics import NumericsError, PrecisionSpec, UnknownSelector, _settle, cv, gamma
+from .numerics import DomainError, NumericsError, PrecisionSpec, UnknownSelector, _settle, cv, gamma
 from .qfunctions import (
     INF,
     AgileParams,
@@ -89,7 +91,6 @@ from .hyperq import (
     phi21,
     psi_small,
     psi_small_product,
-    thm6_check_i,
 )
 from .algrec import NOT_FOUND, find_minpoly, verify_root
 
@@ -129,7 +130,7 @@ READING_MIN_DIGITS = 25
 class IdentityCheck:
     """One verifiable identity (or one documented wrong reading).
 
-    ``run(prec, rng)`` returns the list of absolute residuals it measured.
+    ``run(prec, rng)`` yields the absolute residuals it measures.
     ``covers`` lists the equation tokens this check exercises.  ``formula``
     is a short ASCII statement of what is being compared.  ``tol_exponent``
     overrides the default tolerance exponent (-digits + 15) when set.
@@ -140,7 +141,7 @@ class IdentityCheck:
     formula: str
     covers: tuple
     severity: str
-    run: Callable[[PrecisionSpec, random.Random], list]
+    run: Callable[[PrecisionSpec, random.Random], Iterator]
     min_digits: int = 10
     tol_exponent: Callable[[int], int] | None = None
 
@@ -286,7 +287,7 @@ def _agile_exponent(a, p) -> Fraction:
 
 
 # --------------------------------------------------------------------------
-# check bodies (each returns a list of absolute residuals)
+# check bodies (each yields its absolute residuals)
 
 
 @check(
@@ -296,14 +297,12 @@ def _agile_exponent(a, p) -> Fraction:
     formula="K(k')/K(k) = sqrt(r) for k = 8 sqrt(q) w^12/(1+sqrt(1+64 q w^24)), q = exp(-pi sqrt r)",
 )
 def _chk_lemma1_k(prec, rng):
-    errs = []
     for r in R_SAMPLES:
         ctx = prec.context()
         q = nome_from_r(r, prec).q
         mod = modulus_from_nome(q, prec)
         ratio = K_of_k(mod.k_prime, prec) / K_of_k(mod.k, prec)
-        errs.append(abs(ratio - ctx.sqrt(cv(ctx, Fraction(r)))))
-    return errs
+        yield abs(ratio - ctx.sqrt(cv(ctx, Fraction(r))))
 
 
 @check(
@@ -313,12 +312,10 @@ def _chk_lemma1_k(prec, rng):
     formula="K = f(-q)^2 pi sqrt(1+sqrt(1+64 q w^24))/(2 sqrt2 w^2) vs pi/(2 agm(1, k'))",
 )
 def _chk_lemma1_K(prec, rng):
-    errs = []
     for r in R_SAMPLES:
         q = nome_from_r(r, prec).q
         mod = modulus_from_nome(q, prec)
-        errs.append(abs(mod.K - K_of_k(mod.k, prec)))
-    return errs
+        yield abs(mod.K - K_of_k(mod.k, prec))
 
 
 @check(
@@ -328,7 +325,6 @@ def _chk_lemma1_K(prec, rng):
     formula="prod (1-q^2n)^6 = 2 k k' K^3/(pi^3 sqrt q)",
 )
 def _chk_prodid_eq5(prec, rng):
-    errs = []
     for r in (1, 2, 3, 5):
         ctx = prec.context()
         q = nome_from_r(r, prec).q
@@ -336,8 +332,7 @@ def _chk_prodid_eq5(prec, rng):
         Kk = K_of_k(mod.k, prec)
         lhs = euler_f(q * q, prec) ** 6
         rhs = 2 * mod.k * mod.k_prime * Kk**3 / (ctx.pi**3 * ctx.sqrt(q))
-        errs.append(abs(lhs - rhs))
-    return errs
+        yield abs(lhs - rhs)
 
 
 @check(
@@ -349,15 +344,13 @@ def _chk_prodid_eq5(prec, rng):
 def _chk_prodid_eq6(prec, rng):
     # k from the theta series, not from modulus_from_nome: that closed form
     # is built on w = weber_phi(q) and would make both sides q^(1/3) w^8.
-    errs = []
     for r in (1, 2, 3, 5):
         ctx = prec.context()
         q = nome_from_r(r, prec).q
         k = (theta2(q, prec) / theta3(0, q, prec)) ** 2
         lhs = qpow(ctx, q, Fraction(1, 3)) * weber_phi(q, prec) ** 8
         rhs = 2 ** cv(ctx, Fraction(-4, 3)) * (k / (1 - k**2)) ** cv(ctx, Fraction(2, 3))
-        errs.append(abs(lhs - rhs))
-    return errs
+        yield abs(lhs - rhs)
 
 
 @check(
@@ -367,7 +360,6 @@ def _chk_prodid_eq6(prec, rng):
     formula="prod (1-q^n)^8 = 2^(8/3) pi^-4 q^(-1/3) k^(2/3) k'^(8/3) K^4",
 )
 def _chk_prodid_eq7(prec, rng):
-    errs = []
     for r in (1, 2, 3, 5):
         ctx = prec.context()
         q = nome_from_r(r, prec).q
@@ -382,8 +374,7 @@ def _chk_prodid_eq7(prec, rng):
             * mod.k_prime ** cv(ctx, Fraction(8, 3))
             * Kk**4
         )
-        errs.append(abs(lhs - rhs))
-    return errs
+        yield abs(lhs - rhs)
 
 
 @check(
@@ -393,7 +384,6 @@ def _chk_prodid_eq7(prec, rng):
     formula="prod ((1+q^n)/(1+q^2n))^2 = q^(1/12) k11^(1/6) k22^(1/3)/(k21^(1/6) k12^(1/3))",
 )
 def _chk_prodid_eq15(prec, rng):
-    errs = []
     for r in (1, 2, 3):
         ctx = prec.context()
         q = nome_from_r(r, prec).q
@@ -405,8 +395,7 @@ def _chk_prodid_eq15(prec, rng):
             * k22 ** cv(ctx, Fraction(1, 3))
             / (k21 ** cv(ctx, Fraction(1, 6)) * k12 ** cv(ctx, Fraction(1, 3)))
         )
-        errs.append(abs(lhs - rhs))
-    return errs
+        yield abs(lhs - rhs)
 
 
 def intro_product_rows(prec) -> list:
@@ -464,7 +453,8 @@ def deriv_closed_forms(prec) -> tuple:
     formula="prod (1+e^(-n pi sqrt(2/5)))^8, prod (1+e^(-n pi sqrt3))^8, prod (1-e^(-n pi sqrt3))^8",
 )
 def _chk_prodid_intro(prec, rng):
-    return [abs(computed - closed) for _, _, computed, closed in intro_product_rows(prec)]
+    for _, _, computed, closed in intro_product_rows(prec):
+        yield abs(computed - closed)
 
 
 @check(
@@ -474,7 +464,6 @@ def _chk_prodid_intro(prec, rng):
     formula="sum q^(n^2+2mn) = 2^(1/6) q^(-m^2) (k11 k22)^(1/3) (k12 k21)^(-1/6) sqrt(K/pi)",
 )
 def _chk_thm1_eq11(prec, rng):
-    errs = []
     for r in (1, 2, 3):
         ctx = prec.context()
         q = nome_from_r(r, prec).q
@@ -488,8 +477,7 @@ def _chk_thm1_eq11(prec, rng):
         )
         for m in (0, 1, 2):
             lhs = theta_sum_S(2 * m, q, prec)
-            errs.append(abs(lhs - qpow(ctx, q, -m * m) * base))
-    return errs
+            yield abs(lhs - qpow(ctx, q, -m * m) * base)
 
 
 @check(
@@ -499,7 +487,6 @@ def _chk_thm1_eq11(prec, rng):
     formula="sum q^(n^2+(2m+1)n) = 2^(5/6) q^(-(2m+1)^2/4) (k11 k12 k21)^(1/6) k22^(-1/3) sqrt(K/pi)",
 )
 def _chk_thm1_eq12(prec, rng):
-    errs = []
     for r in (1, 2, 3):
         ctx = prec.context()
         q = nome_from_r(r, prec).q
@@ -514,8 +501,7 @@ def _chk_thm1_eq12(prec, rng):
         for m in (0, 1):
             lhs = theta_sum_S(2 * m + 1, q, prec)
             rhs = qpow(ctx, q, Fraction(-((2 * m + 1) ** 2), 4)) * base
-            errs.append(abs(lhs - rhs))
-    return errs
+            yield abs(lhs - rhs)
 
 
 @check(
@@ -525,7 +511,6 @@ def _chk_thm1_eq12(prec, rng):
     formula="S_z = prod (1-q^(2n+2))(1+q^(2n+1+z))(1+q^(2n+1-z)); S_2m reduction",
 )
 def _chk_thm1_eq1314(prec, rng):
-    errs = []
     # bilateral sum vs triple product at generic rational shifts
     for _ in range(3):
         z = _frac(rng, 0, 3)
@@ -538,7 +523,7 @@ def _chk_thm1_eq1314(prec, rng):
             * pochhammer(-qpow(ctx, qv, 1 + z), qv * qv, INF, prec)
             * pochhammer(-qpow(ctx, qv, 1 - z), qv * qv, INF, prec)
         )
-        errs.append(abs(S - prod))
+        yield abs(S - prod)
     # even-shift reduction to the doubled-nome odd product
     ctx = prec.context()
     q = nome_from_r(1, prec).q
@@ -557,8 +542,7 @@ def _chk_thm1_eq1314(prec, rng):
             * head
             * tail
         )
-        errs.append(abs(S - rhs))
-    return errs
+        yield abs(S - rhs)
 
 
 @check(
@@ -568,7 +552,6 @@ def _chk_thm1_eq1314(prec, rng):
     formula="M(q^2a, q^2) + q^-2a M(q^-2a, q^2) = sum q^(k^2+(2a+1)k)",
 )
 def _chk_thm1_app(prec, rng):
-    errs = []
     for r in (1, 2):
         ctx = prec.context()
         q = nome_from_r(r, prec).q
@@ -577,8 +560,7 @@ def _chk_thm1_app(prec, rng):
                 ctx, q, -2 * a
             ) * m_series(qpow(ctx, q, -2 * a), q * q, prec)
             rhs = theta_sum_S(2 * a + 1, q, prec)
-            errs.append(abs(lhs - rhs))
-    return errs
+            yield abs(lhs - rhs)
 
 
 @check(
@@ -588,15 +570,26 @@ def _chk_thm1_app(prec, rng):
     formula="M(c,q) series = the 1/(1-) cq/(1+) c(q-q^2)/(1-) ... fraction",
 )
 def _chk_cf_eq1617(prec, rng):
-    errs = []
     for _ in range(4):
         c = _frac(rng, Fraction(1, 20), 1)
         if rng.random() < 0.5:
             c = -c
         q = _frac(rng, Fraction(1, 20), Fraction(1, 2))
         ctx = prec.context()
-        errs.append(abs(m_series(c, q, prec) - m_cf(cv(ctx, c), cv(ctx, q), prec)))
-    return errs
+        yield abs(m_series(c, q, prec) - m_cf(cv(ctx, c), cv(ctx, q), prec))
+
+
+def _cf_note_residual(ctx, prec, qv, a, sign):
+    """|q^((a+1)^2/4) M(sign q^a, q^2) - (1/2 - sum_{k<=(a-1)/2} q^(k^2) + theta3(0,q)/2)|."""
+    lhs = qpow(ctx, qv, Fraction((a + 1) ** 2, 4)) * m_series(
+        sign * qpow(ctx, qv, a), qv * qv, prec
+    )
+    rhs = (
+        cv(ctx, Fraction(1, 2))
+        - sum(qv ** (k * k) for k in range((a - 1) // 2 + 1))
+        + theta3(0, qv, prec) / 2
+    )
+    return abs(lhs - rhs)
 
 
 @check(
@@ -606,24 +599,14 @@ def _chk_cf_eq1617(prec, rng):
     formula="q^((a+1)^2/4) M(q^a, q^2) = 1/2 - sum_{k<=(a-1)/2} q^(k^2) + theta3(0,q)/2",
 )
 def _chk_cf_note(prec, rng):
-    errs = []
     for q in (Fraction(3, 20), Fraction(3, 10)):
         ctx = prec.context()
         qv = cv(ctx, q)
         for a in (1, 3, 5):
-            lhs = qpow(ctx, qv, Fraction((a + 1) ** 2, 4)) * m_series(
-                qpow(ctx, qv, a), qv * qv, prec
-            )
-            rhs = (
-                cv(ctx, Fraction(1, 2))
-                - sum(qv ** (k * k) for k in range((a - 1) // 2 + 1))
-                + theta3(0, qv, prec) / 2
-            )
-            errs.append(abs(lhs - rhs))
+            yield _cf_note_residual(ctx, prec, qv, a, 1)
         # the closing relation: the square of the z = 0 sum is 2 K / pi
         mod = modulus_from_nome(qv, prec)
-        errs.append(abs(theta3(0, qv, prec) - ctx.sqrt(2 * K_of_k(mod.k, prec) / ctx.pi)))
-    return errs
+        yield abs(theta3(0, qv, prec) - ctx.sqrt(2 * K_of_k(mod.k, prec) / ctx.pi))
 
 
 @check(
@@ -635,20 +618,10 @@ def _chk_cf_note(prec, rng):
     min_digits=READING_MIN_DIGITS,
 )
 def _chk_cf_note_sign(prec, rng):
-    errs = []
     ctx = prec.context()
     qv = cv(ctx, Fraction(3, 20))
     for a in (1, 3):
-        lhs = qpow(ctx, qv, Fraction((a + 1) ** 2, 4)) * m_series(
-            -qpow(ctx, qv, a), qv * qv, prec
-        )
-        rhs = (
-            cv(ctx, Fraction(1, 2))
-            - sum(qv ** (k * k) for k in range((a - 1) // 2 + 1))
-            + theta3(0, qv, prec) / 2
-        )
-        errs.append(abs(lhs - rhs))
-    return errs
+        yield _cf_note_residual(ctx, prec, qv, a, -1)
 
 
 @check(
@@ -658,14 +631,12 @@ def _chk_cf_note_sign(prec, rng):
     formula="sum cosh(2tk)/(k sinh(pi a k)) = log prod(1-e^(-2n pi a)) - log theta4(it, e^(-a pi))",
 )
 def _chk_lemma2_eq18(prec, rng):
-    errs = []
     for t, a in ((0, 2), (Fraction(1, 2), 1), (1, 3), (Fraction(-3, 10), Fraction(1, 2))):
         ctx = prec.context()
         lhs = hyperbolic_log_sum(t, a, prec)
         P0 = euler_f(ctx.exp(-2 * ctx.pi * cv(ctx, a)), prec)
         th = theta4(ctx.mpc(0, 1) * cv(ctx, t), ctx.exp(-ctx.pi * cv(ctx, a)), prec)
-        errs.append(abs(lhs - (ctx.log(P0) - ctx.log(th))))
-    return errs
+        yield abs(lhs - (ctx.log(P0) - ctx.log(th)))
 
 
 @check(
@@ -675,7 +646,6 @@ def _chk_lemma2_eq18(prec, rng):
     formula="theta4(z,q) series = prod (1-q^2n)(1-2 q^(2n-1) cos 2z + q^(4n-2))",
 )
 def _chk_theta_eq19(prec, rng):
-    errs = []
     ctx = prec.context()
     samples = [
         (cv(ctx, Fraction(3, 10)), cv(ctx, Fraction(1, 5))),
@@ -683,8 +653,7 @@ def _chk_theta_eq19(prec, rng):
         (cv(ctx, _frac(rng, 0, 1)), cv(ctx, _frac(rng, Fraction(1, 20), Fraction(2, 5)))),
     ]
     for z, q in samples:
-        errs.append(abs(theta4(z, q, prec) - theta4_product(z, q, prec)))
-    return errs
+        yield abs(theta4(z, q, prec) - theta4_product(z, q, prec))
 
 
 @check(
@@ -699,7 +668,7 @@ def _chk_theta_def_printed(prec, rng):
     z, q = cv(ctx, Fraction(3, 10)), cv(ctx, Fraction(1, 5))
     terms = ((-1) ** n * q ** (n * n) * ctx.cos(2 * n * z) for n in itertools.count(1))
     printed = 1 + _settle(ctx, prec.work_eps(ctx), terms)
-    return [abs(printed - theta4_product(z, q, prec))]
+    yield abs(printed - theta4_product(z, q, prec))
 
 
 @check(
@@ -709,15 +678,13 @@ def _chk_theta_def_printed(prec, rng):
     formula="1/(1+ q/(1+ q^2/...)) = (q;q^5)(q^4;q^5)/((q^2;q^5)(q^3;q^5)) = prod (1-q^n)^chi(n)",
 )
 def _chk_rr_eq2021(prec, rng):
-    errs = []
     ctx = prec.context()
     pi = ctx.pi
     for q in (ctx.exp(-pi), ctx.exp(-2 * pi), ctx.exp(-pi * ctx.sqrt(3)), cv(ctx, Fraction(1, 5))):
         bare = rr_cf(q, prec)
-        errs.append(abs(bare - rq_star(RQParams(1, 2, 5), q, prec)))
-        errs.append(abs(bare - rq_charprod(1, 2, 5, q, prec)))
-        errs.append(abs(r1_cf(q, prec) - rq(RQParams(1, 2, 5), q, prec)))
-    return errs
+        yield abs(bare - rq_star(RQParams(1, 2, 5), q, prec))
+        yield abs(bare - rq_charprod(1, 2, 5, q, prec))
+        yield abs(r1_cf(q, prec) - rq(RQParams(1, 2, 5), q, prec))
 
 
 @check(
@@ -731,7 +698,7 @@ def _chk_rr_eq21_printed(prec, rng):
     ctx = prec.context()
     q = cv(ctx, Fraction(1, 5))
     lhs = qpow(ctx, q, Fraction(-1, 5)) * rr_cf(q, prec)
-    return [abs(lhs - rq_star(RQParams(1, 2, 5), q, prec))]
+    yield abs(lhs - rq_star(RQParams(1, 2, 5), q, prec))
 
 
 @check(
@@ -741,11 +708,9 @@ def _chk_rr_eq21_printed(prec, rng):
     formula="R(e^-x) = e^(-x/5) theta4(3ix/4, e^(-5x/2))/theta4(ix/4, e^(-5x/2))",
 )
 def _chk_rr_eq22(prec, rng):
-    errs = []
     ctx = prec.context()
     for x in (ctx.pi, 2 * ctx.pi, ctx.pi * ctx.sqrt(3)):
-        errs.append(abs(r1_cf(ctx.exp(-x), prec) - rq_theta(1, 2, 5, x, prec, route="theta")))
-    return errs
+        yield abs(r1_cf(ctx.exp(-x), prec) - rq_theta(1, 2, 5, x, prec, route="theta"))
 
 
 @check(
@@ -755,18 +720,16 @@ def _chk_rr_eq22(prec, rng):
     formula="R(e^-x) = exp(-x/5 - sum ...) and the cosh/sinh rewriting",
 )
 def _chk_rr_eq2324(prec, rng):
-    errs = []
     ctx = prec.context()
     for x in (ctx.mpf(1), ctx.mpf(2), ctx.pi):
         R = r1_cf(ctx.exp(-x), prec)
-        errs.append(abs(R - rq_theta(1, 2, 5, x, prec, route="expsum")))
+        yield abs(R - rq_theta(1, 2, 5, x, prec, route="expsum"))
         terms = (
             (ctx.cosh(n * x / 2) - ctx.cosh(3 * n * x / 2)) / (n * ctx.sinh(5 * n * x / 2))
             for n in itertools.count(1)
         )
         s = _settle(ctx, prec.work_eps(ctx), terms)
-        errs.append(abs(R - ctx.exp(-x / 5 + s)))
-    return errs
+        yield abs(R - ctx.exp(-x / 5 + s))
 
 
 @check(
@@ -776,14 +739,12 @@ def _chk_rr_eq2324(prec, rng):
     formula="H(e^-x) = exp(-x/2 - sum (e^7nx - e^5nx - e^3nx + e^nx)/(n(e^8nx - 1)))",
 )
 def _chk_h_eq2526(prec, rng):
-    errs = []
     ctx = prec.context()
     for x in (ctx.mpf(1), ctx.pi):
-        errs.append(abs(h_cf(ctx.exp(-x), prec) - rq_theta(1, 3, 8, x, prec, route="expsum")))
+        yield abs(h_cf(ctx.exp(-x), prec) - rq_theta(1, 3, 8, x, prec, route="expsum"))
     for q in (Fraction(1, 10), Fraction(1, 4)):
         qv = cv(ctx, q)
-        errs.append(abs(h_cf(qv, prec) - rq(RQParams(1, 3, 8), qv, prec)))
-    return errs
+        yield abs(h_cf(qv, prec) - rq(RQParams(1, 3, 8), qv, prec))
 
 
 @check(
@@ -793,11 +754,9 @@ def _chk_h_eq2526(prec, rng):
     formula="H(e^-x) = e^(-x/2) theta4(3ix/2, e^(-4x))/theta4(ix/2, e^(-4x))",
 )
 def _chk_h_eq27(prec, rng):
-    errs = []
     ctx = prec.context()
     for x in (ctx.mpf(1), ctx.pi):
-        errs.append(abs(h_cf(ctx.exp(-x), prec) - rq_theta(1, 3, 8, x, prec, route="theta")))
-    return errs
+        yield abs(h_cf(ctx.exp(-x), prec) - rq_theta(1, 3, 8, x, prec, route="theta"))
 
 
 @check(
@@ -814,7 +773,7 @@ def _chk_h_eq27_printed(prec, rng):
     i = ctx.mpc(0, 1)
     Q = ctx.exp(-4 * x)
     lhs = ctx.exp(-x / 2) * theta4(3 * i * x / 2, Q, prec) / theta4(i * x / 4, Q, prec)
-    return [abs(h_cf(ctx.exp(-x), prec) - lhs)]
+    yield abs(h_cf(ctx.exp(-x), prec) - lhs)
 
 
 def _obs1_value(a, p, power, prec):
@@ -837,6 +796,13 @@ def _recognition_residual(res, expected=None):
     return res.residual
 
 
+def _recognized(value_fn, prec, expected=None):
+    """Recognize value_fn(prec) at degree <= 8, verified by recomputing
+    value_fn 30 digits higher, and map the outcome to a residual."""
+    res = find_minpoly(value_fn(prec), 8, prec=prec, recompute=value_fn)
+    return _recognition_residual(res, expected)
+
+
 @check(
     "obs1.algebraic",
     covers=("eq28", "eq29"),
@@ -845,16 +811,8 @@ def _recognition_residual(res, expected=None):
     min_digits=RECOGNITION_MIN_DIGITS,
 )
 def _chk_obs1_algebraic(prec, rng):
-    errs = []
     for a, p, power in ((1, 4, 1), (1, 5, 4), (2, 5, 4), (1, 6, 12)):
-        res = find_minpoly(
-            _obs1_value(a, p, power, prec),
-            8,
-            prec=prec,
-            recompute=lambda pr, a=a, p=p, power=power: _obs1_value(a, p, power, pr),
-        )
-        errs.append(_recognition_residual(res))
-    return errs
+        yield _recognized(functools.partial(_obs1_value, a, p, power), prec)
 
 
 @check(
@@ -866,11 +824,9 @@ def _chk_obs1_algebraic(prec, rng):
     min_digits=RECOGNITION_MIN_DIGITS,
 )
 def _chk_obs1_deg8_printed(prec, rng):
-    errs = []
     for a, p in ((1, 5), (2, 5), (1, 6)):
         res = find_minpoly(_obs1_value(a, p, 1, prec), 8, prec=prec)
-        errs.append(_recognition_residual(res))
-    return errs
+        yield _recognition_residual(res)
 
 
 @check(
@@ -880,7 +836,6 @@ def _chk_obs1_deg8_printed(prec, rng):
     formula="R(a,b,p;q) via four independent evaluation routes",
 )
 def _chk_rq_fourway(prec, rng):
-    errs = []
     for a, b, p in ((1, 2, 5), (1, 3, 8), (1, 2, 4), (2, 3, 7)):
         for q in ("exp", Fraction(3, 20)):
             ctx = prec.context()
@@ -894,8 +849,7 @@ def _chk_rq_fourway(prec, rng):
             v2 = rq_theta(a, b, p, x, prec, route="theta")
             v3 = rq_theta(a, b, p, x, prec, route="expsum")
             v4 = qpow(ctx, qv, _rq_exponent(a, b, p)) * rq_charprod(a, b, p, qv, prec)
-            errs.extend([abs(v1 - v2), abs(v1 - v3), abs(v1 - v4)])
-    return errs
+            yield from (abs(v1 - v2), abs(v1 - v3), abs(v1 - v4))
 
 
 @check(
@@ -905,7 +859,6 @@ def _chk_rq_fourway(prec, rng):
     formula="R(a,b,p;e^-x) = exp(...) theta4((p-2a)ix/4, e^(-px/2))/theta4((p-2b)ix/4, ...) = exp-sum form",
 )
 def _chk_thm3_eq3334(prec, rng):
-    errs = []
     for _ in range(3):
         p = _frac(rng, 2, 6)
         a = _frac(rng, 0, p)
@@ -914,9 +867,8 @@ def _chk_thm3_eq3334(prec, rng):
         x = cv(ctx, _frac(rng, Fraction(1, 2), 3))
         qv = ctx.exp(-x)
         v1 = rq(RQParams(a, b, p), qv, prec)
-        errs.append(abs(v1 - rq_theta(a, b, p, x, prec, route="theta")))
-        errs.append(abs(v1 - rq_theta(a, b, p, x, prec, route="expsum")))
-    return errs
+        yield abs(v1 - rq_theta(a, b, p, x, prec, route="theta"))
+        yield abs(v1 - rq_theta(a, b, p, x, prec, route="expsum"))
 
 
 @check(
@@ -926,7 +878,6 @@ def _chk_thm3_eq3334(prec, rng):
     formula="R*(a,b,p;q) = prod (1-q^n)^X2(n) at random integer triples",
 )
 def _chk_thm4_eq3536(prec, rng):
-    errs = []
     for k in range(4):
         p = rng.randint(5, 12)
         a = rng.randint(1, p - 1)
@@ -936,8 +887,7 @@ def _chk_thm4_eq3536(prec, rng):
         q = Fraction(3, 25) if k % 2 == 0 else Fraction(3, 10)
         ctx = prec.context()
         qv = cv(ctx, q)
-        errs.append(abs(rq_star(RQParams(a, b, p), qv, prec) - rq_charprod(a, b, p, qv, prec)))
-    return errs
+        yield abs(rq_star(RQParams(a, b, p), qv, prec) - rq_charprod(a, b, p, qv, prec))
 
 
 @check(
@@ -947,7 +897,6 @@ def _chk_thm4_eq3536(prec, rng):
     formula="[a,p;q] = (1/f(-q^p)) sum (-1)^n q^(p n^2/2 + (p-2a)n/2)",
 )
 def _chk_agile_eq37(prec, rng):
-    errs = []
     pairs = [(1, 5), (2, 7), (Fraction(3, 2), 4), (Fraction(1, 3), 2)]
     p = _frac(rng, 1, 5)
     pairs.append((_frac(rng, 0, p), p))
@@ -957,8 +906,7 @@ def _chk_agile_eq37(prec, rng):
             qv = ctx.exp(-ctx.pi) if q == "exp" else cv(ctx, q)
             lhs = agile(AgileParams(a, p), qv, prec, route="product")
             rhs = agile(AgileParams(a, p), qv, prec, route="theta")
-            errs.append(abs(lhs - rhs))
-    return errs
+            yield abs(lhs - rhs)
 
 
 def _m38(ctx, prec, a, p, q):
@@ -977,18 +925,16 @@ def _m38(ctx, prec, a, p, q):
     formula="M(-q^-a,q^p) - q^a M(-q^a,q^p) = f(-q^p)[a,p;q]; ratios give R* and the first quotient",
 )
 def _chk_cf_eq383940(prec, rng):
-    errs = []
     for a, b, p in ((1, 2, 5), (1, 3, 8), (2, 3, 7)):
         ctx = prec.context()
         qv = cv(ctx, Fraction(3, 20))
         la = _m38(ctx, prec, a, p, qv)
         lb = _m38(ctx, prec, b, p, qv)
-        errs.append(abs(la - euler_f(qpow(ctx, qv, p), prec) * agile(AgileParams(a, p), qv, prec)))
-        errs.append(abs(la / lb - rq_star(RQParams(a, b, p), qv, prec)))
+        yield abs(la - euler_f(qpow(ctx, qv, p), prec) * agile(AgileParams(a, p), qv, prec))
+        yield abs(la / lb - rq_star(RQParams(a, b, p), qv, prec))
     ctx = prec.context()
     qv = cv(ctx, Fraction(1, 5))
-    errs.append(abs(_m38(ctx, prec, 1, 5, qv) / _m38(ctx, prec, 2, 5, qv) - rr_cf(qv, prec)))
-    return errs
+    yield abs(_m38(ctx, prec, 1, 5, qv) / _m38(ctx, prec, 2, 5, qv) - rr_cf(qv, prec))
 
 
 @check(
@@ -998,16 +944,14 @@ def _chk_cf_eq383940(prec, rng):
     formula="tau0(a,q) = tau0(n+a,q) = tau0(n-a,q)",
 )
 def _chk_app3_eq4142(prec, rng):
-    errs = []
     for a in (Fraction(3, 10), _frac(rng, 0, 1)):
         for q in (Fraction(3, 20), Fraction(3, 10)):
             ctx = prec.context()
             qv = cv(ctx, q)
             base = tau0(a, qv, prec)
             for n in (1, 2):
-                errs.append(abs(base - tau0(n + a, qv, prec)))
-                errs.append(abs(base - tau0(n - a, qv, prec)))
-    return errs
+                yield abs(base - tau0(n + a, qv, prec))
+                yield abs(base - tau0(n - a, qv, prec))
 
 
 @check(
@@ -1021,14 +965,12 @@ def _chk_app3_eq43(prec, rng):
     # The ratio is symmetric about integer a, so a central difference of
     # width h measures pure evaluation roundoff divided by 2h; the residual
     # scales like 10^(-workdps+digits/3), not like 10^(-digits).
-    errs = []
     ctx = prec.context()
     qv = cv(ctx, Fraction(1, 5))
     h = ctx.mpf(10) ** (-(prec.digits // 3))
     for a0 in (1, 2):
         d = (tau0(a0 + h, qv, prec) - tau0(a0 - h, qv, prec)) / (2 * h)
-        errs.append(abs(d))
-    return errs
+        yield abs(d)
 
 
 @check(
@@ -1038,7 +980,6 @@ def _chk_app3_eq43(prec, rng):
     formula="tau*(a,p;q) = tau*(np+a,p;q) = tau*(np-a,p;q)",
 )
 def _chk_app3_eq4445(prec, rng):
-    errs = []
     pairs = [(Fraction(2, 5), Fraction(13, 10)), (Fraction(2, 3), 2)]
     pairs.append((_frac(rng, 0, 1), _frac(rng, 1, 3)))
     for a, p in pairs:
@@ -1046,9 +987,8 @@ def _chk_app3_eq4445(prec, rng):
         qv = cv(ctx, Fraction(3, 20))
         base = tau_star(a, p, qv, prec)
         for n in (1, 2):
-            errs.append(abs(base - tau_star(n * p + a, p, qv, prec)))
-            errs.append(abs(base - tau_star(n * p - a, p, qv, prec)))
-    return errs
+            yield abs(base - tau_star(n * p + a, p, qv, prec))
+            yield abs(base - tau_star(n * p - a, p, qv, prec))
 
 
 @check(
@@ -1058,20 +998,18 @@ def _chk_app3_eq4445(prec, rng):
     formula="psi*(a,p;q) = f(-q^p)(-q^a;q^p)(-q^(p-a);q^p) = f(-q^p)[2a,2p;q]/[a,p;q]",
 )
 def _chk_psistar_eq4647(prec, rng):
-    errs = []
     for a, p in ((Fraction(3, 10), 1), (Fraction(3, 2), 2), (Fraction(5, 6), 3)):
         for q in (Fraction(1, 5), Fraction(2, 5)):
             ctx = prec.context()
             qv = cv(ctx, q)
             s = psi_star(a, p, qv, prec, route="sum")
-            errs.append(abs(s - psi_star(a, p, qv, prec, route="product")))
+            yield abs(s - psi_star(a, p, qv, prec, route="product"))
             quot = (
                 euler_f(qpow(ctx, qv, p), prec)
                 * agile(AgileParams(2 * a, 2 * p), qv, prec)
                 / agile(AgileParams(a, p), qv, prec)
             )
-            errs.append(abs(s - quot))
-    return errs
+            yield abs(s - quot)
 
 
 @check(
@@ -1081,7 +1019,6 @@ def _chk_psistar_eq4647(prec, rng):
     formula="tau*(a,|a+-b|/n;q) = tau*(b,|a+-b|/n;q); tau*(1/a, gcd/(ab)) = tau*(1/b, gcd/(ab))",
 )
 def _chk_thm5_eq4849(prec, rng):
-    errs = []
     ctx = prec.context()
     qv = cv(ctx, Fraction(3, 20))
     for _ in range(2):
@@ -1091,22 +1028,16 @@ def _chk_thm5_eq4849(prec, rng):
             b = _frac(rng, 0, 3)
         for n in (1, 2):
             p = Fraction(a + b, n)
-            errs.append(abs(tau_star(a, p, qv, prec) - tau_star(b, p, qv, prec)))
+            yield abs(tau_star(a, p, qv, prec) - tau_star(b, p, qv, prec))
             p = Fraction(abs(a - b), n)
-            errs.append(abs(tau_star(a, p, qv, prec) - tau_star(b, p, qv, prec)))
+            yield abs(tau_star(a, p, qv, prec) - tau_star(b, p, qv, prec))
     for ia, ib in ((2, 3), (4, 6)):
         p = Fraction(math.gcd(ia, ib), ia * ib)
-        errs.append(
-            abs(
-                tau_star(Fraction(1, ia), p, qv, prec)
-                - tau_star(Fraction(1, ib), p, qv, prec)
-            )
-        )
+        yield abs(tau_star(Fraction(1, ia), p, qv, prec) - tau_star(Fraction(1, ib), p, qv, prec))
     a, b, p = 1, 2, Fraction(3, 2)
     lhs = qpow(ctx, qv, Fraction(a * a, 2) / p - Fraction(a, 2)) * psi_star(a, p, qv, prec)
     rhs = qpow(ctx, qv, Fraction(b * b, 2) / p - Fraction(b, 2)) * psi_star(b, p, qv, prec)
-    errs.append(abs(lhs - rhs))
-    return errs
+    yield abs(lhs - rhs)
 
 
 @check(
@@ -1116,14 +1047,12 @@ def _chk_thm5_eq4849(prec, rng):
     formula="R1, R2, R3 fractions vs q^e (q^a;q^p).../(...) products",
 )
 def _chk_deriv_eq5153(prec, rng):
-    errs = []
     for q in (Fraction(1, 10), Fraction(1, 5), "exp"):
         ctx = prec.context()
         qv = ctx.exp(-ctx.pi) if q == "exp" else cv(ctx, q)
-        errs.append(abs(r1_cf(qv, prec) - rq(RQParams(1, 2, 5), qv, prec)))
-        errs.append(abs(r2_cf(qv, prec) - rq(RQParams(1, 3, 6), qv, prec)))
-        errs.append(abs(r3_cf(qv, prec) - rq(RQParams(1, 3, 8), qv, prec)))
-    return errs
+        yield abs(r1_cf(qv, prec) - rq(RQParams(1, 2, 5), qv, prec))
+        yield abs(r2_cf(qv, prec) - rq(RQParams(1, 3, 6), qv, prec))
+        yield abs(r3_cf(qv, prec) - rq(RQParams(1, 3, 8), qv, prec))
 
 
 @check(
@@ -1148,7 +1077,7 @@ def _chk_deriv_eq53_printed(prec, rng):
         partial_den=den,
     )
     lhs = qpow(ctx, qv, Fraction(1, 2)) * eval_cf(cf, prec)
-    return [abs(lhs - rq(RQParams(1, 3, 8), qv, prec))]
+    yield abs(lhs - rq(RQParams(1, 3, 8), qv, prec))
 
 
 def _drq_norm_at_exp_pi(a, b, p, prec):
@@ -1164,20 +1093,12 @@ def _drq_norm_at_exp_pi(a, b, p, prec):
     min_digits=RECOGNITION_MIN_DIGITS,
 )
 def _chk_deriv_eq54(prec, rng):
-    errs = []
     for a, b, p, expected in (
         (1, 2, 5, DERIV_POLY_125),
         (1, 3, 6, DERIV_POLY_136),
         (1, 3, 8, DERIV_POLY_138),
     ):
-        res = find_minpoly(
-            _drq_norm_at_exp_pi(a, b, p, prec),
-            8,
-            prec=prec,
-            recompute=lambda pr, a=a, b=b, p=p: _drq_norm_at_exp_pi(a, b, p, pr),
-        )
-        errs.append(_recognition_residual(res, expected))
-    return errs
+        yield _recognized(functools.partial(_drq_norm_at_exp_pi, a, b, p), prec, expected)
 
 
 def _agile_deriv_normalized(a, p, prec):
@@ -1209,13 +1130,7 @@ def _agile_deriv_normalized(a, p, prec):
     min_digits=RECOGNITION_MIN_DIGITS,
 )
 def _chk_deriv_eq56(prec, rng):
-    res = find_minpoly(
-        _agile_deriv_normalized(1, 4, prec),
-        8,
-        prec=prec,
-        recompute=lambda pr: _agile_deriv_normalized(1, 4, pr),
-    )
-    return [_recognition_residual(res, AGILE_DERIV_POLY_14)]
+    yield _recognized(functools.partial(_agile_deriv_normalized, 1, 4), prec, AGILE_DERIV_POLY_14)
 
 
 @check(
@@ -1229,11 +1144,9 @@ def _chk_deriv_eq57(prec, rng):
     q = ctx.exp(-ctx.pi)
     closed124, factor125 = deriv_closed_forms(prec)
     rho = drq_normalized(RQParams(1, 2, 5), q, prec)
-    return [
-        abs(drq_dq(RQParams(1, 2, 4), q, prec) - closed124),
-        abs(verify_root(DERIV_POLY_125, rho, prec)),
-        abs(drq_dq(RQParams(1, 2, 5), q, prec) - factor125 * rho),
-    ]
+    yield abs(drq_dq(RQParams(1, 2, 4), q, prec) - closed124)
+    yield abs(verify_root(DERIV_POLY_125, rho, prec))
+    yield abs(drq_dq(RQParams(1, 2, 5), q, prec) - factor125 * rho)
 
 
 @check(
@@ -1243,7 +1156,6 @@ def _chk_deriv_eq57(prec, rng):
     formula="P(q^A,q^B,q^(A+B)) = (q^a;q^p)(q^(2p-a);q^p)/[b,p;q], a = 2A+3p/4, b = 2B+p/4, p = 4(A+B)",
 )
 def _chk_prop_eq58(prec, rng):
-    errs = []
     samples = [(1, 2), (2, 1), (Fraction(1, 2), Fraction(3, 2))]
     samples.append((_frac(rng, 0, 2), _frac(rng, 0, 2)))
     for A, B in samples:
@@ -1260,8 +1172,39 @@ def _chk_prop_eq58(prec, rng):
                 * pochhammer(qpow(ctx, qv, 2 * p - a), Q, INF, prec)
                 / agile(AgileParams(b, p), qv, prec)
             )
-            errs.append(abs(lhs - rhs))
-    return errs
+            yield abs(lhs - rhs)
+
+
+def _thm6_cf_residual(A, B, q, prec: PrecisionSpec):
+    """Residual |psi(q^a, q^p, q^(p-a)) R*(a,b,p;q) - P(q^A, q^B, q^(A+B))|
+    with a = 2A + 3p/4, b = 2B + p/4, p = 4(A+B).
+
+    The psi factor is taken in its product form, under which the
+    left side collapses to (q^p; q^p)_inf (q^a; q^p)_inf / [b,p;q]; that
+    collapsed form is also the correct continuation at A = B, where the
+    series psi and R* individually degenerate (pole against zero).  The
+    right side is evaluated independently through the continued fraction.
+    """
+    ctx = prec.context()
+    A = cv(ctx, A)
+    B = cv(ctx, B)
+    q = cv(ctx, q)
+    if A <= 0 or B <= 0:
+        raise DomainError("need A, B > 0")
+    p = 4 * (A + B)
+    a = 2 * A + 3 * p / 4
+    b = 2 * B + p / 4
+    Q = qpow(ctx, q, p)
+    lhs = (
+        pochhammer(Q, Q, INF, prec)
+        * pochhammer(qpow(ctx, q, a), Q, INF, prec)
+        / (
+            pochhammer(qpow(ctx, q, p - b), Q, INF, prec)
+            * pochhammer(qpow(ctx, q, b), Q, INF, prec)
+        )
+    )
+    rhs = p_cf(qpow(ctx, q, A), qpow(ctx, q, B), qpow(ctx, q, A + B), prec)
+    return abs(lhs - rhs)
 
 
 @check(
@@ -1271,11 +1214,9 @@ def _chk_prop_eq58(prec, rng):
     formula="psi(q^a,q^p,q^(p-a)) R*(a,b,p;q) = P(q^A,q^B,q^(A+B)) at A = B",
 )
 def _chk_thm6_eq61(prec, rng):
-    errs = []
     for A in (1, 2, Fraction(1, 2)):
         for q in (Fraction(1, 10), Fraction(1, 5)):
-            errs.append(abs(thm6_check_i(A, A, q, prec)))
-    return errs
+            yield _thm6_cf_residual(A, A, q, prec)
 
 
 @check(
@@ -1287,10 +1228,8 @@ def _chk_thm6_eq61(prec, rng):
     min_digits=READING_MIN_DIGITS,
 )
 def _chk_thm6_eq61_general(prec, rng):
-    errs = []
     for A, B, q in ((1, 2, Fraction(1, 10)), (2, 1, Fraction(3, 20))):
-        errs.append(abs(thm6_check_i(A, B, q, prec)))
-    return errs
+        yield _thm6_cf_residual(A, B, q, prec)
 
 
 @check(
@@ -1300,7 +1239,6 @@ def _chk_thm6_eq61_general(prec, rng):
     formula="phi21[q^(b-a),q^(a+b-p);q^b;q^p,q^(p-b)] = R*(a,b,p;q)",
 )
 def _chk_thm6_eq65(prec, rng):
-    errs = []
     ctx = prec.context()
     for a, b, p, q in ((1, 2, 5, Fraction(1, 5)), (1, 3, 8, Fraction(3, 20)), (2, 3, 7, Fraction(1, 5))):
         q = cv(ctx, q)
@@ -1314,8 +1252,7 @@ def _chk_thm6_eq65(prec, rng):
             ),
             prec,
         )
-        errs.append(abs(lhs - rq_star(RQParams(a, b, p), q, prec)))
-    return errs
+        yield abs(lhs - rq_star(RQParams(a, b, p), q, prec))
 
 
 def _thm6_theta_residual(a, b, c, p, q, prec):
@@ -1347,10 +1284,8 @@ def _thm6_theta_residual(a, b, c, p, q, prec):
     formula="phi21[a,b;sqrt(abc);c;sqrt(c/(ab))] = theta4((ln a - ln b)i/4, sqrt c)/theta4((ln a + ln b)i/4, sqrt c)",
 )
 def _chk_thm6_eq63(prec, rng):
-    errs = []
     for a, b, p, q in ((1, 2, 5, Fraction(1, 5)), (1, 3, 8, Fraction(3, 20)), (2, 3, 7, Fraction(1, 5))):
-        errs.append(_thm6_theta_residual(a, b, Fraction(a + b + p, 2), p, q, prec))
-    return errs
+        yield _thm6_theta_residual(a, b, Fraction(a + b + p, 2), p, q, prec)
 
 
 @check(
@@ -1362,10 +1297,8 @@ def _chk_thm6_eq63(prec, rng):
     min_digits=READING_MIN_DIGITS,
 )
 def _chk_thm6_eq62_printed(prec, rng):
-    errs = []
     for a, b, p, q in ((1, 2, 5, Fraction(1, 5)), (2, 3, 7, Fraction(1, 5))):
-        errs.append(_thm6_theta_residual(a, b, b, p, q, prec))
-    return errs
+        yield _thm6_theta_residual(a, b, b, p, q, prec)
 
 
 @check(
@@ -1375,23 +1308,19 @@ def _chk_thm6_eq62_printed(prec, rng):
     formula="sum (a;q)_n/(q;q)_n z^n = (az;q)/(z;q); degenerate phi21 consistency",
 )
 def _chk_hyperq_eq5960(prec, rng):
-    errs = []
     for a, q, z in (
         (Fraction(3, 10), Fraction(1, 5), Fraction(1, 2)),
         (Fraction(-2, 5), Fraction(3, 20), Fraction(7, 10)),
         (2, Fraction(1, 10), Fraction(-3, 10)),
     ):
-        errs.append(abs(psi_small(a, q, z, prec) - psi_small_product(a, q, z, prec)))
-    errs.append(
-        abs(
-            phi21(
-                Phi21Params(Fraction(2, 5), Fraction(3, 10), Fraction(3, 10), Fraction(1, 10), Fraction(1, 2)),
-                prec,
-            )
-            - psi_small_product(Fraction(2, 5), Fraction(1, 10), Fraction(1, 2), prec)
+        yield abs(psi_small(a, q, z, prec) - psi_small_product(a, q, z, prec))
+    yield abs(
+        phi21(
+            Phi21Params(Fraction(2, 5), Fraction(3, 10), Fraction(3, 10), Fraction(1, 10), Fraction(1, 2)),
+            prec,
         )
+        - psi_small_product(Fraction(2, 5), Fraction(1, 10), Fraction(1, 2), prec)
     )
-    return errs
 
 
 @check(
@@ -1401,15 +1330,13 @@ def _chk_hyperq_eq5960(prec, rng):
     formula="phi21[a,b;c;q,c/(ab)] = (c/a;q)(c/b;q)/((c;q)(c/(ab);q))",
 )
 def _chk_hyperq_eq64(prec, rng):
-    errs = []
     for a, b, c, q in (
         (Fraction(4, 5), Fraction(9, 10), Fraction(3, 10), Fraction(1, 10)),
         (Fraction(1, 2), Fraction(7, 10), Fraction(1, 5), Fraction(3, 20)),
     ):
         z = Fraction(c) / (Fraction(a) * Fraction(b))
         lhs = phi21(Phi21Params(a, b, c, q, z), prec)
-        errs.append(abs(lhs - gauss_product(a, b, c, q, prec)))
-    return errs
+        yield abs(lhs - gauss_product(a, b, c, q, prec))
 
 
 @check(
@@ -1423,7 +1350,7 @@ def _chk_hyperq_eq64_printed(prec, rng):
     a, b, c, q = Fraction(1, 5), Fraction(3, 10), Fraction(7, 10), Fraction(1, 10)
     z = Fraction(a) * Fraction(b) / Fraction(c)
     lhs = phi21(Phi21Params(a, b, c, q, z), prec)
-    return [abs(lhs - gauss_product(a, b, c, q, prec))]
+    yield abs(lhs - gauss_product(a, b, c, q, prec))
 
 
 @check(
@@ -1433,7 +1360,6 @@ def _chk_hyperq_eq64_printed(prec, rng):
     formula="R((2m1+1)p/2, (2m2+1)p/2, p; q) = (-1)^(m1-m2)",
 )
 def _chk_thm7_eq66(prec, rng):
-    errs = []
     for m1, m2, p, x in ((0, 1, 3, 1), (1, 2, 2, 2), (0, 2, 5, 1)):
         ctx = prec.context()
         qv = ctx.exp(-ctx.mpf(x))
@@ -1442,8 +1368,7 @@ def _chk_thm7_eq66(prec, rng):
             qv,
             prec,
         )
-        errs.append(abs(val - (-1) ** (m1 - m2)))
-    return errs
+        yield abs(val - (-1) ** (m1 - m2))
 
 
 @check(
@@ -1457,7 +1382,7 @@ def _chk_thm7_eq66_printed(prec, rng):
     ctx = prec.context()
     qv = ctx.exp(-ctx.mpf(1))
     val = rq(RQParams(Fraction(3, 2), Fraction(9, 2), 3), qv, prec)
-    return [abs(val - 1)]
+    yield abs(val - 1)
 
 
 @check(
@@ -1473,14 +1398,12 @@ def _chk_thm7_eq67(prec, rng):
     # bounded by the larger of the Taylor term O(eps^2) and the cancellation
     # noise of the vanishing sums, 10^(-workdps)/eps; both shrink by more
     # than 10^10 per 20 extra digits, preserving the escalation property.
-    errs = []
     ctx = prec.context()
     eps = Fraction(1, 10 ** ((2 * prec.digits) // 5))
     for m1, m2, p in ((1, 2, 3), (2, 1, 2)):
         qv = cv(ctx, Fraction(1, 5))
         val = rq(RQParams(2 * m1 * p + eps, 2 * m2 * p + eps, p), qv, prec)
-        errs.append(abs(val - 1))
-    return errs
+        yield abs(val - 1)
 
 
 @check(
@@ -1490,17 +1413,25 @@ def _chk_thm7_eq67(prec, rng):
     formula="R(a,b,p;q) R(b,a,p;q) = 1",
 )
 def _chk_thm7_eq68(prec, rng):
-    errs = []
     ctx = prec.context()
     qv = cv(ctx, Fraction(1, 5))
     for _ in range(2):
         p = _frac(rng, 2, 5)
         a = _frac(rng, 0, p)
         b = _frac(rng, 0, p)
-        errs.append(
-            abs(rq(RQParams(a, b, p), qv, prec) * rq(RQParams(b, a, p), qv, prec) - 1)
-        )
-    return errs
+        yield abs(rq(RQParams(a, b, p), qv, prec) * rq(RQParams(b, a, p), qv, prec) - 1)
+
+
+def _thm8_eq69_sides(ctx, prec, m, p, r):
+    """R(-mp + i/sqrt r, p/2 - mp + i/sqrt r, p; e^(-pi sqrt r)) and the
+    square root of the singular modulus k_(p^2 r/4)."""
+    i = ctx.mpc(0, 1)
+    rr_ = ctx.sqrt(cv(ctx, r))
+    qv = ctx.exp(-ctx.pi * rr_)
+    a = -m * p + i / rr_
+    b = cv(ctx, Fraction(p, 2)) - m * p + i / rr_
+    val = rq(RQParams(a, b, p), qv, prec)
+    return val, ctx.sqrt(singular_modulus(Fraction(p * p * r, 4), prec))
 
 
 @check(
@@ -1510,29 +1441,21 @@ def _chk_thm7_eq68(prec, rng):
     formula="R(-mp+i/sqrt r, p/2-mp+i/sqrt r, p; e^(-pi sqrt r)) = i k_(p^2 r/4)^(1/2), all m",
 )
 def _chk_thm8_eq6970(prec, rng):
-    errs = []
     ctx = prec.context()
     i = ctx.mpc(0, 1)
-    pi = ctx.pi
     for m, p, r in ((0, 2, 1), (1, 2, 1), (0, 1, 4)):
-        rr_ = ctx.sqrt(cv(ctx, r))
-        qv = ctx.exp(-pi * rr_)
-        a = -m * p + i / rr_
-        b = cv(ctx, Fraction(p, 2)) - m * p + i / rr_
-        val = rq(RQParams(a, b, p), qv, prec)
-        k = singular_modulus(Fraction(p * p * r, 4), prec)
-        errs.append(abs(val - i * ctx.sqrt(k)))
+        val, root_k = _thm8_eq69_sides(ctx, prec, m, p, r)
+        yield abs(val - i * root_k)
     # same statement in proof variables at a generic nome
     q0 = cv(ctx, Fraction(3, 10))
     k0 = modulus_from_nome(q0, prec).k
     for m in (0, 1):
         p = 2
-        c = i * pi / ctx.log(q0)
+        c = i * ctx.pi / ctx.log(q0)
         A = -(2 * m + c) * p / 2
         B = -(2 * m + c - 1) * p / 2
         val = rq(RQParams(A, B, p), qpow(ctx, q0, Fraction(2, p)), prec)
-        errs.append(abs(val - i * ctx.sqrt(k0)))
-    return errs
+        yield abs(val - i * ctx.sqrt(k0))
 
 
 @check(
@@ -1543,18 +1466,19 @@ def _chk_thm8_eq6970(prec, rng):
     severity=DISCREPANCY_ALLOWED,
 )
 def _chk_thm8_eq69_printed(prec, rng):
-    errs = []
     ctx = prec.context()
     i = ctx.mpc(0, 1)
     for m, p, r in ((0, 2, 1), (1, 2, 1)):
-        rr_ = ctx.sqrt(cv(ctx, r))
-        qv = ctx.exp(-ctx.pi * rr_)
-        a = -m * p + i / rr_
-        b = cv(ctx, Fraction(p, 2)) - m * p + i / rr_
-        val = rq(RQParams(a, b, p), qv, prec)
-        k = singular_modulus(Fraction(p * p * r, 4), prec)
-        errs.append(abs(val - (-i) ** m * ctx.sqrt(k)))
-    return errs
+        val, root_k = _thm8_eq69_sides(ctx, prec, m, p, r)
+        yield abs(val - (-i) ** m * root_k)
+
+
+def _thm8_eq71_value(ctx, prec, m, p):
+    """R(-p(2m+i)/2, -p(2m+i-1)/2, p; e^(-2pi/p))."""
+    i = ctx.mpc(0, 1)
+    a = -cv(ctx, Fraction(p, 2)) * (2 * m + i)
+    b = -cv(ctx, Fraction(p, 2)) * (2 * m + i - 1)
+    return rq(RQParams(a, b, p), ctx.exp(-2 * ctx.pi / p), prec)
 
 
 @check(
@@ -1564,17 +1488,12 @@ def _chk_thm8_eq69_printed(prec, rng):
     formula="R(-p(2m+i)/2, -p(2m+i-1)/2, p; e^(-2pi/p)) = -i 2^(-1/4)",
 )
 def _chk_thm8_eq71(prec, rng):
-    errs = []
     ctx = prec.context()
     i = ctx.mpc(0, 1)
     tgt = qpow(ctx, ctx.mpf(2), Fraction(-1, 4))
     for p in (2, 4):
         for m in (0, 1):
-            a = -cv(ctx, Fraction(p, 2)) * (2 * m + i)
-            b = -cv(ctx, Fraction(p, 2)) * (2 * m + i - 1)
-            val = rq(RQParams(a, b, p), ctx.exp(-2 * ctx.pi / p), prec)
-            errs.append(abs(val + i * tgt))
-    return errs
+            yield abs(_thm8_eq71_value(ctx, prec, m, p) + i * tgt)
 
 
 @check(
@@ -1586,12 +1505,7 @@ def _chk_thm8_eq71(prec, rng):
 )
 def _chk_thm8_eq71_printed(prec, rng):
     ctx = prec.context()
-    i = ctx.mpc(0, 1)
-    p, m = 2, 0
-    a = -cv(ctx, Fraction(p, 2)) * (2 * m + i)
-    b = -cv(ctx, Fraction(p, 2)) * (2 * m + i - 1)
-    val = rq(RQParams(a, b, p), ctx.exp(-2 * ctx.pi / p), prec)
-    return [abs(val - qpow(ctx, ctx.mpf(2), Fraction(-1, 4)))]
+    yield abs(_thm8_eq71_value(ctx, prec, 0, 2) - qpow(ctx, ctx.mpf(2), Fraction(-1, 4)))
 
 
 @check(
@@ -1601,7 +1515,6 @@ def _chk_thm8_eq71_printed(prec, rng):
     formula="R(-mp+ip/(2 sqrt2), p/2-mp+ip/(2 sqrt2), p; e^(-2pi sqrt2/p)) = i sqrt(sqrt2-1)",
 )
 def _chk_thm8_eq72(prec, rng):
-    errs = []
     ctx = prec.context()
     i = ctx.mpc(0, 1)
     rt2 = ctx.sqrt(2)
@@ -1612,8 +1525,7 @@ def _chk_thm8_eq72(prec, rng):
             a = -m * p + i * p / (2 * rt2)
             b = cv(ctx, Fraction(p, 2)) - m * p + i * p / (2 * rt2)
             val = rq(RQParams(a, b, p), qv, prec)
-            errs.append(abs(val - i * tgt))
-    return errs
+            yield abs(val - i * tgt)
 
 
 @check(
@@ -1624,7 +1536,6 @@ def _chk_thm8_eq72(prec, rng):
     severity=DISCREPANCY_ALLOWED,
 )
 def _chk_thm8_eq72_printed(prec, rng):
-    errs = []
     ctx = prec.context()
     i = ctx.mpc(0, 1)
     rt2 = ctx.sqrt(2)
@@ -1634,8 +1545,7 @@ def _chk_thm8_eq72_printed(prec, rng):
         a = -(rt2 - 4 * m * i) * p * i / 4
         b = -(2 - i * rt2 - 4 * m) * p / 4
         val = rq(RQParams(a, b, p), ctx.exp(-ctx.pi * rt2 / p), prec)
-        errs.append(abs(val - (-i) ** m * tgt))
-    return errs
+        yield abs(val - (-i) ** m * tgt)
 
 
 @check(
@@ -1645,15 +1555,13 @@ def _chk_thm8_eq72_printed(prec, rng):
     formula="tau0(m+1,q)/tau0(m+1/2,q) = k_(r/4)^(1/2) at q = e^(-pi sqrt r)",
 )
 def _chk_cor_eq73(prec, rng):
-    errs = []
     ctx = prec.context()
     for r, ms in ((4, (0, 1)), (12, (0,))):
         qv = ctx.exp(-ctx.pi * ctx.sqrt(cv(ctx, r)))
         k = singular_modulus(Fraction(r, 4), prec)
         for m in ms:
             val = tau0(m + 1, qv, prec) / tau0(Fraction(2 * m + 1, 2), qv, prec)
-            errs.append(abs(val - ctx.sqrt(k)))
-    return errs
+            yield abs(val - ctx.sqrt(k))
 
 
 # --------------------------------------------------------------------------
@@ -1669,7 +1577,7 @@ def _run_one(check: IdentityCheck, digits: int, seed: int, prec: PrecisionSpec) 
         return CheckOutcome(check.id, "skip", "0", 0, time.perf_counter() - start)
     rng = random.Random(f"{seed}:{check.id}")
     try:
-        errs = check.run(prec, rng)
+        errs = list(check.run(prec, rng))
     except NumericsError as exc:
         # one check that raises must not abort the report; it has no verdict
         return CheckOutcome(check.id, "error", type(exc).__name__, 0, time.perf_counter() - start)

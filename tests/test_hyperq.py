@@ -10,11 +10,10 @@ from qelliptic.hyperq import (
     phi21,
     psi_small,
     psi_small_product,
-    thm6_check_i,
 )
 from qelliptic.numerics import DomainError, PrecisionSpec
 from qelliptic.qfunctions import INF, pochhammer
-from qelliptic.verify import run_suite
+from qelliptic.verify import _thm6_cf_residual, run_suite
 
 P50 = PrecisionSpec(50)
 
@@ -97,17 +96,17 @@ def test_thm6_check_i_residual():
     # quotient degenerate separately but the collapsed product form
     # continues through
     for A in (Fraction(1, 2), 1, 2):
-        r = thm6_check_i(A, A, Fraction(1, 5), P50)
+        r = _thm6_cf_residual(A, A, Fraction(1, 5), P50)
         assert r < ctx.mpf(10) ** (-45)
     # away from A = B it is NOT an identity (the suite documents this as a
     # discrepancy-allowed reading); the residual is genuinely nonzero
-    r = thm6_check_i(Fraction(1, 2), Fraction(1, 4), Fraction(1, 5), P50)
+    r = _thm6_cf_residual(Fraction(1, 2), Fraction(1, 4), Fraction(1, 5), P50)
     assert r > ctx.mpf(10) ** (-6)
 
 
 def test_thm6_check_i_domain():
     with pytest.raises(DomainError):
-        thm6_check_i(0, Fraction(1, 2), Fraction(1, 5), P50)
+        _thm6_cf_residual(0, Fraction(1, 2), Fraction(1, 5), P50)
 
 
 def test_thm6_suite_checks_at_50_digits():

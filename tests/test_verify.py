@@ -30,6 +30,7 @@ def test_registry_shape():
         assert c.formula
         assert isinstance(c.covers, tuple) and c.covers
         assert c.min_digits >= 10
+        assert inspect.isgeneratorfunction(c.run)
 
 
 def test_every_check_function_is_registered_once():
@@ -51,37 +52,49 @@ def test_duplicate_check_id_is_rejected():
     assert len(register_builtin_checks()) == 61
 
 
+def _raising(prec, rng):
+    raise NonConvergence("forced")
+
+
+def _yielding_then_raising(prec, rng):
+    yield mpmath.mpf(0)
+    raise NonConvergence("forced")
+
+
 @pytest.fixture
 def raising_lemma1_K(monkeypatch):
-    """lemma1.K replaced by a body that raises NonConvergence."""
+    """Replaces lemma1.K's body by the one it is given."""
 
-    def raising(prec, rng):
-        raise NonConvergence("forced")
+    def patch(body):
+        registry = qelliptic.verify._REGISTRY
+        patched = dataclasses.replace(registry["lemma1.K"], run=body)
+        monkeypatch.setitem(registry, "lemma1.K", patched)
 
-    registry = qelliptic.verify._REGISTRY
-    patched = dataclasses.replace(registry["lemma1.K"], run=raising)
-    monkeypatch.setitem(registry, "lemma1.K", patched)
+    return patch
 
 
 def test_a_raising_check_is_an_error_not_an_abort(raising_lemma1_K):
-    rep = run_suite("lemma1", digits=40)
-    by_id = {c.id: c for c in rep.checks}
-    assert by_id["lemma1.K"].status == "error"
-    assert by_id["lemma1.K"].max_abs_error == "NonConvergence"
-    assert by_id["lemma1.K"].samples == 0
-    assert by_id["lemma1.k"].status == "pass"
-    assert rep.counts == {"pass": 1, "fail": 0, "discrepancy": 0, "skip": 0, "error": 1}
-    assert not rep.ok
-    assert rep.to_text().endswith("0 skip, 1 error -> FAIL")
-    assert rep.to_text().splitlines()[2].split()[:4] == ["lemma1.K", "error", "NonConvergence", "-"]
-    entry = json.loads(rep.to_json())["checks"][0]
-    assert entry == {
-        "id": "lemma1.K",
-        "status": "error",
-        "max_abs_error": "NonConvergence",
-        "samples": 0,
-        "seconds": 0.0,
-    }
+    # a residual yielded before the raise does not count as a sample
+    for body in (_raising, _yielding_then_raising):
+        raising_lemma1_K(body)
+        rep = run_suite("lemma1", digits=40)
+        by_id = {c.id: c for c in rep.checks}
+        assert by_id["lemma1.K"].status == "error"
+        assert by_id["lemma1.K"].max_abs_error == "NonConvergence"
+        assert by_id["lemma1.K"].samples == 0
+        assert by_id["lemma1.k"].status == "pass"
+        assert rep.counts == {"pass": 1, "fail": 0, "discrepancy": 0, "skip": 0, "error": 1}
+        assert not rep.ok
+        assert rep.to_text().endswith("0 skip, 1 error -> FAIL")
+        assert rep.to_text().splitlines()[2].split()[:4] == ["lemma1.K", "error", "NonConvergence", "-"]
+        entry = json.loads(rep.to_json())["checks"][0]
+        assert entry == {
+            "id": "lemma1.K",
+            "status": "error",
+            "max_abs_error": "NonConvergence",
+            "samples": 0,
+            "seconds": 0.0,
+        }
 
 
 def test_tolerance_exponent_default_and_override():
