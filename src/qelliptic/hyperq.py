@@ -1,5 +1,13 @@
 """Basic hypergeometric series: the 2-phi-1 sum, the one-parameter psi sum
 with its q-binomial product twin, and the Gauss product evaluation.
+
+When a, b, c, q and z are all real, ``phi21`` advances its terms in
+fixed-point Python integers at ctx.prec + 30 guard bits (the way mpmath's
+own jtheta and hypsum sum) and yields each one as an mpf into
+``numerics._settle``, which still decides when to stop.  Complex input keeps
+the loop in mpc numbers.  Both routes raise DomainError at a pole: when
+|1 - c q^n| <= (n + 2) 2^(2 - prec), a few working ulps, since c q^n rounds
+near 1 rather than onto it.
 """
 
 from __future__ import annotations
@@ -7,8 +15,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from mpmath.libmp import from_man_exp, to_fixed
+
 from .numerics import DomainError, PrecisionSpec, _settle, cv
 from .qfunctions import INF, pochhammer
+
+# Guard bits of phi21's fixed-point terms beyond the working precision.
+_FIXED_GUARD = 30
 
 
 @dataclass(frozen=True)
@@ -25,7 +38,8 @@ class Phi21Params:
 def phi21(params: Phi21Params, prec: PrecisionSpec):
     """2-phi-1(a, b; c; q, z) = sum_{n>=0} (a;q)_n (b;q)_n / ((c;q)_n (q;q)_n) z^n.
 
-    Requires |q| < 1 and |z| < 1; c must avoid q^(-n) (zero denominators).
+    Requires |q| < 1 and |z| < 1; c must avoid the poles q^(-n), and one
+    within a few working ulps of them raises DomainError.
     """
     ctx = prec.context()
     a = cv(ctx, params.a)
@@ -38,18 +52,58 @@ def phi21(params: Phi21Params, prec: PrecisionSpec):
     if abs(z) >= 1:
         raise DomainError(f"2-phi-1 series needs |z| < 1, got |z| = {abs(z)}")
 
-    def terms():
-        term = ctx.mpf(1)
-        qn = ctx.mpf(1)  # q^n
-        for n in itertools.count():
-            yield term
-            denom_c = 1 - c * qn
-            if denom_c == 0:
-                raise DomainError(f"lower parameter c = q^(-{n}) is a pole")
-            term = term * (1 - a * qn) * (1 - b * qn) / (denom_c * (1 - q * qn)) * z
-            qn = qn * q
+    values = (a, b, c, q, z)
+    if any(isinstance(v, ctx.mpc) for v in values):
+        terms = _phi21_terms_complex(ctx, *values)
+    else:
+        terms = _phi21_terms_fixed(ctx, *values)
+    return _settle(ctx, prec.work_eps(ctx), terms)
 
-    return _settle(ctx, prec.work_eps(ctx), terms())
+
+def _pole(n: int):
+    return DomainError(f"lower parameter c = q^(-{n}) is a pole")
+
+
+def _phi21_terms_complex(ctx, a, b, c, q, z):
+    """The 2-phi-1 terms in ctx's numbers; t_(n+1) = t_n (1 - a q^n)
+    (1 - b q^n) z / ((1 - c q^n)(1 - q^(n+1)))."""
+    term = ctx.mpf(1)
+    qn = ctx.mpf(1)  # q^n
+    for n in itertools.count():
+        yield term
+        denom_c = 1 - c * qn
+        if abs(denom_c) <= ctx.ldexp(n + 2, 2 - ctx.prec):
+            raise _pole(n)
+        term = term * (1 - a * qn) * (1 - b * qn) / (denom_c * (1 - q * qn)) * z
+        qn = qn * q
+
+
+def _phi21_terms_fixed(ctx, a, b, c, q, z):
+    """The same terms for real parameters, advanced in fixed-point integers
+    (value * 2^wp) and yielded as mpf rounded to ctx.prec.
+
+    wp carries _FIXED_GUARD bits beyond ctx.prec, plus the binary magnitude
+    of the largest of a, b, c, so a q^n, b q^n and c q^n stay within
+    2^-(ctx.prec + _FIXED_GUARD) of their values however large a, b or c is.
+    """
+    wp = ctx.prec + _FIXED_GUARD + max(0, *(ctx.mag(v) for v in (a, b, c)))
+    a, b, c, q, z = (to_fixed(v._mpf_, wp) for v in (a, b, c, q, z))
+    one = 1 << wp
+    pole_shift = wp + 2 - ctx.prec  # |1 - c q^n| <= (n + 2) 2^(2 - prec)
+    term = one
+    qn = one  # q^n
+    for n in itertools.count():
+        yield ctx.make_mpf(from_man_exp(term, -wp, ctx.prec, "n"))
+        term = term * z >> wp
+        if not qn:
+            continue  # q^n is below 2^-wp: every other factor is exactly 1
+        denom_c = one - (c * qn >> wp)
+        if abs(denom_c) <= (n + 2) << pole_shift:
+            raise _pole(n)
+        qn1 = qn * q >> wp  # q^(n+1)
+        numer = (one - (a * qn >> wp)) * (one - (b * qn >> wp))
+        term = term * numer // (denom_c * (one - qn1))
+        qn = qn1
 
 
 def psi_small(a, q, z, prec: PrecisionSpec):

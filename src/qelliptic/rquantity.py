@@ -18,7 +18,7 @@ from .numerics import (
     _settle,
     cv,
 )
-from .qfunctions import AgileParams, _qpowers, agile, psi_star, qpow, theta4
+from .qfunctions import AgileParams, _qpowers, agile, psi_star, qpow, theta3, theta4
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,8 @@ def rq_charprod(a: int, b: int, p: int, q, prec: PrecisionSpec):
 
 def tau_star(a, p, q, prec: PrecisionSpec):
     """tau*(a,p;q) = sqrt(pi/K) * q^(a^2/(2p) - a/2 + p/8) * psi*(a,p;q),
-    where K is the period integral attached to the nome q.
+    where K is the period integral attached to the nome q.  Since
+    K = (pi/2) theta3(0, q)^2, the prefactor is sqrt(2)/theta3(0, q).
 
     Evaluated through the bilateral sum psi*, which is entire in a; the
     equivalent product quotient form has removable 0/0 points at integer a.
@@ -178,8 +179,7 @@ def tau_star(a, p, q, prec: PrecisionSpec):
         raise DomainError(f"tau* needs real q in (0, 1), got {qv}")
     a = cv(ctx, a)
     p = cv(ctx, p)
-    mod = modulus_from_nome(qv, prec)
-    pref = ctx.sqrt(ctx.pi / mod.K)
+    pref = ctx.sqrt(2) / theta3(0, qv, prec)
     expo = a * a / (2 * p) - a / 2 + p / 8
     return pref * qpow(ctx, qv, expo) * psi_star(a, p, qv, prec)
 

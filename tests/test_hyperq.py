@@ -81,8 +81,22 @@ def test_phi21_domain():
         phi21(Phi21Params(a=1, b=1, c=Fraction(1, 2), q=Fraction(3, 2), z=Fraction(1, 2)), P50)
     with pytest.raises(DomainError):
         phi21(Phi21Params(a=1, b=1, c=Fraction(1, 2), q=Fraction(1, 5), z=1), P50)
-    with pytest.raises(DomainError):
-        phi21(Phi21Params(a=Fraction(1, 3), b=Fraction(1, 4), c=1, q=Fraction(1, 5), z=Fraction(1, 2)), P50)
+
+
+@pytest.mark.parametrize("digits", [20, 50, 200])
+@pytest.mark.parametrize("c, q, n", [
+    (1, Fraction(1, 5), 0),
+    (5, Fraction(1, 5), 1),
+    (25, Fraction(1, 5), 2),
+    (10**6, Fraction(1, 10), 6),
+])
+@pytest.mark.parametrize("kind", [Fraction, complex])
+def test_phi21_raises_at_every_pole(digits, c, q, n, kind):
+    # c q^n rounds to within a few ulps of 1, not to exactly 1; complex
+    # input takes the mpc loop, real input the fixed-point one
+    params = Phi21Params(kind(Fraction(1, 3)), Fraction(1, 4), kind(c), q, kind(Fraction(1, 2)))
+    with pytest.raises(DomainError, match=rf"q\^\(-{n}\) is a pole"):
+        phi21(params, PrecisionSpec(digits))
 
 
 def test_gauss_product_pole():

@@ -2,7 +2,8 @@
 fractions against mpmath's jtheta and qp (the M fraction against its series);
 R by theta quotient and by exponential sum, its q-derivative, psi*, [a,p;q]
 and the hyperbolic log sum against qp, jtheta and mpmath's diff;
-K, the modulus from the nome and 2-phi-1 against ellipk, jtheta and qhyper;
+K, the modulus from the nome and 2-phi-1 against ellipk, jtheta and qhyper,
+and 2-phi-1's fixed-point real route against its complex route;
 minimal polynomials against their closed forms and mpmath's findpoly, and
 the PSLQ search behind them against mpmath's pslq; the documented domain
 errors.
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qelliptic.algrec import PSLQ_MAXSTEPS, _lll_reduce, find_minpoly
@@ -226,14 +227,43 @@ def test_modulus_from_nome_k_prime_keeps_the_working_precision(digits):
         assert err < ctx.mpf(10) ** (2 - prec.workdps), q
 
 
+# phi21's upper parameters a, b and lower parameter c: |c| > 1 and large a, b
+# are where its fixed-point terms scale differently from mpf ones
+phi21_param_st = st.fractions(min_value=-3, max_value=3, max_denominator=100)
+
+
+def _off_the_poles(c, q):
+    # every pole c = q^(-n) with |c| <= 3 has n <= 1, since |q| <= 1/2
+    return all(abs(c - q**-n) >= Fraction(1, 1000) for n in range(3))
+
+
 @SETTINGS
-@given(digits_st, q_st, unit_st, unit_st, unit_st, unit_st.filter(bool))
+@given(digits_st, q_st, phi21_param_st, phi21_param_st, phi21_param_st, unit_st.filter(bool))
 def test_phi21_matches_qhyper(digits, q, a, b, c, z):
-    # |c| < 1 keeps c off the poles q^(-n); qhyper never settles at z = 0
+    # qhyper never settles at z = 0
+    assume(_off_the_poles(c, q))
     ctx = _oracle(digits)
     qv, av, bv, cv_, zv = (_num(ctx, x) for x in (q, a, b, c, z))
     value = phi21(Phi21Params(a, b, c, q, z), PrecisionSpec(digits))
     assert _agree(ctx, value, ctx.qhyper([av, bv], [cv_], qv, zv), digits)
+
+
+@pytest.mark.parametrize("digits", [30, 200])
+@SETTINGS
+@given(
+    q=q_st, negative=st.booleans(), a=phi21_param_st, b=phi21_param_st, c=phi21_param_st, z=unit_st
+)
+def test_phi21_real_and_complex_routes_agree(digits, q, negative, a, b, c, z):
+    # real input sums in fixed point, mpc input in ctx's numbers
+    q = -q if negative else q
+    assume(_off_the_poles(c, q))
+    prec = PrecisionSpec(digits)
+    ctx = prec.context()
+    real = phi21(Phi21Params(a, b, c, q, z), prec)
+    params = Phi21Params(*(ctx.mpc(cv(ctx, x), 0) for x in (a, b, c, q, z)))
+    complex_ = phi21(params, prec)
+    assert isinstance(real, ctx.mpf) and isinstance(complex_, ctx.mpc)
+    assert _agree_relative(ctx, complex_, real, digits)
 
 
 outside_unit_st = st.fractions(min_value=1, max_value=3, max_denominator=100)
