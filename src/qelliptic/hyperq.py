@@ -2,26 +2,26 @@
 with its q-binomial product twin, and the Gauss product evaluation.
 
 When a, b, c, q and z are all real, ``phi21`` advances its terms in
-fixed-point Python integers at ctx.prec + 30 guard bits (the way mpmath's
-own jtheta and hypsum sum) and yields each one as an mpf into
-``numerics._settle``, which still decides when to stop.  Complex input keeps
-the loop in mpc numbers.  Both routes raise DomainError at a pole: when
-|1 - c q^n| <= (n + 2) 2^(2 - prec), a few working ulps, since c q^n rounds
-near 1 rather than onto it.
+fixed-point Python integers at ctx.prec + ``numerics._FIXED_GUARD`` bits
+(the way mpmath's own jtheta and hypsum sum) and yields each one as an mpf
+into ``numerics._settle``, which still decides when to stop.  Complex input
+keeps the loop in mpc numbers.  Both routes raise DomainError at a pole:
+when |1 - c q^n| <= (n + 2) 2^(2 - prec), a few working ulps, since c q^n
+rounds near 1 rather than onto it.  Both also add up sum |t_n|, and a sum
+that cancels past half the guard digits is summed once more with the
+digits it lost.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import to_fixed
 
-from .numerics import DomainError, PrecisionSpec, _settle, cv
+from .numerics import _FIXED_GUARD, DomainError, PrecisionSpec, _from_fixed, _settle, cv
 from .qfunctions import INF, pochhammer
-
-# Guard bits of phi21's fixed-point terms beyond the working precision.
-_FIXED_GUARD = 30
 
 
 @dataclass(frozen=True)
@@ -39,37 +39,52 @@ def phi21(params: Phi21Params, prec: PrecisionSpec):
     """2-phi-1(a, b; c; q, z) = sum_{n>=0} (a;q)_n (b;q)_n / ((c;q)_n (q;q)_n) z^n.
 
     Requires |q| < 1 and |z| < 1; c must avoid the poles q^(-n), and one
-    within a few working ulps of them raises DomainError.
+    within a few working ulps of them raises DomainError.  When the terms
+    cancel by more than half the guard digits, log10(max(1, sum |t_n|) /
+    |total|) > guard // 2, the series is summed once more with that many
+    more digits and rounded back to the working precision.
     """
     ctx = prec.context()
-    a = cv(ctx, params.a)
-    b = cv(ctx, params.b)
-    c = cv(ctx, params.c)
-    q = cv(ctx, params.q)
-    z = cv(ctx, params.z)
+    total, scale = _phi21_sum(params, prec)
+    if total == 0 or max(1, scale) <= abs(total) * 10 ** (prec.guard // 2):
+        return total
+    # The terms cancel: sum again with the digits lost, then round back.
+    lost = math.ceil(float(ctx.log10(max(1, scale) / abs(total))))
+    total, _ = _phi21_sum(params, prec.bumped(lost))
+    return ctx.mpc(total) if hasattr(total, "_mpc_") else ctx.mpf(total)
+
+
+def _phi21_sum(params: Phi21Params, prec: PrecisionSpec):
+    """The 2-phi-1 series at prec, and the sum of |t_n| over its terms."""
+    ctx = prec.context()
+    values = tuple(cv(ctx, v) for v in (params.a, params.b, params.c, params.q, params.z))
+    a, b, c, q, z = values
     if abs(q) >= 1:
         raise DomainError(f"2-phi-1 needs |q| < 1, got |q| = {abs(q)}")
     if abs(z) >= 1:
         raise DomainError(f"2-phi-1 series needs |z| < 1, got |z| = {abs(z)}")
-
-    values = (a, b, c, q, z)
+    scale = [0]  # sum |t_n|, added up by the terms generator
     if any(isinstance(v, ctx.mpc) for v in values):
-        terms = _phi21_terms_complex(ctx, *values)
-    else:
-        terms = _phi21_terms_fixed(ctx, *values)
-    return _settle(ctx, prec.work_eps(ctx), terms)
+        total = _settle(ctx, prec.work_eps(ctx), _phi21_terms_complex(ctx, scale, *values))
+        return total, scale[0]
+    # a q^n, b q^n and c q^n stay within 2^-(ctx.prec + _FIXED_GUARD) of
+    # their values however large a, b or c is.
+    wp = ctx.prec + _FIXED_GUARD + max(0, *(ctx.mag(v) for v in (a, b, c)))
+    total = _settle(ctx, prec.work_eps(ctx), _phi21_terms_fixed(ctx, wp, scale, *values))
+    return total, _from_fixed(ctx, scale[0], wp)
 
 
 def _pole(n: int):
     return DomainError(f"lower parameter c = q^(-{n}) is a pole")
 
 
-def _phi21_terms_complex(ctx, a, b, c, q, z):
+def _phi21_terms_complex(ctx, scale, a, b, c, q, z):
     """The 2-phi-1 terms in ctx's numbers; t_(n+1) = t_n (1 - a q^n)
-    (1 - b q^n) z / ((1 - c q^n)(1 - q^(n+1)))."""
+    (1 - b q^n) z / ((1 - c q^n)(1 - q^(n+1))).  Adds |t_n| to scale[0]."""
     term = ctx.mpf(1)
     qn = ctx.mpf(1)  # q^n
     for n in itertools.count():
+        scale[0] += abs(term)
         yield term
         denom_c = 1 - c * qn
         if abs(denom_c) <= ctx.ldexp(n + 2, 2 - ctx.prec):
@@ -78,22 +93,18 @@ def _phi21_terms_complex(ctx, a, b, c, q, z):
         qn = qn * q
 
 
-def _phi21_terms_fixed(ctx, a, b, c, q, z):
+def _phi21_terms_fixed(ctx, wp, scale, a, b, c, q, z):
     """The same terms for real parameters, advanced in fixed-point integers
-    (value * 2^wp) and yielded as mpf rounded to ctx.prec.
-
-    wp carries _FIXED_GUARD bits beyond ctx.prec, plus the binary magnitude
-    of the largest of a, b, c, so a q^n, b q^n and c q^n stay within
-    2^-(ctx.prec + _FIXED_GUARD) of their values however large a, b or c is.
-    """
-    wp = ctx.prec + _FIXED_GUARD + max(0, *(ctx.mag(v) for v in (a, b, c)))
+    (value * 2^wp) and yielded as mpf rounded to ctx.prec.  Adds |t_n|
+    * 2^wp to scale[0]."""
     a, b, c, q, z = (to_fixed(v._mpf_, wp) for v in (a, b, c, q, z))
     one = 1 << wp
     pole_shift = wp + 2 - ctx.prec  # |1 - c q^n| <= (n + 2) 2^(2 - prec)
     term = one
     qn = one  # q^n
     for n in itertools.count():
-        yield ctx.make_mpf(from_man_exp(term, -wp, ctx.prec, "n"))
+        scale[0] += abs(term)
+        yield _from_fixed(ctx, term, wp)
         term = term * z >> wp
         if not qn:
             continue  # q^n is below 2^-wp: every other factor is exactly 1

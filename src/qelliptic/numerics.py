@@ -19,6 +19,12 @@ Gaussian sums are the exception: ``qfunctions._theta_series`` and
 ``psi_star`` and the theta route of ``agile``) run to ``gaussian_cutoff``,
 a term count fixed in advance from |q| and the working digits, with no
 per-term test.
+
+Real-input routes (``qfunctions.pochhammer`` at n = inf,
+``qfunctions._theta_series`` and ``hyperq.phi21``) advance their terms in
+Python integers scaled by 2^wp, with wp at least ctx.prec + ``_FIXED_GUARD``
+bits, the way mpmath's own jtheta and hypsum do, and turn them back into
+mpf with ``_from_fixed``.
 """
 
 from __future__ import annotations
@@ -29,10 +35,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import dps_to_prec, from_man_exp
 
 # Hard budget on series/product terms before we declare divergence.
 MAX_TERMS = 10**6
+
+# Guard bits of fixed-point terms and sums beyond the working precision.
+_FIXED_GUARD = 30
 
 # Per-thread map workdps -> MPContext, filled by PrecisionSpec.context().
 _contexts = threading.local()
@@ -142,6 +151,11 @@ def gaussian_cutoff(total_digits: int, log_q_abs: float, imag_shift: float = 0.0
     t = max(0.0, imag_shift)
     n = (t + math.sqrt(t * t + log_q_abs * d)) / log_q_abs
     return int(math.ceil(n)) + 2
+
+
+def _from_fixed(ctx, man: int, wp: int):
+    """The mpf of ctx nearest to the fixed-point value man * 2^-wp."""
+    return ctx.make_mpf(from_man_exp(man, -wp, ctx.prec, "n"))
 
 
 def _settle(ctx, eps, items, *, product: bool = False, max_terms: int = MAX_TERMS):

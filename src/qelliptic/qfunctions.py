@@ -14,6 +14,12 @@ generators of numbers of the working context, except the Gaussian sums
 (``_theta_series`` and ``_bilateral_halfsquare``), whose terms fall like
 |q|^(n^2): they stop at ``numerics.gaussian_cutoff``, known before the
 first term, because a per-term test costs more there than it saves.
+
+The type of the input picks the arithmetic, as in ``hyperq.phi21``.  For
+real a and q, ``pochhammer(a, q, inf)`` advances its terms and factors in
+fixed-point Python integers and yields each as an mpf to ``_settle``; for
+real q, ``_theta_series`` sums in integers and rounds once at the end, as
+mpmath's jtheta does.  Complex a or q keeps the loops in mpc numbers.
 """
 
 from __future__ import annotations
@@ -23,10 +29,23 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from mpmath.libmp import (
+    mpf_abs,
+    mpf_cos,
+    mpf_cos_sin,
+    mpf_exp,
+    mpf_mul,
+    mpf_neg,
+    mpf_shift,
+    to_fixed,
+)
+
 from .numerics import (
+    _FIXED_GUARD,
     DomainError,
     NonConvergence,
     PrecisionSpec,
+    _from_fixed,
     _settle,
     cv,
     gaussian_cutoff,
@@ -99,7 +118,8 @@ def pochhammer(a, q, n, prec: PrecisionSpec):
     (near |q| = 1 a tiny product is the sum of huge terms).  The series
     value is kept only when that loss is at most half the guard digits;
     otherwise, and for every |a| >= 1 (where a = q^(-k) gives an exact
-    zero), the product is multiplied out.
+    zero), the product is multiplied out.  Real a and q take the same steps
+    in fixed-point integers.
 
     Euler's identity is not the Jacobi triple product: checks that set a
     product against a theta series, and ``psi_small`` against
@@ -111,6 +131,8 @@ def pochhammer(a, q, n, prec: PrecisionSpec):
     if n is None or n == INF:
         if abs(q) >= 1:
             raise DomainError(f"(a;q)_inf needs |q| < 1, got |q| = {abs(q)}")
+        if not (isinstance(a, ctx.mpc) or isinstance(q, ctx.mpc)):
+            return _pochhammer_inf_fixed(ctx, prec, a, q)
         power = _qpowers(ctx, q)
         if abs(a) < 1:
             scale = 0.0  # sum of |t_n|, for the cancellation guard
@@ -136,6 +158,45 @@ def pochhammer(a, q, n, prec: PrecisionSpec):
         total = total * (1 - a * power)
         power = power * q
     return total
+
+
+def _pochhammer_inf_fixed(ctx, prec: PrecisionSpec, a, q):
+    """(a; q)_inf for real a and q by the same steps as ``pochhammer``, with
+    every term and factor advanced in fixed-point integers (value * 2^wp)
+    and yielded as mpf.
+
+    wp carries ``_FIXED_GUARD`` bits beyond ctx.prec plus the binary
+    magnitude of a, so a q^m stays within 2^-(ctx.prec + _FIXED_GUARD) of
+    its value however large a is.
+    """
+    eps = prec.work_eps(ctx)
+    wp = ctx.prec + _FIXED_GUARD + max(0, ctx.mag(a))
+    one = 1 << wp
+    a_fixed, q_fixed = to_fixed(a._mpf_, wp), to_fixed(q._mpf_, wp)
+    if abs(a) < 1:
+        scale = 0  # sum of |t_n| * 2^wp, for the cancellation guard
+
+        def terms():
+            nonlocal scale
+            term, qm = one, one  # t_m and q^m
+            while True:
+                scale += abs(term)
+                yield _from_fixed(ctx, term, wp)
+                qm1 = qm * q_fixed >> wp
+                term = term * (-a_fixed * qm >> wp) // (one - qm1)
+                qm = qm1
+
+        total = _settle(ctx, eps, terms())
+        if max(1, _from_fixed(ctx, scale, wp)) <= abs(total) * 10 ** (prec.guard // 2):
+            return total
+
+    def factors():
+        qm = one
+        while True:
+            yield _from_fixed(ctx, one - (a_fixed * qm >> wp), wp)
+            qm = qm * q_fixed >> wp
+
+    return _settle(ctx, eps, factors(), product=True)
 
 
 def euler_f(q, prec: PrecisionSpec):
@@ -185,6 +246,8 @@ def _theta_series(ctx, z, q, s: int):
     Gaussian cutoff of the working precision."""
     z, q, L, t = _theta_guard(ctx, z, q)
     n_cut = gaussian_cutoff(ctx.dps, L, t)
+    if not isinstance(q, ctx.mpc):
+        return _theta_series_fixed(ctx, z, q, s, n_cut, L, t)
     total = ctx.mpf(1)
     # term = s^n q^(n^2) advances by the ratio s q^(2n+1), which advances by
     # q^2; cos(2nz) follows the Chebyshev recurrence in cos(2z).
@@ -199,6 +262,59 @@ def _theta_series(ctx, z, q, s: int):
         total = total + 2 * term * cos_n
         cos_prev, cos_n = cos_n, 2 * c1 * cos_n - cos_prev
     return total
+
+
+def _theta_series_fixed(ctx, z, q, s: int, n_cut: int, L: float, t: float):
+    """The theta series for real q by the same recurrences, summed in
+    fixed-point integers (value * 2^wp) and rounded once at the end, as
+    mpmath's jtheta does.
+
+    For complex z, cos(2nz) grows like e^(2nt) (t = |Im z|), far past what
+    the truncated q^(n^2) can be multiplied by, so the recurrence runs on
+    the (re, im) integer pair of cos(2nz) e^(-2nt), bounded by 1, and term
+    carries e^(2nt) instead.  That term, e^(2nt - n^2 L) with L = |ln|q||,
+    peaks below e^(t^2 / L), so wp gains t^2 / (L ln 2) bits for it.
+    """
+    wp = ctx.prec + _FIXED_GUARD
+    complex_z = isinstance(z, ctx.mpc)
+    if complex_z:
+        wp += int(t * t / (L * math.log(2))) + 1
+    one = 1 << wp
+    term = one
+    ratio = s * to_fixed(q._mpf_, wp)
+    q2 = ratio * ratio >> wp
+    if not complex_z:
+        c1 = to_fixed(mpf_cos(mpf_shift(z._mpf_, 1), wp), wp)
+        cos_prev, cos_n, total = one, c1, 0
+        for _ in range(n_cut):
+            term = term * ratio >> wp
+            ratio = ratio * q2 >> wp
+            total += term * cos_n >> wp
+            cos_prev, cos_n = cos_n, (c1 * cos_n >> (wp - 1)) - cos_prev
+        return _from_fixed(ctx, one + 2 * total, wp)
+    x, y = z._mpc_
+    two_t = mpf_shift(mpf_abs(y), 1)
+    # s q e^(2t) as one wp-bit product: its error stays 2^-wp however small
+    # q is and however large e^(2t)
+    ratio = s * to_fixed(mpf_mul(q._mpf_, mpf_exp(two_t, wp), wp), wp)
+    shrink2 = to_fixed(mpf_exp(mpf_neg(mpf_shift(two_t, 1)), wp), wp)  # e^(-4t)
+    # cos(2z) e^(-2t) = cos 2x (1 + e^(-4t))/2 - i sgn(y) sin 2x (1 - e^(-4t))/2
+    cos_2x, sin_2x = (to_fixed(v, wp) for v in mpf_cos_sin(mpf_shift(x, 1), wp))
+    c1_re = cos_2x * (one + shrink2) >> (wp + 1)
+    c1_im = sin_2x * (one - shrink2) >> (wp + 1)
+    if not y[0]:  # y >= 0
+        c1_im = -c1_im
+    re_prev, im_prev, re_n, im_n = one, 0, c1_re, c1_im
+    total_re = total_im = 0
+    for _ in range(n_cut):
+        term = term * ratio >> wp
+        ratio = ratio * q2 >> wp
+        total_re += term * re_n >> wp
+        total_im += term * im_n >> wp
+        re_next = ((c1_re * re_n - c1_im * im_n) >> (wp - 1)) - (shrink2 * re_prev >> wp)
+        im_next = ((c1_re * im_n + c1_im * re_n) >> (wp - 1)) - (shrink2 * im_prev >> wp)
+        re_prev, im_prev, re_n, im_n = re_n, im_n, re_next, im_next
+    return ctx.mpc(_from_fixed(ctx, one + 2 * total_re, wp), _from_fixed(ctx, 2 * total_im, wp))
 
 
 def theta4_product(z, q, prec: PrecisionSpec):

@@ -10,7 +10,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elliptic import modulus_from_nome
 from .numerics import (
     CrossCheckFailure,
     DomainError,
@@ -256,6 +255,8 @@ def drq_dq(params: RQParams, q, prec: PrecisionSpec):
 
 def drq_normalized(params: RQParams, q, prec: PrecisionSpec):
     """R'(a,b,p;q) * q pi^2 / K^2 with K the period integral at the nome q.
+    Since K = (pi/2) theta3(0, q)^2, the factor pi^2 / K^2 is
+    4 / theta3(0, q)^4.
 
     This is the normalization under which the derivative values at singular
     nomes are algebraic numbers; it is what the minimal-polynomial command
@@ -263,5 +264,4 @@ def drq_normalized(params: RQParams, q, prec: PrecisionSpec):
     """
     ctx = prec.context()
     qv = cv(ctx, q)
-    mod = modulus_from_nome(qv, prec)
-    return drq_dq(params, qv, prec) * qv * ctx.pi**2 / mod.K**2
+    return drq_dq(params, qv, prec) * qv * 4 / theta3(0, qv, prec) ** 4

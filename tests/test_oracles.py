@@ -2,8 +2,9 @@
 fractions against mpmath's jtheta and qp (the M fraction against its series);
 R by theta quotient and by exponential sum, its q-derivative, psi*, [a,p;q]
 and the hyperbolic log sum against qp, jtheta and mpmath's diff;
-K, the modulus from the nome and 2-phi-1 against ellipk, jtheta and qhyper,
-and 2-phi-1's fixed-point real route against its complex route;
+K, the modulus from the nome and 2-phi-1 against ellipk, jtheta and qhyper;
+the fixed-point real routes of 2-phi-1, (a; q)_inf and theta3/theta4
+against their complex routes;
 minimal polynomials against their closed forms and mpmath's findpoly, and
 the PSLQ search behind them against mpmath's pslq; the documented domain
 errors.
@@ -190,6 +191,9 @@ def test_pochhammer_exact_edges():
         assert pochhammer(a, 0, INF, prec) == 1 - cv(ctx, a)
     for q in (Fraction(1, 3), Fraction(-99, 100), ctx.mpc(0, 0.5)):
         assert pochhammer(0, q, INF, prec) == 1
+    # a = q^(-k): the factor 1 - a q^k is exactly 0 on either route
+    for a, q in ((4, Fraction(1, 2)), (-8, Fraction(-1, 2)), (ctx.mpc(4, 0), Fraction(1, 2))):
+        assert pochhammer(a, q, INF, prec) == 0
 
 
 @SETTINGS
@@ -265,6 +269,73 @@ def test_phi21_real_and_complex_routes_agree(digits, q, negative, a, b, c, z):
     assert isinstance(real, ctx.mpf) and isinstance(complex_, ctx.mpc)
     assert _agree_relative(ctx, complex_, real, digits)
 
+
+def test_phi21_keeps_relative_digits_when_its_terms_cancel():
+    # O(1) terms sum to 7.15e-13, a loss of 12 digits, more than half the
+    # guard: phi21 sums again with 12 more digits
+    a, b, c, q, z = (Fraction(x) for x in ("-2.693", "-2.296", "-2.428", "0.913", "-0.458"))
+    ctx = _oracle(60)  # 80 digits
+    qv, av, bv, cv_, zv = (_num(ctx, x) for x in (q, a, b, c, z))
+    reference = ctx.qhyper([av, bv], [cv_], qv, zv)
+    prec = PrecisionSpec(20)
+    pctx = prec.context()
+    for params in (
+        Phi21Params(a, b, c, q, z),
+        Phi21Params(*(pctx.mpc(cv(pctx, x), 0) for x in (a, b, c, q, z))),
+    ):
+        assert _agree_relative(ctx, phi21(params, prec), reference, 20)
+
+
+# real a on both sides of |a| = 1, and q of either sign up to |q| = 0.99
+poch_a_st = st.fractions(min_value=-3, max_value=3, max_denominator=100)
+poch_q_st = st.fractions(
+    min_value=Fraction(-99, 100), max_value=Fraction(99, 100), max_denominator=100
+)
+
+
+@pytest.mark.parametrize("digits", [30, 200])
+@SETTINGS
+@given(a=poch_a_st, q=poch_q_st)
+def test_pochhammer_real_and_complex_routes_agree(digits, a, q):
+    # real a and q advance in fixed point, mpc input in ctx's numbers; an
+    # exact zero factor a q^m = 1 leaves no relative digits to compare
+    assume(all(a * q**m != 1 for m in range(10)))
+    prec = PrecisionSpec(digits)
+    ctx = prec.context()
+    real = pochhammer(a, q, INF, prec)
+    complex_ = pochhammer(ctx.mpc(cv(ctx, a), 0), ctx.mpc(cv(ctx, q), 0), INF, prec)
+    assert isinstance(real, ctx.mpf) and isinstance(complex_, ctx.mpc)
+    assert _agree_relative(ctx, complex_, real, digits)
+
+
+@pytest.mark.parametrize("digits", [30, 200])
+@SETTINGS
+@given(
+    # theta4(0, q) is about e^(-pi^2 / (4 |ln q|)): past |q| = 4/5 its series
+    # cancels by more digits than the complex-q route's guard holds.  A tiny
+    # q takes a large |Im z| to the guard, where cos(2z) is about e^(2|Im z|).
+    q=st.one_of(
+        st.fractions(min_value=Fraction(1, 100), max_value=Fraction(4, 5), max_denominator=100),
+        st.sampled_from([Fraction(1, 10**30), Fraction(1, 10**100)]),
+    ),
+    negative=st.booleans(),
+    x=real_st,
+    # |q| e^(2|Im z|), from 0.9 up to just below the growth guard's 1
+    growth=st.fractions(min_value=Fraction(9, 10), max_value=Fraction(99, 100)),
+    below=st.booleans(),
+)
+def test_theta_real_and_complex_q_routes_agree(digits, q, negative, x, growth, below):
+    # real q sums in fixed point, mpc q in ctx's numbers
+    prec = PrecisionSpec(digits)
+    ctx = prec.context()
+    qv = cv(ctx, -q if negative else q)
+    y = ctx.log(cv(ctx, growth / q)) / 2
+    for z, kind in ((cv(ctx, x), ctx.mpf), (ctx.mpc(cv(ctx, x), -y if below else y), ctx.mpc)):
+        for theta in (theta3, theta4):
+            real = theta(z, qv, prec)
+            complex_ = theta(z, ctx.mpc(qv, 0), prec)
+            assert isinstance(real, kind) and isinstance(complex_, ctx.mpc)
+            assert _agree_relative(ctx, complex_, real, digits)
 
 outside_unit_st = st.fractions(min_value=1, max_value=3, max_denominator=100)
 sign_st = st.sampled_from([1, -1])
