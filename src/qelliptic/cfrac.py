@@ -47,8 +47,9 @@ def eval_cf(cf: ContinuedFraction, prec: PrecisionSpec):
     Modified Lentz with a tiny-value floor of 10^(-digits-guard-10).  Its
     ratios C_n D_n of consecutive approximants tend to 1, so the forward pass
     stops by the factor rule of ``numerics._settle``; it is then re-confirmed
-    by a backward recurrence from twice the depth where it settled.
-    Disagreement between the two routes raises CrossCheckFailure;
+    by a backward recurrence from twice the depth where it settled, which
+    reuses the a_n and b_n of the forward pass and requests only deeper
+    ones.  Disagreement between the two routes raises CrossCheckFailure;
     ``MAX_LEVELS`` levels without settling raise NonConvergence.
     """
     ctx = prec.context()
@@ -56,19 +57,20 @@ def eval_cf(cf: ContinuedFraction, prec: PrecisionSpec):
     tol = ctx.mpf(10) ** (-(prec.digits + 2))
     b0 = cv(ctx, cf.b0)
     f0 = b0 if b0 != 0 else tiny
-    depth = 0
+    nums, dens = [None], [None]  # a_n and b_n for n >= 1, kept for the backward pass
     exact = False
 
     def lentz_ratios():
-        nonlocal depth, exact
+        nonlocal exact
         c_acc, d_acc = f0, ctx.mpf(0)
         for n in itertools.count(1):
-            depth = n
             a = cv(ctx, cf.partial_num(n))
             if a == 0:
                 exact = True  # tail is exactly zero from here on
                 return
             b = cv(ctx, cf.partial_den(n))
+            nums.append(a)
+            dens.append(b)
             d_acc = b + a * d_acc
             if d_acc == 0:
                 d_acc = tiny
@@ -82,13 +84,19 @@ def eval_cf(cf: ContinuedFraction, prec: PrecisionSpec):
         ctx, prec.work_eps(ctx), lentz_ratios(), product=True, max_terms=MAX_LEVELS
     )
 
-    # Independent confirmation: plain backward recurrence from deeper down.
+    # Independent confirmation: plain backward recurrence from deeper down,
+    # reusing the forward pass's a_j and b_j for j <= depth.
+    if not exact:
+        depth = len(nums) - 1
+        for j in range(depth + 1, 2 * depth + 1):
+            nums.append(cv(ctx, cf.partial_num(j)))
+            dens.append(cv(ctx, cf.partial_den(j)))
     tail = ctx.mpf(0)
-    for j in range(depth - 1 if exact else 2 * depth, 0, -1):
-        den = cv(ctx, cf.partial_den(j)) + tail
+    for j in range(len(nums) - 1, 0, -1):
+        den = dens[j] + tail
         if den == 0:
             den = tiny
-        tail = cv(ctx, cf.partial_num(j)) / den
+        tail = nums[j] / den
     back = b0 + tail
 
     if exact:

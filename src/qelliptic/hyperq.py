@@ -3,13 +3,13 @@ with its q-binomial product twin, and the Gauss product evaluation.
 
 When a, b, c, q and z are all real, ``phi21`` advances its terms in
 fixed-point Python integers at ctx.prec + ``numerics._FIXED_GUARD`` bits
-(the way mpmath's own jtheta and hypsum sum) and yields each one as an mpf
-into ``numerics._settle``, which still decides when to stop.  Complex input
-keeps the loop in mpc numbers.  Both routes raise DomainError at a pole:
-when |1 - c q^n| <= (n + 2) 2^(2 - prec), a few working ulps, since c q^n
-rounds near 1 rather than onto it.  Both also add up sum |t_n|, and a sum
-that cancels past half the guard digits is summed once more with the
-digits it lost.
+and ``numerics._settle(..., wp=wp)`` adds them as integers and decides when
+to stop; the total is rounded once, the way mpmath's own jtheta and hypsum
+sum.  Complex input keeps the loop in mpc numbers.  Both routes raise
+DomainError at a pole: when |1 - c q^n| <= (n + 2) 2^(2 - prec), a few
+working ulps, since c q^n rounds near 1 rather than onto it.  Both also
+add up sum |t_n|, and a sum that cancels past half the guard digits is
+summed once more with the digits it lost.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ def _phi21_sum(params: Phi21Params, prec: PrecisionSpec):
     # a q^n, b q^n and c q^n stay within 2^-(ctx.prec + _FIXED_GUARD) of
     # their values however large a, b or c is.
     wp = ctx.prec + _FIXED_GUARD + max(0, *(ctx.mag(v) for v in (a, b, c)))
-    total = _settle(ctx, prec.work_eps(ctx), _phi21_terms_fixed(ctx, wp, scale, *values))
-    return total, _from_fixed(ctx, scale[0], wp)
+    total = _settle(ctx, prec.work_eps(ctx), _phi21_terms_fixed(ctx, wp, scale, *values), wp=wp)
+    return _from_fixed(ctx, total, wp), _from_fixed(ctx, scale[0], wp)
 
 
 def _pole(n: int):
@@ -94,9 +94,8 @@ def _phi21_terms_complex(ctx, scale, a, b, c, q, z):
 
 
 def _phi21_terms_fixed(ctx, wp, scale, a, b, c, q, z):
-    """The same terms for real parameters, advanced in fixed-point integers
-    (value * 2^wp) and yielded as mpf rounded to ctx.prec.  Adds |t_n|
-    * 2^wp to scale[0]."""
+    """The same terms for real parameters, advanced and yielded as
+    fixed-point integers (value * 2^wp).  Adds |t_n| * 2^wp to scale[0]."""
     a, b, c, q, z = (to_fixed(v._mpf_, wp) for v in (a, b, c, q, z))
     one = 1 << wp
     pole_shift = wp + 2 - ctx.prec  # |1 - c q^n| <= (n + 2) 2^(2 - prec)
@@ -104,7 +103,7 @@ def _phi21_terms_fixed(ctx, wp, scale, a, b, c, q, z):
     qn = one  # q^n
     for n in itertools.count():
         scale[0] += abs(term)
-        yield _from_fixed(ctx, term, wp)
+        yield term
         term = term * z >> wp
         if not qn:
             continue  # q^n is below 2^-wp: every other factor is exactly 1

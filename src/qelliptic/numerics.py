@@ -13,18 +13,19 @@ to pass between contexts.
 
 Infinite series, products and continued fractions are summed or
 multiplied by ``_settle``: callers hand it an iterable of numbers of their
-context, and it applies the one stopping rule and term budget.  The two
-Gaussian sums are the exception: ``qfunctions._theta_series`` and
-``qfunctions._bilateral_halfsquare`` (behind theta2/3/4, ``theta_sum_S``,
-``psi_star`` and the theta route of ``agile``) run to ``gaussian_cutoff``,
-a term count fixed in advance from |q| and the working digits, with no
-per-term test.
+context (or, for a series, of fixed-point integers), and it applies the one
+stopping rule and term budget.  The two Gaussian sums are the exception:
+``qfunctions._theta_series`` and ``qfunctions._bilateral_halfsquare``
+(behind theta2/3/4, ``theta_sum_S``, ``psi_star`` and the theta route of
+``agile``) run to ``gaussian_cutoff``, a term count fixed in advance from
+|q| and the working digits, with no per-term test.
 
 Real-input routes (``qfunctions.pochhammer`` at n = inf,
 ``qfunctions._theta_series`` and ``hyperq.phi21``) advance their terms in
 Python integers scaled by 2^wp, with wp at least ctx.prec + ``_FIXED_GUARD``
-bits, the way mpmath's own jtheta and hypsum do, and turn them back into
-mpf with ``_from_fixed``.
+bits, the way mpmath's own jtheta and hypsum do.  The series among them
+hand those integers to ``_settle(..., wp=wp)``, which adds them without an
+mpf per term, and round the total once with ``_from_fixed``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import dps_to_prec, from_man_exp
+from mpmath.libmp import dps_to_prec, from_man_exp, to_fixed
 
 # Hard budget on series/product terms before we declare divergence.
 MAX_TERMS = 10**6
@@ -158,7 +159,9 @@ def _from_fixed(ctx, man: int, wp: int):
     return ctx.make_mpf(from_man_exp(man, -wp, ctx.prec, "n"))
 
 
-def _settle(ctx, eps, items, *, product: bool = False, max_terms: int = MAX_TERMS):
+def _settle(
+    ctx, eps, items, *, product: bool = False, max_terms: int = MAX_TERMS, wp: int | None = None
+):
     """The one stopping rule for every series and infinite product here.
 
     Adds the items (or, with ``product=True``, multiplies them) in order and
@@ -168,23 +171,43 @@ def _settle(ctx, eps, items, *, product: bool = False, max_terms: int = MAX_TERM
     A factor that is exactly zero makes the product exactly zero; a finite
     iterable gives its exact total; ``max_terms`` items without settling
     raise NonConvergence.  Items must already be numbers of ``ctx``.
-    Callers pass ``eps = prec.work_eps(ctx)``; series and products keep the
-    default budget ``MAX_TERMS``, and ``cfrac.eval_cf`` passes its own
+    Callers pass ``eps = prec.work_eps(ctx)``; series and products keep
+    the default budget ``MAX_TERMS``, and ``cfrac.eval_cf`` passes its own
     level budget.
+
+    With ``wp`` given, the items of a series are Python ints instead,
+    fixed-point values scaled by 2^wp, and so is the returned total: the
+    same rule runs as the exact integer test |t| 2^wp <= eps_fixed *
+    max(2^wp, |total|), eps_fixed = eps * 2^wp, with no mpf per term, and
+    the caller rounds the total once.  ``wp`` only states the scale of the
+    items; products are always multiplied in ctx's numbers, since a small
+    partial product keeps its relative digits only in floating point.
 
     Products are multiplied directly rather than summed as logarithms:
     every factor used in this package is within a geometrically shrinking
     distance of 1, so the relative error after N factors is bounded by N
     ulps, and the branch bookkeeping of complex logarithms is avoided.
 
-    Most items are far from the threshold, so binary exponents settle them
-    first: ``ctx.mag`` gives |x| <= 2^mag(x), and |x| >= 2^(mag(x) - 2) for
-    mpf and mpc alike.  A term with mag(t) - 2 > mag(eps) + max(0,
+    Most mpf and mpc items are far from the threshold, so binary exponents
+    settle them first: ``ctx.mag`` gives |x| <= 2^mag(x), and |x| >=
+    2^(mag(x) - 2) for mpf and mpc alike.  A term with mag(t) - 2 > mag(eps) + max(0,
     mag(total)), or a factor with mag(f - 1) - 2 > mag(eps), is therefore
     not negligible, and the exact test runs only for the rest.  The
     prefilter never changes a decision; it costs an integer comparison
     where the exact test costs an abs and a multiplication.
     """
+    if wp is not None:
+        one = 1 << wp
+        eps_fixed = to_fixed(eps._mpf_, wp)
+        total = small = 0
+        for count, t in enumerate(items, 1):
+            total += t
+            small = small + 1 if abs(t) << wp <= eps_fixed * max(one, abs(total)) else 0
+            if small == 3:
+                return total
+            if count >= max_terms:
+                raise NonConvergence(f"series did not settle within {max_terms} terms")
+        return total
     mag = ctx.mag
     mag_eps = mag(eps)
     one = ctx.mpf(1)

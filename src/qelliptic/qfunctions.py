@@ -17,9 +17,13 @@ first term, because a per-term test costs more there than it saves.
 
 The type of the input picks the arithmetic, as in ``hyperq.phi21``.  For
 real a and q, ``pochhammer(a, q, inf)`` advances its terms and factors in
-fixed-point Python integers and yields each as an mpf to ``_settle``; for
-real q, ``_theta_series`` sums in integers and rounds once at the end, as
-mpmath's jtheta does.  Complex a or q keeps the loops in mpc numbers.
+fixed-point Python integers: ``_settle`` adds the Euler-series terms as
+integers and the total is rounded once, while the product factors are
+yielded as mpf.  For real q, ``_theta_series`` sums in integers and rounds
+once at the end, as mpmath's jtheta does.  Complex a or q keeps the loops
+in mpc numbers.  Both series measure the digits their terms cancel: past
+half the guard digits, Euler's series gives way to the product and the
+theta series is summed again with more digits.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .numerics import (
 )
 
 INF = math.inf
+_LOG10_2 = math.log10(2)
 
 
 @dataclass(frozen=True)
@@ -162,8 +167,10 @@ def pochhammer(a, q, n, prec: PrecisionSpec):
 
 def _pochhammer_inf_fixed(ctx, prec: PrecisionSpec, a, q):
     """(a; q)_inf for real a and q by the same steps as ``pochhammer``, with
-    every term and factor advanced in fixed-point integers (value * 2^wp)
-    and yielded as mpf.
+    every term and factor advanced in fixed-point integers (value * 2^wp).
+    ``_settle`` adds the series terms as integers, and the total is rounded
+    once; the product factors are yielded as mpf, since a small partial
+    product keeps its relative digits only in floating point.
 
     wp carries ``_FIXED_GUARD`` bits beyond ctx.prec plus the binary
     magnitude of a, so a q^m stays within 2^-(ctx.prec + _FIXED_GUARD) of
@@ -181,14 +188,14 @@ def _pochhammer_inf_fixed(ctx, prec: PrecisionSpec, a, q):
             term, qm = one, one  # t_m and q^m
             while True:
                 scale += abs(term)
-                yield _from_fixed(ctx, term, wp)
+                yield term
                 qm1 = qm * q_fixed >> wp
                 term = term * (-a_fixed * qm >> wp) // (one - qm1)
                 qm = qm1
 
-        total = _settle(ctx, eps, terms())
-        if max(1, _from_fixed(ctx, scale, wp)) <= abs(total) * 10 ** (prec.guard // 2):
-            return total
+        total = _settle(ctx, eps, terms(), wp=wp)
+        if max(one, scale) <= abs(total) * 10 ** (prec.guard // 2):
+            return _from_fixed(ctx, total, wp)
 
     def factors():
         qm = one
@@ -233,22 +240,49 @@ def _theta_guard(ctx, z, q):
 
 def theta3(z, q, prec: PrecisionSpec):
     """theta_3(z, q) = 1 + 2 sum_{n>=1} q^(n^2) cos(2 n z)."""
-    return _theta_series(prec.context(), z, q, 1)
+    return _theta_series(prec, z, q, 1)
 
 
 def theta4(z, q, prec: PrecisionSpec):
     """theta_4(z, q) = 1 + 2 sum_{n>=1} (-1)^n q^(n^2) cos(2 n z)."""
-    return _theta_series(prec.context(), z, q, -1)
+    return _theta_series(prec, z, q, -1)
 
 
-def _theta_series(ctx, z, q, s: int):
+def _theta_series(prec: PrecisionSpec, z, q, s: int):
     """1 + 2 sum_{n>=1} s^n q^(n^2) cos(2 n z), s = 1 or -1, summed to the
-    Gaussian cutoff of the working precision."""
+    Gaussian cutoff of the working precision.
+
+    The cutoff bounds the error relative to 1, and theta4(0, q) near q = 1
+    is a tiny sum of O(1) terms.  When the terms cancel by more than half
+    the guard digits, log10(max(1, sum |term|) / |total|) > guard // 2, the
+    series is summed again with that many more digits and rounded back to
+    the working precision, as ``hyperq.phi21`` does.  A total lost in
+    rounding understates that loss, so the extra digits at least double
+    until the loss fits in them.  This ends because theta3 and theta4
+    vanish at no mpf or mpc input: a zero needs e^(2iz) = -q^(2n+1) or
+    q^(2n+1), but e^(2iz) is transcendental for z != 0, and z = 0 needs
+    |q| = 1.
+    """
+    total, lost = _theta_sum(prec.context(), z, q, s)
+    extra = 0
+    while lost > extra + prec.guard // 2:
+        extra = max(math.ceil(lost), 2 * extra)
+        total, lost = _theta_sum(prec.bumped(extra).context(), z, q, s)
+    if not extra:
+        return total
+    ctx = prec.context()
+    return ctx.mpc(total) if hasattr(total, "_mpc_") else ctx.mpf(total)
+
+
+def _theta_sum(ctx, z, q, s: int):
+    """The theta series in ctx, and the digits it lost to cancellation,
+    log10(max(1, sum |term|) / |total|), read from binary exponents (to
+    within a bit or two; a total of 0 counts as below one ulp)."""
     z, q, L, t = _theta_guard(ctx, z, q)
     n_cut = gaussian_cutoff(ctx.dps, L, t)
     if not isinstance(q, ctx.mpc):
-        return _theta_series_fixed(ctx, z, q, s, n_cut, L, t)
-    total = ctx.mpf(1)
+        return _theta_sum_fixed(ctx, z, q, s, n_cut, L, t)
+    total = scale = ctx.mpf(1)
     # term = s^n q^(n^2) advances by the ratio s q^(2n+1), which advances by
     # q^2; cos(2nz) follows the Chebyshev recurrence in cos(2z).
     term = ctx.mpf(1)
@@ -259,15 +293,20 @@ def _theta_series(ctx, z, q, s: int):
     for _ in range(n_cut):
         term = term * ratio
         ratio = ratio * q2
-        total = total + 2 * term * cos_n
+        x = 2 * term * cos_n
+        total = total + x
+        scale = scale + abs(x)
         cos_prev, cos_n = cos_n, 2 * c1 * cos_n - cos_prev
-    return total
+    lost_bits = ctx.mag(scale) - (ctx.mag(total) if total else -ctx.prec)
+    return total, lost_bits * _LOG10_2
 
 
-def _theta_series_fixed(ctx, z, q, s: int, n_cut: int, L: float, t: float):
+def _theta_sum_fixed(ctx, z, q, s: int, n_cut: int, L: float, t: float):
     """The theta series for real q by the same recurrences, summed in
     fixed-point integers (value * 2^wp) and rounded once at the end, as
-    mpmath's jtheta does.
+    mpmath's jtheta does, with the digits it lost; for complex z, |re| +
+    |im| stands for |term| and max(|re|, |im|) for |total|, within a
+    factor sqrt(2) each.
 
     For complex z, cos(2nz) grows like e^(2nt) (t = |Im z|), far past what
     the truncated q^(n^2) can be multiplied by, so the recurrence runs on
@@ -283,15 +322,20 @@ def _theta_series_fixed(ctx, z, q, s: int, n_cut: int, L: float, t: float):
     term = one
     ratio = s * to_fixed(q._mpf_, wp)
     q2 = ratio * ratio >> wp
+    scale = 0
     if not complex_z:
         c1 = to_fixed(mpf_cos(mpf_shift(z._mpf_, 1), wp), wp)
         cos_prev, cos_n, total = one, c1, 0
         for _ in range(n_cut):
             term = term * ratio >> wp
             ratio = ratio * q2 >> wp
-            total += term * cos_n >> wp
+            x = term * cos_n >> wp
+            total += x
+            scale += abs(x)
             cos_prev, cos_n = cos_n, (c1 * cos_n >> (wp - 1)) - cos_prev
-        return _from_fixed(ctx, one + 2 * total, wp)
+        total = one + 2 * total
+        lost_bits = (one + 2 * scale).bit_length() - abs(total).bit_length()
+        return _from_fixed(ctx, total, wp), lost_bits * _LOG10_2
     x, y = z._mpc_
     two_t = mpf_shift(mpf_abs(y), 1)
     # s q e^(2t) as one wp-bit product: its error stays 2^-wp however small
@@ -309,12 +353,17 @@ def _theta_series_fixed(ctx, z, q, s: int, n_cut: int, L: float, t: float):
     for _ in range(n_cut):
         term = term * ratio >> wp
         ratio = ratio * q2 >> wp
-        total_re += term * re_n >> wp
-        total_im += term * im_n >> wp
+        x_re, x_im = term * re_n >> wp, term * im_n >> wp
+        total_re += x_re
+        total_im += x_im
+        scale += abs(x_re) + abs(x_im)
         re_next = ((c1_re * re_n - c1_im * im_n) >> (wp - 1)) - (shrink2 * re_prev >> wp)
         im_next = ((c1_re * im_n + c1_im * re_n) >> (wp - 1)) - (shrink2 * im_prev >> wp)
         re_prev, im_prev, re_n, im_n = re_n, im_n, re_next, im_next
-    return ctx.mpc(_from_fixed(ctx, one + 2 * total_re, wp), _from_fixed(ctx, 2 * total_im, wp))
+    total_re, total_im = one + 2 * total_re, 2 * total_im
+    lost_bits = (one + 2 * scale).bit_length() - max(abs(total_re), abs(total_im)).bit_length()
+    total = ctx.mpc(_from_fixed(ctx, total_re, wp), _from_fixed(ctx, total_im, wp))
+    return total, lost_bits * _LOG10_2
 
 
 def theta4_product(z, q, prec: PrecisionSpec):

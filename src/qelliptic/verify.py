@@ -1103,7 +1103,8 @@ def _chk_deriv_eq54(prec, rng):
 
 def _agile_deriv_normalized(a, p, prec):
     """d/dq of q^(p/12 - a/2 + a^2/(2p)) [a,p;q] at q = exp(-pi), normalized
-    by q pi^2 / K^2, via the exact logarithmic derivative of the product."""
+    by q pi^2 / K^2, via the exact logarithmic derivative of the product.
+    Since K = (pi/2) theta3(0, q)^2, pi^2 / K^2 is 4 / theta3(0, q)^4."""
     ctx = prec.context()
     q = ctx.exp(-ctx.pi)
     e = _agile_exponent(a, p)
@@ -1118,8 +1119,7 @@ def _agile_deriv_normalized(a, p, prec):
         for base in (p - a, a)
     )
     dg = g * (cv(ctx, e) / q + s)
-    K = modulus_from_nome(q, prec).K
-    return ctx.re(dg * q * ctx.pi**2 / K**2)
+    return ctx.re(dg * q * 4 / theta3(0, q, prec) ** 4)
 
 
 @check(

@@ -78,20 +78,39 @@ def test_rr_cf_depth_follows_convergence(monkeypatch):
     assert len(requested) < 60
 
 
-def test_eval_cf_backward_pass_is_compared():
-    # A numerator that changes on its second request (the backward pass)
-    # turns the golden ratio 1 + 1/(1 + 1/...) into 1 + 2/(1 + 2/...) = 2.
-    seen = set()
+def test_eval_cf_backward_pass_is_compared(monkeypatch):
+    # The backward pass reuses the forward pass's terms, so a disagreement
+    # can only come from the forward arithmetic: a forward product off by
+    # 1e-20 relative must be caught at 60 digits.
+    settle = cfrac._settle
 
-    def partial_num(n):
-        if n in seen:
-            return 2
-        seen.add(n)
-        return 1
+    def off_settle(*args, **kwargs):
+        value = settle(*args, **kwargs)
+        return value + value * 1e-20
 
-    cf = ContinuedFraction(b0=1, partial_num=partial_num, partial_den=lambda n: 1)
+    monkeypatch.setattr(cfrac, "_settle", off_settle)
+    cf = ContinuedFraction(b0=1, partial_num=lambda n: 1, partial_den=lambda n: 1)
     with pytest.raises(CrossCheckFailure):
         eval_cf(cf, P60)
+
+
+def test_eval_cf_requests_each_term_once():
+    # the backward pass reads the forward pass's a_n and b_n for n <= depth
+    # and requests only the deeper ones, each once
+    requested = {"num": [], "den": []}
+
+    def partial(kind):
+        def term(n):
+            requested[kind].append(n)
+            return 1
+
+        return term
+
+    cf = ContinuedFraction(b0=1, partial_num=partial("num"), partial_den=partial("den"))
+    ctx = P60.context()
+    assert abs(eval_cf(cf, P60) - (1 + ctx.sqrt(5)) / 2) < ctx.mpf(10) ** (-60)
+    for seen in requested.values():
+        assert sorted(seen) == list(range(1, len(seen) + 1))
 
 
 def test_rr_cf_frozen_at_inverse_e():

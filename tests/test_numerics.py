@@ -9,9 +9,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import to_fixed, to_rational
 
 import qelliptic
 from qelliptic.numerics import (
+    _FIXED_GUARD,
     CrossCheckFailure,
     DomainError,
     InsufficientPrecision,
@@ -20,6 +22,7 @@ from qelliptic.numerics import (
     PrecisionSpec,
     UnknownSelector,
     VerificationError,
+    _from_fixed,
     _settle,
     cv,
     gamma,
@@ -205,6 +208,84 @@ def test_settle_product_nonconvergence():
     ctx = p.context()
     with pytest.raises(NonConvergence):
         _settle(ctx, p.work_eps(ctx), itertools.repeat(ctx.mpf(2)), product=True, max_terms=50)
+
+
+def test_settle_fixed_finite_iterable_is_exact():
+    p = PrecisionSpec(50)
+    ctx = p.context()
+    wp = ctx.prec + _FIXED_GUARD
+    items = [3 << wp, -(5 << (wp - 2)), 7, -1]
+    assert _settle(ctx, p.work_eps(ctx), iter(items), wp=wp) == sum(items)
+
+
+def test_settle_fixed_nonconvergence():
+    p = PrecisionSpec(50)
+    ctx = p.context()
+    wp = ctx.prec + _FIXED_GUARD
+    with pytest.raises(NonConvergence):
+        _settle(ctx, p.work_eps(ctx), itertools.repeat(1 << wp), max_terms=50, wp=wp)
+
+
+def test_settle_fixed_isolated_zeros_do_not_stop():
+    # two zeros in a row do not settle the sum, three do
+    p = PrecisionSpec(50)
+    ctx = p.context()
+    wp = ctx.prec + _FIXED_GUARD
+    one = 1 << wp
+    items = [one, 0, 0, one >> 1, 0, 0, one >> 2, 0, 0, 0, one]
+    assert _settle(ctx, p.work_eps(ctx), iter(items), wp=wp) == one + (one >> 1) + (one >> 2)
+
+
+def _exact(x):
+    return Fraction(*to_rational(x._mpf_))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    digits=st.integers(30, 200),
+    ratio=st.fractions(
+        min_value=Fraction(-95, 100), max_value=Fraction(95, 100), max_denominator=1000
+    ),
+    gaussian=st.booleans(),
+)
+def test_settle_fixed_matches_the_mpf_mode(digits, ratio, gaussian):
+    # the same terms, as mpf numbers and as integers scaled by 2^wp: both
+    # modes stop at the same term; the integer total, rounded once, is
+    # within an ulp of the exact sum of those terms, while the mpf mode
+    # rounds at every addition, up to half an ulp of its largest partial sum
+    p = PrecisionSpec(digits)
+    ctx = p.context()
+    eps = p.work_eps(ctx)
+    wp = ctx.prec + _FIXED_GUARD
+    r = cv(ctx, ratio)
+    terms = []
+
+    def fresh_terms():
+        for n in itertools.count():
+            terms.append(r ** (n * n if gaussian else n))
+            yield terms[-1]
+
+    seen = {"mpf": 0, "int": 0}
+
+    def counted(key, values):
+        for v in values:
+            seen[key] += 1
+            yield v
+
+    mpf_total = _settle(ctx, eps, counted("mpf", fresh_terms()))
+    n = seen["mpf"]
+    terms += [r ** (k * k if gaussian else k) for k in range(n, n + 5)]
+    fixed = (to_fixed(t._mpf_, wp) for t in terms)
+    int_total = _from_fixed(ctx, _settle(ctx, eps, counted("int", fixed), wp=wp), wp)
+    assert seen["int"] == n
+    exact = sum(_exact(t) for t in terms[:n])
+
+    def ulp(x):
+        return Fraction(2) ** (ctx.mag(x) - ctx.prec)
+
+    # every partial sum of these series lies within max(1, |total|)
+    assert abs(_exact(int_total) - exact) <= ulp(int_total)
+    assert abs(_exact(mpf_total) - exact) <= n * ulp(max(1, abs(int_total))) / 2
 
 
 def _settle_reference(ctx, eps, items, product):

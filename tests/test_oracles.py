@@ -337,6 +337,20 @@ def test_theta_real_and_complex_q_routes_agree(digits, q, negative, x, growth, b
             assert isinstance(real, kind) and isinstance(complex_, ctx.mpc)
             assert _agree_relative(ctx, complex_, real, digits)
 
+@pytest.mark.parametrize("q", [Fraction(19, 20), Fraction(99, 100)])
+def test_theta4_keeps_relative_digits_near_unit_q(q):
+    # theta4(0, q) is about e^(-pi^2 / (4 |ln q|)): 2.0e-20 at 19/20 and
+    # 8.5e-106 at 99/100, a sum of O(1) terms
+    ctx = mpmath.mp.__class__()
+    ctx.dps = 300
+    reference = ctx.jtheta(4, 0, _num(ctx, q))
+    prec = PrecisionSpec(30)
+    pctx = prec.context()
+    qv = cv(pctx, q)
+    for value in (theta4(0, qv, prec), theta4(0, pctx.mpc(qv, 0), prec)):
+        assert _agree_relative(ctx, value, reference, 30)
+
+
 outside_unit_st = st.fractions(min_value=1, max_value=3, max_denominator=100)
 sign_st = st.sampled_from([1, -1])
 
