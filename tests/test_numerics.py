@@ -283,8 +283,8 @@ def test_settle_fixed_matches_the_mpf_mode(digits, ratio, gaussian):
     def ulp(x):
         return Fraction(2) ** (ctx.mag(x) - ctx.prec)
 
-    # every partial sum of these series lies within max(1, |total|)
     assert abs(_exact(int_total) - exact) <= ulp(int_total)
+    # every partial sum of these series lies within max(1, |total|)
     assert abs(_exact(mpf_total) - exact) <= n * ulp(max(1, abs(int_total))) / 2
 
 

@@ -341,8 +341,7 @@ def test_theta_real_and_complex_q_routes_agree(digits, q, negative, x, growth, b
 def test_theta4_keeps_relative_digits_near_unit_q(q):
     # theta4(0, q) is about e^(-pi^2 / (4 |ln q|)): 2.0e-20 at 19/20 and
     # 8.5e-106 at 99/100, a sum of O(1) terms
-    ctx = mpmath.mp.__class__()
-    ctx.dps = 300
+    ctx = _oracle(280)  # 300 digits
     reference = ctx.jtheta(4, 0, _num(ctx, q))
     prec = PrecisionSpec(30)
     pctx = prec.context()
