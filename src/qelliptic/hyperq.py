@@ -43,6 +43,11 @@ def phi21(params: Phi21Params, prec: PrecisionSpec):
     cancel by more than half the guard digits, log10(max(1, sum |t_n|) /
     |total|) > guard // 2, the series is summed once more with that many
     more digits and rounded back to the working precision.
+
+    Once, not until the loss fits as ``numerics._resummed`` does: the
+    series can be exactly zero at rational input, where no precision
+    resolves its total.  phi21(2, 1/4; 1/2; 1/2, 1/3) is one, since a = 1/q
+    ends the series after 1 - 1 = 0.
     """
     ctx = prec.context()
     total, scale = _phi21_sum(params, prec)

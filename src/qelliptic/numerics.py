@@ -26,6 +26,12 @@ Python integers scaled by 2^wp, with wp at least ctx.prec + ``_FIXED_GUARD``
 bits, the way mpmath's own jtheta and hypsum do.  The series among them
 hand those integers to ``_settle(..., wp=wp)``, which adds them without an
 mpf per term, and round the total once with ``_from_fixed``.
+
+A series whose terms cancel loses digits that no stopping rule sees.
+Euler's series and the theta series hand ``_resummed`` a function that
+sums them at a given precision and reports that loss, and it sums them
+again with more digits until the loss fits in half the guard digits.
+``hyperq.phi21``, whose series can be exactly zero, sums again once.
 """
 
 from __future__ import annotations
@@ -233,6 +239,33 @@ def _settle(
             kind = "product" if product else "series"
             raise NonConvergence(f"{kind} did not settle within {max_terms} terms")
     return total
+
+
+def _resummed(prec: PrecisionSpec, summed):
+    """A series at prec, summed again with more digits while it cancels.
+
+    ``summed(p)`` sums the series at the PrecisionSpec p and returns its
+    total with the decimal digits the terms lost to cancellation, about
+    log10(max(1, sum |term|) / |total|).  While that loss exceeds the extra
+    digits plus half the guard digits, the series is summed again at
+    ``prec.bumped(extra)``; a total lost in rounding understates the loss,
+    so the extra digits at least double until the loss fits in them.  A
+    re-summed total is rounded back to prec's working precision.
+
+    The loop ends because every caller sums a series that has no zero at
+    any mpf or mpc input, so some finite precision resolves its total.  A
+    series with an exact zero would never end here: ``hyperq.phi21``,
+    which has them, keeps its own single re-sum.
+    """
+    total, lost = summed(prec)
+    extra = 0
+    while lost > extra + prec.guard // 2:
+        extra = max(math.ceil(lost), 2 * extra)
+        total, lost = summed(prec.bumped(extra))
+    if not extra:
+        return total
+    ctx = prec.context()
+    return ctx.mpc(total) if hasattr(total, "_mpc_") else ctx.mpf(total)
 
 
 def gamma(x, prec: PrecisionSpec):

@@ -15,15 +15,15 @@ generators of numbers of the working context, except the Gaussian sums
 |q|^(n^2): they stop at ``numerics.gaussian_cutoff``, known before the
 first term, because a per-term test costs more there than it saves.
 
-The type of the input picks the arithmetic, as in ``hyperq.phi21``.  For
-real a and q, ``pochhammer(a, q, inf)`` advances its terms and factors in
-fixed-point Python integers: ``_settle`` adds the Euler-series terms as
-integers and the total is rounded once, while the product factors are
-yielded as mpf.  For real q, ``_theta_series`` sums in integers and rounds
-once at the end, as mpmath's jtheta does.  Complex a or q keeps the loops
-in mpc numbers.  Both series measure the digits their terms cancel: past
-half the guard digits, Euler's series gives way to the product and the
-theta series is summed again with more digits.
+Each kernel has one route per input type.  For real a and q with |a| < 1,
+``pochhammer(a, q, inf)`` sums Euler's series in fixed-point Python
+integers, which ``_settle`` adds as integers before the total is rounded
+once; every other input multiplies out the product in ctx's numbers.  For
+real q, ``_theta_series`` sums in integers and rounds once at the end, as
+mpmath's jtheta does; complex q takes the bilateral sum in mpc numbers.
+Both series measure the digits their terms cancel, and
+``numerics._resummed`` sums them again with more digits until the loss
+fits in half the guard digits.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .numerics import (
     NonConvergence,
     PrecisionSpec,
     _from_fixed,
+    _resummed,
     _settle,
     cv,
     gaussian_cutoff,
@@ -112,47 +113,42 @@ def _qpowers(ctx, q):
 def pochhammer(a, q, n, prec: PrecisionSpec):
     """(a; q)_n = prod_{k=0}^{n-1} (1 - a q^k); n may be math.inf.
 
-    For n = inf and |a| < 1 strictly, Euler's identity
+    For n = inf with real a and q and |a| < 1 strictly, Euler's identity
 
         (a; q)_inf = sum_{n>=0} (-a)^n q^(n(n-1)/2) / (q; q)_n
 
     (Gasper and Rahman, Basic Hypergeometric Series, eq. (1.3.16)) is
-    summed instead: its terms fall like |q|^(n^2/2), so it needs about the
-    square root of the factor count.  Its stopping rule is absolute, so it
-    loses about log10(max(1, sum |t_n|) / |total|) digits to cancellation
-    (near |q| = 1 a tiny product is the sum of huge terms).  The series
-    value is kept only when that loss is at most half the guard digits;
-    otherwise, and for every |a| >= 1 (where a = q^(-k) gives an exact
-    zero), the product is multiplied out.  Real a and q take the same steps
-    in fixed-point integers.
+    summed instead, in fixed-point integers: its terms fall like
+    |q|^(n^2/2), so it needs about the square root of the factor count.
+    Its stopping rule is absolute, so it loses about
+    log10(max(1, sum |t_n|) / |total|) digits to cancellation (near |q| = 1
+    a tiny product is the sum of huge terms); ``numerics._resummed`` sums
+    it again with those digits, which ends because (a; q)_inf has no zero
+    at |a| < 1.  Every other input, |a| >= 1 (where a = q^(-k) gives an
+    exact zero) or complex a or q, multiplies out the product in ctx's
+    numbers.
 
     Euler's identity is not the Jacobi triple product: checks that set a
     product against a theta series, and ``psi_small`` against
     ``psi_small_product``, still compare two different routes.
     """
     ctx = prec.context()
+    a_in, q_in = a, q
     a = cv(ctx, a)
     q = cv(ctx, q)
     if n is None or n == INF:
         if abs(q) >= 1:
             raise DomainError(f"(a;q)_inf needs |q| < 1, got |q| = {abs(q)}")
-        if not (isinstance(a, ctx.mpc) or isinstance(q, ctx.mpc)):
-            return _pochhammer_inf_fixed(ctx, prec, a, q)
+        if abs(a) < 1 and not (isinstance(a, ctx.mpc) or isinstance(q, ctx.mpc)):
+
+            def summed(p: PrecisionSpec):
+                if p is prec:
+                    return _euler_series(p, a, q)
+                c = p.context()  # a higher precision: convert a and q again
+                return _euler_series(p, cv(c, a_in), cv(c, q_in))
+
+            return _resummed(prec, summed)
         power = _qpowers(ctx, q)
-        if abs(a) < 1:
-            scale = 0.0  # sum of |t_n|, for the cancellation guard
-
-            def terms():
-                nonlocal scale
-                term = ctx.mpf(1)
-                for m in itertools.count():
-                    scale += float(abs(term))
-                    yield term
-                    term = term * -a * power(m) / (1 - power(m + 1))
-
-            total = _settle(ctx, prec.work_eps(ctx), terms())
-            if max(1.0, scale) <= abs(total) * 10 ** (prec.guard // 2):
-                return total
         factors = (1 - a * power(m) for m in itertools.count())
         return _settle(ctx, prec.work_eps(ctx), factors, product=True)
     if not isinstance(n, int) or n < 0:
@@ -165,45 +161,31 @@ def pochhammer(a, q, n, prec: PrecisionSpec):
     return total
 
 
-def _pochhammer_inf_fixed(ctx, prec: PrecisionSpec, a, q):
-    """(a; q)_inf for real a and q by the same steps as ``pochhammer``, with
-    every term and factor advanced in fixed-point integers (value * 2^wp).
-    ``_settle`` adds the series terms as integers, and the total is rounded
-    once; the product factors are yielded as mpf, since a small partial
-    product keeps its relative digits only in floating point.
-
-    wp carries ``_FIXED_GUARD`` bits beyond ctx.prec plus the binary
-    magnitude of a, so a q^m stays within 2^-(ctx.prec + _FIXED_GUARD) of
-    its value however large a is.
-    """
-    eps = prec.work_eps(ctx)
-    wp = ctx.prec + _FIXED_GUARD + max(0, ctx.mag(a))
+def _euler_series(prec: PrecisionSpec, a, q):
+    """Euler's series for (a; q)_inf at real a and q, |a| < 1, with every
+    term advanced in fixed-point integers (value * 2^wp, wp = ctx.prec +
+    ``_FIXED_GUARD``) and added by ``_settle`` as integers; returns the
+    total, rounded once, and the digits it lost to cancellation, read from
+    bit lengths."""
+    ctx = prec.context()
+    wp = ctx.prec + _FIXED_GUARD
     one = 1 << wp
     a_fixed, q_fixed = to_fixed(a._mpf_, wp), to_fixed(q._mpf_, wp)
-    if abs(a) < 1:
-        scale = 0  # sum of |t_n| * 2^wp, for the cancellation guard
+    scale = 0  # sum of |t_n| * 2^wp
 
-        def terms():
-            nonlocal scale
-            term, qm = one, one  # t_m and q^m
-            while True:
-                scale += abs(term)
-                yield term
-                qm1 = qm * q_fixed >> wp
-                term = term * (-a_fixed * qm >> wp) // (one - qm1)
-                qm = qm1
-
-        total = _settle(ctx, eps, terms(), wp=wp)
-        if max(one, scale) <= abs(total) * 10 ** (prec.guard // 2):
-            return _from_fixed(ctx, total, wp)
-
-    def factors():
-        qm = one
+    def terms():
+        nonlocal scale
+        term, qm = one, one  # t_m and q^m
         while True:
-            yield _from_fixed(ctx, one - (a_fixed * qm >> wp), wp)
-            qm = qm * q_fixed >> wp
+            scale += abs(term)
+            yield term
+            qm1 = qm * q_fixed >> wp
+            term = term * (-a_fixed * qm >> wp) // (one - qm1)
+            qm = qm1
 
-    return _settle(ctx, eps, factors(), product=True)
+    total = _settle(ctx, prec.work_eps(ctx), terms(), wp=wp)
+    lost_bits = max(one, scale).bit_length() - abs(total).bit_length()
+    return _from_fixed(ctx, total, wp), lost_bits * _LOG10_2
 
 
 def euler_f(q, prec: PrecisionSpec):
@@ -250,63 +232,41 @@ def theta4(z, q, prec: PrecisionSpec):
 
 def _theta_series(prec: PrecisionSpec, z, q, s: int):
     """1 + 2 sum_{n>=1} s^n q^(n^2) cos(2 n z), s = 1 or -1, summed to the
-    Gaussian cutoff of the working precision.
+    Gaussian cutoff of the working precision: in fixed-point integers for
+    real q, and for complex q as the bilateral sum of s^n q^(n^2) e^(2inz)
+    by ``_bilateral_halfsquare``, returned as an mpc, q = 0 included.
 
     The cutoff bounds the error relative to 1, and theta4(0, q) near q = 1
-    is a tiny sum of O(1) terms.  When the terms cancel by more than half
-    the guard digits, log10(max(1, sum |term|) / |total|) > guard // 2, the
-    series is summed again with that many more digits and rounded back to
-    the working precision, as ``hyperq.phi21`` does.  A total lost in
-    rounding understates that loss, so the extra digits at least double
-    until the loss fits in them.  This ends because theta3 and theta4
-    vanish at no mpf or mpc input: a zero needs e^(2iz) = -q^(2n+1) or
-    q^(2n+1), but e^(2iz) is transcendental for z != 0, and z = 0 needs
-    |q| = 1.
+    is a tiny sum of O(1) terms.  The growth guard 2|Im z| < L = |ln|q||
+    makes |q^(n^2) e^(2inz)| <= e^(-L n (n-1)) fall from n = 0, so
+    sum |term| <= 3 + sqrt(pi/L) is known before the first term, and
+    ``numerics._resummed`` sums again with the digits the total falls
+    short of it.  That ends because theta3 and theta4 vanish at no mpf or
+    mpc input: a zero needs e^(2iz) = -q^(2n+1) or q^(2n+1), but e^(2iz) is
+    transcendental for z != 0, and z = 0 needs |q| = 1.
     """
-    total, lost = _theta_sum(prec.context(), z, q, s)
-    extra = 0
-    while lost > extra + prec.guard // 2:
-        extra = max(math.ceil(lost), 2 * extra)
-        total, lost = _theta_sum(prec.bumped(extra).context(), z, q, s)
-    if not extra:
-        return total
-    ctx = prec.context()
-    return ctx.mpc(total) if hasattr(total, "_mpc_") else ctx.mpf(total)
 
+    def summed(p: PrecisionSpec):
+        ctx = p.context()
+        z_, q_, L, t = _theta_guard(ctx, z, q)
+        if isinstance(q_, ctx.mpc):
+            # q^(n^2) e^(2inz) = q^(2 n^2 / 2 + (4iz / ln q) n / 2)
+            lin = 4j * z_ / ctx.log(q_) if q_ else 0
+            total = ctx.mpc(_bilateral_halfsquare(ctx, lin, 2, q_, signed=s < 0))
+        else:
+            total = _theta_sum_fixed(ctx, z_, q_, s, gaussian_cutoff(ctx.dps, L, t), L, t)
+        mag_total = ctx.mag(total) if total else -ctx.prec  # 0 is below one ulp
+        return total, (math.log2(3 + math.sqrt(math.pi / L)) - mag_total) * _LOG10_2
 
-def _theta_sum(ctx, z, q, s: int):
-    """The theta series in ctx, and the digits it lost to cancellation,
-    log10(max(1, sum |term|) / |total|), read from binary exponents (to
-    within a bit or two; a total of 0 counts as below one ulp)."""
-    z, q, L, t = _theta_guard(ctx, z, q)
-    n_cut = gaussian_cutoff(ctx.dps, L, t)
-    if not isinstance(q, ctx.mpc):
-        return _theta_sum_fixed(ctx, z, q, s, n_cut, L, t)
-    total = scale = ctx.mpf(1)
-    # term = s^n q^(n^2) advances by the ratio s q^(2n+1), which advances by
-    # q^2; cos(2nz) follows the Chebyshev recurrence in cos(2z).
-    term = ctx.mpf(1)
-    ratio = s * q
-    q2 = q * q
-    c1 = ctx.cos(2 * z)
-    cos_prev, cos_n = ctx.mpf(1), c1
-    for _ in range(n_cut):
-        term = term * ratio
-        ratio = ratio * q2
-        x = 2 * term * cos_n
-        total = total + x
-        scale = scale + abs(x)
-        cos_prev, cos_n = cos_n, 2 * c1 * cos_n - cos_prev
-    lost_bits = ctx.mag(scale) - (ctx.mag(total) if total else -ctx.prec)
-    return total, lost_bits * _LOG10_2
+    return _resummed(prec, summed)
 
 
 def _theta_sum_fixed(ctx, z, q, s: int, n_cut: int, L: float, t: float):
-    """The theta series for real q by the same recurrences, summed in
+    """The theta series for real q, its terms advanced by recurrences in
     fixed-point integers (value * 2^wp) and rounded once at the end, as
-    mpmath's jtheta does, with the digits it lost; for complex z, |re| +
-    |im| stands for |term| and max(|re|, |im|) for |total|, within a
-    factor sqrt(2) each.
+    mpmath's jtheta does.  term = s^n q^(n^2) advances by the ratio
+    s q^(2n+1), which advances by q^2; cos(2nz) follows the Chebyshev
+    recurrence in cos(2z).
 
     For complex z, cos(2nz) grows like e^(2nt) (t = |Im z|), far past what
     the truncated q^(n^2) can be multiplied by, so the recurrence runs on
@@ -322,20 +282,15 @@ def _theta_sum_fixed(ctx, z, q, s: int, n_cut: int, L: float, t: float):
     term = one
     ratio = s * to_fixed(q._mpf_, wp)
     q2 = ratio * ratio >> wp
-    scale = 0
     if not complex_z:
         c1 = to_fixed(mpf_cos(mpf_shift(z._mpf_, 1), wp), wp)
         cos_prev, cos_n, total = one, c1, 0
         for _ in range(n_cut):
             term = term * ratio >> wp
             ratio = ratio * q2 >> wp
-            x = term * cos_n >> wp
-            total += x
-            scale += abs(x)
+            total += term * cos_n >> wp
             cos_prev, cos_n = cos_n, (c1 * cos_n >> (wp - 1)) - cos_prev
-        total = one + 2 * total
-        lost_bits = (one + 2 * scale).bit_length() - abs(total).bit_length()
-        return _from_fixed(ctx, total, wp), lost_bits * _LOG10_2
+        return _from_fixed(ctx, one + 2 * total, wp)
     x, y = z._mpc_
     two_t = mpf_shift(mpf_abs(y), 1)
     # s q e^(2t) as one wp-bit product: its error stays 2^-wp however small
@@ -353,17 +308,12 @@ def _theta_sum_fixed(ctx, z, q, s: int, n_cut: int, L: float, t: float):
     for _ in range(n_cut):
         term = term * ratio >> wp
         ratio = ratio * q2 >> wp
-        x_re, x_im = term * re_n >> wp, term * im_n >> wp
-        total_re += x_re
-        total_im += x_im
-        scale += abs(x_re) + abs(x_im)
+        total_re += term * re_n >> wp
+        total_im += term * im_n >> wp
         re_next = ((c1_re * re_n - c1_im * im_n) >> (wp - 1)) - (shrink2 * re_prev >> wp)
         im_next = ((c1_re * im_n + c1_im * re_n) >> (wp - 1)) - (shrink2 * im_prev >> wp)
         re_prev, im_prev, re_n, im_n = re_n, im_n, re_next, im_next
-    total_re, total_im = one + 2 * total_re, 2 * total_im
-    lost_bits = (one + 2 * scale).bit_length() - max(abs(total_re), abs(total_im)).bit_length()
-    total = ctx.mpc(_from_fixed(ctx, total_re, wp), _from_fixed(ctx, total_im, wp))
-    return total, lost_bits * _LOG10_2
+    return ctx.mpc(_from_fixed(ctx, one + 2 * total_re, wp), _from_fixed(ctx, 2 * total_im, wp))
 
 
 def theta4_product(z, q, prec: PrecisionSpec):

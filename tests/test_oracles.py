@@ -24,6 +24,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qelliptic import qfunctions
 from qelliptic.algrec import PSLQ_MAXSTEPS, _lll_reduce, find_minpoly
 from qelliptic.cfrac import h_cf, m_cf, p_cf, r1_cf, r2_cf, r3_cf, rr_cf
 from qelliptic.elliptic import K_of_k, modulus_from_nome
@@ -175,13 +176,23 @@ def test_pochhammer_near_unit_q_is_relatively_accurate(digits, q, k, r, theta):
 
 @pytest.mark.parametrize("digits", [60, 200])
 @pytest.mark.parametrize("q", [Fraction(97, 100), Fraction(99, 100)])
-def test_pochhammer_cancellation_falls_back_to_the_product(digits, q):
+def test_pochhammer_resums_a_cancelling_euler_series(digits, q, monkeypatch):
     # Euler's series alone is off by 2e-44 (0.97) and 1e28 (0.99) relative at
-    # 60 digits, and by 6e-189 and 5e-118 at 200 digits
+    # 60 digits, and by 6e-189 and 5e-118 at 200 digits; summed again with
+    # the digits it lost, it needs no product
+    settled = []
+
+    def recording_settle(*args, **kwargs):
+        settled.append(kwargs.get("product", False))
+        return settle(*args, **kwargs)
+
+    settle = qfunctions._settle
+    monkeypatch.setattr(qfunctions, "_settle", recording_settle)
     ctx = _oracle(digits)
     qv = _num(ctx, q)
     value = pochhammer(qv, qv, INF, PrecisionSpec(digits))
     assert _agree_relative(ctx, value, ctx.qp(qv, qv), digits)
+    assert settled and not any(settled)
 
 
 def test_pochhammer_exact_edges():
@@ -270,6 +281,15 @@ def test_phi21_real_and_complex_routes_agree(digits, q, negative, a, b, c, z):
     assert _agree_relative(ctx, complex_, real, digits)
 
 
+@pytest.mark.parametrize("digits", [30, 60])
+def test_phi21_at_a_zero_of_a_terminating_series_returns(digits):
+    # a = q^(-1) ends the series after 1 - 1 = 0: the exact zero leaves no
+    # digits to resolve, so a re-sum until the loss fits would never end
+    value = phi21(Phi21Params(2, Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)),
+                  PrecisionSpec(digits))
+    assert abs(value) < mpmath.mpf(10) ** -digits
+
+
 def test_phi21_keeps_relative_digits_when_its_terms_cancel():
     # O(1) terms sum to 7.15e-13, a loss of 12 digits, more than half the
     # guard: phi21 sums again with 12 more digits
@@ -311,11 +331,10 @@ def test_pochhammer_real_and_complex_routes_agree(digits, a, q):
 @pytest.mark.parametrize("digits", [30, 200])
 @SETTINGS
 @given(
-    # theta4(0, q) is about e^(-pi^2 / (4 |ln q|)): past |q| = 4/5 its series
-    # cancels by more digits than the complex-q route's guard holds.  A tiny
-    # q takes a large |Im z| to the guard, where cos(2z) is about e^(2|Im z|).
+    # A tiny q takes a large |Im z| to the guard, where cos(2z) is about
+    # e^(2|Im z|).
     q=st.one_of(
-        st.fractions(min_value=Fraction(1, 100), max_value=Fraction(4, 5), max_denominator=100),
+        st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100), max_denominator=100),
         st.sampled_from([Fraction(1, 10**30), Fraction(1, 10**100)]),
     ),
     negative=st.booleans(),
@@ -325,7 +344,7 @@ def test_pochhammer_real_and_complex_routes_agree(digits, a, q):
     below=st.booleans(),
 )
 def test_theta_real_and_complex_q_routes_agree(digits, q, negative, x, growth, below):
-    # real q sums in fixed point, mpc q in ctx's numbers
+    # real q sums in fixed point, mpc q as a bilateral sum in ctx's numbers
     prec = PrecisionSpec(digits)
     ctx = prec.context()
     qv = cv(ctx, -q if negative else q)
@@ -336,6 +355,27 @@ def test_theta_real_and_complex_q_routes_agree(digits, q, negative, x, growth, b
             complex_ = theta(z, ctx.mpc(qv, 0), prec)
             assert isinstance(real, kind) and isinstance(complex_, ctx.mpc)
             assert _agree_relative(ctx, complex_, real, digits)
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([20, 40, 60]),
+    st.fractions(min_value=Fraction(1, 100), max_value=Fraction(95, 100), max_denominator=100),
+    st.fractions(min_value=-4, max_value=4, max_denominator=100),
+    real_st,
+    # Im z as a share of the growth guard's bound |ln|q|| / 2
+    st.fractions(min_value=Fraction(-9, 10), max_value=Fraction(9, 10), max_denominator=100),
+)
+def test_theta3_theta4_match_jtheta_at_complex_q(digits, r, phi, x, share):
+    ctx = _oracle(digits)
+    prec = PrecisionSpec(digits)
+    pctx = prec.context()
+    q = cv(pctx, r) * pctx.expj(cv(pctx, phi))
+    z = pctx.mpc(cv(pctx, x), cv(pctx, share) * -pctx.log(cv(pctx, r)) / 2)
+    for theta, j in ((theta3, 3), (theta4, 4)):
+        value = theta(z, q, prec)
+        assert isinstance(value, pctx.mpc)
+        assert _agree(ctx, value, ctx.jtheta(j, ctx.convert(z), ctx.convert(q)), digits)
+
 
 @pytest.mark.parametrize("q", [Fraction(19, 20), Fraction(99, 100)])
 def test_theta4_keeps_relative_digits_near_unit_q(q):
