@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, ldexp
 from typing import Callable, Sequence
 
 from mpmath.libmp import sqrt_fixed
@@ -96,6 +96,65 @@ def verify_root(coeffs: Sequence[int], x, prec: PrecisionSpec):
     return abs(acc)
 
 
+# The float screen of ``_pivot`` keeps every row within this factor of its
+# largest estimate.  An estimate is the exact size over 2^(2 prec) up to
+# three roundings (under 2^-51 relative) and, above the floor, the shift.
+_SCREEN_SLACK = 1 - 2.0**-40
+
+
+def _pivot_weights(n: int, prec: int) -> tuple:
+    """The ``weights`` and ``floor`` that ``_pivot`` takes for an n-entry
+    search at prec bits."""
+    g = sqrt_fixed((4 << prec) // 3, prec)
+    weights = []
+    for i in range(n - 1):
+        gi = g ** (i + 1)
+        weights.append((gi, gi / (1 << prec * (i + 1))))
+    # above this floor, the >> of the exact products moves the largest size
+    # by under 2^-64 of itself, and a row whose |H_ii| / 2^prec underflowed
+    # lies far below the largest
+    floor = max(ldexp(1.0, 64 - 2 * prec), ldexp(weights[-1][1], -1000))
+    return weights, floor
+
+
+def _round_div(h: int, p: int) -> int:
+    """floor(h / p + 1/2) for p != 0: mpmath's ``round_fixed((h << prec) //
+    p, prec) >> prec`` at any prec, without the 2*prec-bit division."""
+    T, r = divmod(h, p)
+    return T + (2 * abs(r) >= abs(p))
+
+
+def _pivot(H, weights, prec: int, floor: float) -> int:
+    """PSLQ's row choice: the first i with the largest g^(i+1) |H_ii| >>
+    prec*i, over ``weights[i] = (g^(i+1), w_i)`` with w_i the float
+    g^(i+1) / 2^(prec*(i+1)).
+
+    The floats w_i |H_ii| / 2^prec screen the rows.  PSLQ's diagonal never
+    grows past its start, at most 1, and the int true division makes no
+    float of H_ii itself, so nothing overflows at any precision.  The exact
+    products run only for the rows within ``_SCREEN_SLACK`` of the largest
+    estimate, in increasing i, so the first maximum still wins; the exact
+    maximum is always among them.  When the largest estimate is below
+    ``floor``, the floats may have underflowed or the floor of the shift may
+    weigh, and every row is compared exactly.
+    """
+    scale = 1 << prec
+    est = [w * (abs(H[i][i]) / scale) for i, (_, w) in enumerate(weights)]
+    rows = range(len(est))
+    top = max(est)
+    if top >= floor:
+        cut = top * _SCREEN_SLACK
+        rows = [i for i in rows if est[i] >= cut]
+        if len(rows) == 1:
+            return rows[0]
+    m, szmax = 0, -1
+    for i in rows:
+        sz = weights[i][0] * abs(H[i][i]) >> prec * i
+        if sz > szmax:
+            m, szmax = i, sz
+    return m
+
+
 def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
     """One PSLQ search over ``xs = [1, x, ..., x^d]`` at the caller's
     context: the first relation c it meets with max|c| < maxcoeff and
@@ -110,8 +169,19 @@ def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
     is work that is never read or whose result is known exactly: the matrix
     A; the 2^prec scaling of B, whose multipliers are integers, so B holds
     plain integers; tuple-keyed dicts (``H`` is a list of rows and ``B`` a
-    list of columns, so a swap exchanges two references); the powers of g,
-    recomputed each step; and reductions whose multiplier rounds to 0.
+    list of columns, so a swap exchanges two references); and reductions
+    whose multiplier rounds to 0.  Three shortcuts reach mpmath's integers
+    with less big-integer work:
+
+    - the row choice screens the weights g^(i+1) |H_ii| in floats and
+      multiplies out only the rows the screen cannot tell apart (``_pivot``);
+    - the multiplier floor(H_ij / H_jj + 1/2), which mpmath rounds from a
+      2*prec-bit quotient, is ``divmod``'s quotient plus 1 when twice the
+      remainder reaches |H_jj| (``_round_div``);
+    - the stop test ((2^(2 prec) // max|H_ij|) >> prec) // 100 >= maxcoeff
+      holds exactly when max|H_ij| <= (2^(2 prec)) // (100 maxcoeff 2^prec),
+      a bound fixed once per search, so a step scans H only up to the first
+      row above it.
 
     The name predates PSLQ: the benchmark's tracer counts the degrees
     ``find_minpoly`` tries by rebinding this module global, so it is looked
@@ -119,7 +189,6 @@ def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
     """
     n = len(xs)
     prec = ctx.prec + 60
-    half = 1 << (prec - 1)
     tol = ctx.to_fixed(ctx.convert(tol), prec)
     x = [ctx.to_fixed(ctx.mpf(v), prec) for v in xs]
     minx = min(abs(v) for v in x)
@@ -127,9 +196,8 @@ def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
         raise ValueError("PSLQ requires a vector of nonzero numbers")
     if minx < tol // 100:
         return None
-    g = sqrt_fixed((4 << prec) // 3, prec)
-    # the weights g^i |H_ii| of the step's row choice, as (g^i, shift) pairs
-    weights = [(g ** (i + 1), prec * i) for i in range(n - 1)]
+    weights, floor = _pivot_weights(n, prec)
+    bound = (1 << 2 * prec) // ((100 * maxcoeff) << prec)
     s, t = [0] * n, 0
     for k in range(n - 1, -1, -1):
         t += x[k] ** 2 >> prec
@@ -153,13 +221,14 @@ def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
         Hi, Bi = H[i], B[i]
         for j in range(top, -1, -1):
             Hj = H[j]
-            if not Hj[j]:
+            p = Hj[j]
+            if not p:
                 if skip_zero:
                     continue
                 break
-            if 2 * abs(Hi[j]) < abs(Hj[j]):
+            if 2 * abs(Hi[j]) < abs(p):
                 continue  # rounds to T = 0, which changes nothing
-            T = ((Hi[j] << prec) // Hj[j] + half) >> prec
+            T = _round_div(Hi[j], p)
             y[j] += T * y[i]
             for k in range(j + 1):
                 Hi[k] -= T * Hj[k]
@@ -170,11 +239,7 @@ def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
     for i in range(1, n):
         reduce_row(i, i - 1, True)
     for _ in range(PSLQ_MAXSTEPS):
-        m, szmax = 0, -1
-        for i, (gi, shift) in enumerate(weights):
-            sz = gi * abs(H[i][i]) >> shift
-            if sz > szmax:
-                m, szmax = i, sz
+        m = _pivot(H, weights, prec, floor)
         y[m], y[m + 1] = y[m + 1], y[m]
         H[m], H[m + 1] = H[m + 1], H[m]
         B[m], B[m + 1] = B[m + 1], B[m]
@@ -193,9 +258,12 @@ def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
         for yi, column in zip(y, B):
             if abs(yi) < tol and max(abs(c) for c in column) < maxcoeff:
                 return list(column)
-        # a lower bound on the norm of any relation, divided by 100
-        recnorm = max(abs(h) for row in H for h in row)
-        if not recnorm or ((1 << (2 * prec)) // recnorm >> prec) // 100 >= maxcoeff:
+        for row in H:
+            if max(row) > bound or min(row) < -bound:
+                break
+        else:
+            # no entry of H exceeds bound in size: mpmath's lower bound on
+            # the norm of any relation has reached 100 maxcoeff
             break
     return None
 

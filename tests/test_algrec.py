@@ -1,8 +1,13 @@
 """Integer-relation recognition of minimal polynomials."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.identification import round_fixed
+from mpmath.libmp import sqrt_fixed
 
 import qelliptic.algrec
 from qelliptic.algrec import (
@@ -10,6 +15,9 @@ from qelliptic.algrec import (
     NOT_FOUND,
     NotFound,
     _is_squarefree,
+    _pivot,
+    _pivot_weights,
+    _round_div,
     find_minpoly,
     verify_root,
 )
@@ -208,3 +216,138 @@ def test_result_rendering():
     assert res.as_json() == [-1, 2, 1]
     res = MinPolyResult(coeffs=(-2, 0, 0, 1), degree=3, residual=0, confidence="unverified")
     assert res.as_text() == "-2 + t^3"
+
+
+def _size(diag, i, prec):
+    g = sqrt_fixed((4 << prec) // 3, prec)
+    return g ** (i + 1) * abs(diag[i]) >> prec * i
+
+
+def _exact_pivot(diag, prec):
+    # mpmath's row choice: the first i with the largest g^(i+1) |H_ii| >> prec*i
+    sizes = [_size(diag, i, prec) for i in range(len(diag))]
+    return sizes.index(max(sizes))
+
+
+def _pivot_of(diag, prec):
+    # H as _lll_reduce keeps it: n rows of n - 1 entries, diagonal from diag
+    n = len(diag) + 1
+    H = [[0] * (n - 1) for _ in range(n)]
+    for i, h in enumerate(diag):
+        H[i][i] = h
+    weights, floor = _pivot_weights(n, prec)
+    return _pivot(H, weights, prec, floor)
+
+
+def _entries(prec):
+    # signed integers of every bit length up to prec + 60: |H_ii| / 2^prec
+    # from far below the float range to 2^60 (PSLQ keeps it below 1)
+    return st.integers(0, prec + 60).flatmap(lambda b: st.integers(-(1 << b), 1 << b))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    diag_prec=st.sampled_from([12, 53, 113, 572, 1233, 1525]).flatmap(
+        lambda prec: st.tuples(st.lists(_entries(prec), min_size=1, max_size=9), st.just(prec))
+    )
+)
+def test_pivot_matches_the_exact_row_choice_on_random_diagonals(diag_prec):
+    diag, prec = diag_prec
+    assert _pivot_of(diag, prec) == _exact_pivot(diag, prec)
+
+
+@pytest.mark.parametrize("prec", [12, 113, 572, 1525])
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_pivot_of_a_zero_or_underflowing_diagonal(prec, n):
+    # no row stands out to the screen: the first row, or the exact maximum
+    assert _pivot_of([0] * (n - 1), prec) == 0
+    tiny = [(-1) ** i * (3 - i % 3) for i in range(n - 1)]
+    assert _pivot_of(tiny, prec) == _exact_pivot(tiny, prec)
+
+
+@pytest.mark.parametrize("prec", [1233, 1525])
+def test_pivot_where_the_floats_are_subnormal(prec):
+    # 7 and 6 times 2^-1076 round to 2 and 2 units of 2^-1074, and the
+    # weighted estimates to 2 and 3 units, so the screen alone would pick
+    # row 1; row 0 is larger by 1%
+    diag = [7 << prec - 1076, 6 << prec - 1076]
+    assert _pivot_of(diag, prec) == _exact_pivot(diag, prec) == 0
+
+
+@pytest.mark.parametrize("delta", [0, 1])
+@pytest.mark.parametrize("prec", [114, 573, 1525])
+def test_pivot_on_rows_tied_or_one_apart(prec, delta):
+    # g h1 - 2^prec h0 = delta makes row 1's size that of row 0 plus delta
+    # (g is odd at these precisions, so delta = 1 has a solution); a tie
+    # goes to row 0
+    g = sqrt_fixed((4 << prec) // 3, prec)
+    h1 = (1 << prec) if delta == 0 else pow(g, -1, 1 << prec)
+    h0 = (g * h1 - delta) >> prec
+    for rest in ([], [h0 >> 8, -(h1 >> 8)]):
+        diag = [-h0, h1] + rest
+        assert _size(diag, 1, prec) == _size(diag, 0, prec) + delta
+        assert _pivot_of(diag, prec) == _exact_pivot(diag, prec) == delta
+
+
+def _diagonal_with_sizes(prec, n, i, j, delta, bits, rng):
+    # rows i and j sized S_j = S_i + delta, above every other row
+    g = sqrt_fixed((4 << prec) // 3, prec)
+    while True:
+        diag = [rng.getrandbits(bits - 10) for _ in range(n - 1)]
+        diag[i] = rng.getrandbits(bits) | 1 << bits
+        target = _size(diag, i, prec) + delta
+        diag[j] = -(-(target << prec * j) // g ** (j + 1))
+        if _size(diag, j, prec) == target:
+            return diag
+
+
+@pytest.mark.parametrize("bits", [24, 60])
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+@pytest.mark.parametrize("i, j", [(1, 2), (2, 1), (2, 6), (7, 3)])
+def test_pivot_on_any_two_rows_tied_or_one_apart(i, j, delta, bits):
+    # at 12 bits the sizes repeat often enough to be found by trial.
+    # Entries near 2^60 keep the screen on, and the floats see no
+    # difference; near 2^24 the floor of the shift outweighs the screen's
+    # slack.  Row 0's sizes are multiples of g, so pairs with it are built
+    # above
+    rng = random.Random(f"{i}{j}{delta}")
+    diag = _diagonal_with_sizes(12, 9, i, j, delta, bits, rng)
+    expected = j if delta > 0 or (delta == 0 and j < i) else i
+    assert _pivot_of(diag, 12) == _exact_pivot(diag, 12) == expected
+
+
+@pytest.mark.parametrize("prec", [113, 572, 1525])
+def test_pivot_on_rows_closer_than_the_floats_resolve(prec):
+    # row 5's size lands within 2^(prec+3) of row 2's, of about 2^(2 prec),
+    # just above or just below it
+    g = sqrt_fixed((4 << prec) // 3, prec)
+    rng = random.Random(prec)
+    for sign in (1, -1):
+        for _ in range(20):
+            diag = [rng.getrandbits(prec - 8) for _ in range(8)]
+            diag[2] = rng.getrandbits(prec) | 1 << (prec - 1)
+            target = (_size(diag, 2, prec) + sign * (1 << prec + 2)) << prec * 5
+            diag[5] = -(-target // g**6) if sign > 0 else target // g**6
+            assert _pivot_of(diag, prec) == _exact_pivot(diag, prec) == (5 if sign > 0 else 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    h=st.integers(0, 1400).flatmap(lambda b: st.integers(-(1 << b), 1 << b)),
+    p=st.integers(0, 1400).flatmap(lambda b: st.integers(1, 1 << b)),
+    sign=st.sampled_from([1, -1]),
+    prec=st.sampled_from([1, 53, 572, 1525]),
+)
+def test_round_div_is_mpmaths_rounded_quotient(h, p, sign, prec):
+    # round_fixed(x, prec) >> prec is (x + 2^(prec-1)) >> prec
+    p *= sign
+    assert _round_div(h, p) == round_fixed((h << prec) // p, prec) >> prec
+
+
+@pytest.mark.parametrize("p", [2, -2, 6, -6, 1 << 600, -(3 << 600)])
+@pytest.mark.parametrize("k", [0, 1, -1, 7, -(1 << 300)])
+def test_round_div_rounds_exact_halves_up(p, k):
+    # h / p = k +- 1/2 rounds to k + 1 and k, as round_fixed does
+    prec = 572
+    for h, expected in ((k * p + p // 2, k + 1), (k * p - p // 2, k)):
+        assert _round_div(h, p) == expected == round_fixed((h << prec) // p, prec) >> prec

@@ -625,6 +625,20 @@ def test_local_pslq_matches_mpmath_pslq(degree, digits, spec):
         assert relation is None
 
 
+@pytest.mark.parametrize("digits", [320, 400])
+@pytest.mark.parametrize("degree", [2, 4])
+def test_local_pslq_matches_mpmath_pslq_past_the_float_range(degree, digits):
+    # at 1,233 and 1,525 fixed-point bits the entries of H exceed 2^1024,
+    # the float range the row choice screens in
+    ctx = PrecisionSpec(digits).context()
+    x = ctx.sqrt(2) + ctx.sqrt(3)
+    xs = [x**i for i in range(degree + 1)]
+    tol, maxcoeff = ctx.mpf(10) ** (15 - digits), 10**8 + 1
+    relation = _lll_reduce(ctx, xs, tol, maxcoeff)
+    assert relation == ctx.pslq(xs, tol=tol, maxcoeff=maxcoeff, maxsteps=PSLQ_MAXSTEPS)
+    assert (relation is None) == (degree < 4)
+
+
 @pytest.mark.parametrize(
     "x, degree, expected", [(-1, 3, [1, 0, -1, 0]), ("1e-50", 2, None)]
 )
