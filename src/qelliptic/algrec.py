@@ -6,9 +6,16 @@ an integer relation among (1, x, x^2, ..., x^d) at each degree d that
 ``find_minpoly`` tries.  The search is a local transcription of mpmath
 1.3.0's ``pslq`` that skips work whose result is unread or known exactly
 (see ``_lll_reduce``); it returns exactly what ``pslq`` returns, and the
-tests use ``pslq`` as its oracle.  A relation is normalized to content 1 with positive leading coefficient,
-ascending powers, and accepted only when it is square-free and its Horner
-residual at x is below the accept tolerance.
+tests use ``pslq`` as its oracle.  A relation is normalized to content 1
+with positive leading coefficient, ascending powers, and accepted only when
+it is square-free and its Horner residual at x is below the accept
+tolerance.
+
+The degree of an accepted relation is settled by proving it irreducible
+(``_factor``: Durand-Kerner roots in floats, inclusion disks, and a screen
+of root subsets, Cohen, GTM 138, section 3.5), or by splitting off the
+factor that vanishes at x; only when that test cannot tell does a search
+one degree lower follow.
 
 PSLQ is a search, not one of the independent second routes the paper's
 checks rely on: a recognized polynomial is trusted because its residual is
@@ -18,9 +25,11 @@ second algorithm agrees.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, ldexp
+from itertools import combinations
+from math import expm1, gcd, hypot, ldexp, pi, prod
 from typing import Callable, Sequence
 
 from mpmath.libmp import sqrt_fixed
@@ -98,22 +107,28 @@ def verify_root(coeffs: Sequence[int], x, prec: PrecisionSpec):
 
 # The float screen of ``_pivot`` keeps every row within this factor of its
 # largest estimate.  An estimate is the exact size over 2^(2 prec) up to
-# three roundings (under 2^-51 relative) and, above the floor, the shift.
+# three roundings (under 2^-51 relative) and, above the floor, the shifts.
 _SCREEN_SLACK = 1 - 2.0**-40
+# ``_pivot`` floats H_ii >> max(0, prec - _SCREEN_BITS): under 2^1020 in size
+# for |H_ii| < 2^(prec + 60), so the float cannot overflow.
+_SCREEN_BITS = 960
 
 
 def _pivot_weights(n: int, prec: int) -> tuple:
     """The ``weights`` and ``floor`` that ``_pivot`` takes for an n-entry
     search at prec bits."""
     g = sqrt_fixed((4 << prec) // 3, prec)
+    shift = max(0, prec - _SCREEN_BITS)
     weights = []
     for i in range(n - 1):
         gi = g ** (i + 1)
-        weights.append((gi, gi / (1 << prec * (i + 1))))
+        weights.append((gi, gi / (1 << prec * (i + 2) - shift)))
     # above this floor, the >> of the exact products moves the largest size
-    # by under 2^-64 of itself, and a row whose |H_ii| / 2^prec underflowed
-    # lies far below the largest
-    floor = max(ldexp(1.0, 64 - 2 * prec), ldexp(weights[-1][1], -1000))
+    # by under 2^-64 of itself, and so does the floor of H_ii >> shift,
+    # which moves an estimate by under one unit of weights[-1][1]
+    floor = ldexp(1.0, 64 - 2 * prec)
+    if shift:
+        floor = max(floor, ldexp(weights[-1][1], 64))
     return weights, floor
 
 
@@ -127,19 +142,21 @@ def _round_div(h: int, p: int) -> int:
 def _pivot(H, weights, prec: int, floor: float) -> int:
     """PSLQ's row choice: the first i with the largest g^(i+1) |H_ii| >>
     prec*i, over ``weights[i] = (g^(i+1), w_i)`` with w_i the float
-    g^(i+1) / 2^(prec*(i+1)).
+    g^(i+1) / 2^(prec*(i+2) - shift) and shift = max(0, prec -
+    ``_SCREEN_BITS``).
 
-    The floats w_i |H_ii| / 2^prec screen the rows.  PSLQ's diagonal never
-    grows past its start, at most 1, and the int true division makes no
-    float of H_ii itself, so nothing overflows at any precision.  The exact
-    products run only for the rows within ``_SCREEN_SLACK`` of the largest
-    estimate, in increasing i, so the first maximum still wins; the exact
-    maximum is always among them.  When the largest estimate is below
-    ``floor``, the floats may have underflowed or the floor of the shift may
-    weigh, and every row is compared exactly.
+    The floats w_i |H_ii >> shift|, about g^(i+1) |H_ii| / 2^(2 prec),
+    screen the rows.  PSLQ's diagonal never grows past its start, at most 1,
+    so the shifted integer stays below 2^1020 and its float cannot overflow;
+    w_i is at least 2^-960, so a nonzero estimate cannot underflow.  The
+    exact products run only for the rows within ``_SCREEN_SLACK`` of the
+    largest estimate, in increasing i, so the first maximum still wins; the
+    exact maximum is always among them.  When the largest estimate is below
+    ``floor``, the floor of either shift may weigh, and every row is
+    compared exactly.
     """
-    scale = 1 << prec
-    est = [w * (abs(H[i][i]) / scale) for i, (_, w) in enumerate(weights)]
+    shift = max(0, prec - _SCREEN_BITS)
+    est = [w * abs(float(H[i][i] >> shift)) for i, (_, w) in enumerate(weights)]
     rows = range(len(est))
     top = max(est)
     if top >= floor:
@@ -317,6 +334,158 @@ def _normalize(coeffs: list) -> tuple:
     return tuple(cs)
 
 
+# Relations up to this degree are put to the root-subset test (at most 2,509
+# subsets, at degree 12); above it, only the descent settles their degree.
+_SUBSET_MAX_DEGREE = 12
+# Durand-Kerner sweeps before the iterates are taken as they are.
+_ROOT_SWEEPS = 200
+# Float bounds below are inflated by this factor, far above the rounding in
+# computing them (under 60 units of 2^-53 for degree <= 12).
+_SLACK = 1 + 2.0**-30
+
+
+def _roots(coeffs) -> list:
+    """Durand-Kerner (Weierstrass) iterates for the complex roots of the
+    integer polynomial ``coeffs`` (ascending, degree >= 1, P(0) != 0), in
+    Python complex floats.  They need not be accurate: ``_inclusion_radii``
+    bounds their error."""
+    e = len(coeffs) - 1
+    monic = [c / coeffs[-1] for c in coeffs]
+    # start on a circle of the roots' geometric mean modulus
+    r = abs(monic[0]) ** (1 / e)
+    z = [r * cmath.exp(1j * (0.4 + 2 * pi * k / e)) for k in range(e)]
+    for _ in range(_ROOT_SWEEPS):
+        settled = True
+        for i, zi in enumerate(z):
+            num = 0j
+            for c in reversed(monic):
+                num = num * zi + c
+            den = prod(zi - zj for j, zj in enumerate(z) if j != i)
+            w = num / den
+            z[i] = zi - w
+            settled = settled and abs(w) <= 2.0**-50 * abs(zi)
+        if settled:
+            break
+    return z
+
+
+def _abs_at(coeffs, z: complex) -> float:
+    """|P(z)| for the integer polynomial ``coeffs`` at the float z: exact
+    Horner at the dyadic rational z, each part rounded once."""
+    (a, p), (b, q) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    den = max(p, q)  # both are powers of 2
+    a, b = a * (den // p), b * (den // q)
+    # P(z) den^k after k steps, with scale = den^k
+    re, im, scale = coeffs[-1], 0, 1
+    for c in reversed(coeffs[:-1]):
+        scale *= den
+        re, im = re * a - im * b + c * scale, re * b + im * a
+    return hypot(re / scale, im / scale)
+
+
+def _inclusion_radii(coeffs, z: list):
+    """Radii rho_i such that each disk D(z_i, rho_i) holds exactly one root
+    of P, or None when the disks cannot be shown disjoint.
+
+    The Weierstrass correction W_i = P(z_i) / (lc(P) prod_{j != i} (z_i -
+    z_j)) gives disks D(z_i - W_i, (e - 1)|W_i|) whose union holds every
+    root, a connected group of m of them holding m roots (Gerschgorin's
+    theorem for the e x e matrix diag(z) - W 1^T, whose characteristic
+    polynomial is P / lc(P)).  D(z_i, e|W_i|) contains the i-th of them, so
+    when these larger disks are disjoint, each holds exactly one root.
+    P(z_i) is exact up to its final rounding (``_abs_at``).  Every difference
+    z_i - z_j is kept within 2^(+-80), so no product of 11 of them leaves the
+    normal float range, and the float bounds carry ``_SLACK``.
+    """
+    e = len(coeffs) - 1
+    lc = float(coeffs[-1])
+    radii = []
+    for i, zi in enumerate(z):
+        gaps = [zi - zj for j, zj in enumerate(z) if j != i]
+        if not all(2.0**-80 <= abs(g) <= 2.0**80 for g in gaps):
+            return None
+        # 2^-1000 stands in for an |P(z_i)| or a W_i that underflowed
+        w = (_abs_at(coeffs, zi) + 2.0**-1000) / (lc * abs(prod(gaps)))
+        radii.append(e * max(w, 2.0**-1000) * _SLACK)
+    for i, zi in enumerate(z):
+        for j in range(i):
+            if not abs(zi - z[j]) > (radii[i] + radii[j]) * _SLACK:
+                return None
+    return radii
+
+
+def _near_integer(v: complex, bound: float) -> bool:
+    """Whether some (real) integer lies within ``bound`` of v."""
+    return abs(v.imag) <= bound and abs(v.real - round(v.real)) <= bound
+
+
+def _exact_quotient(p, a):
+    """p / a over Z for ascending integer coefficients, or None when a does
+    not divide p there (a primitive: then Z and Q agree, by Gauss's lemma)."""
+    p = list(p)
+    q = [0] * (len(p) - len(a) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k], r = divmod(p[k + len(a) - 1], a[-1])
+        if r:
+            return None
+        for i, c in enumerate(a):
+            p[k + i] -= q[k] * c
+    return None if any(p) else tuple(q)
+
+
+def _factor(coeffs):
+    """The root-subset irreducibility test (Cohen, *A Course in
+    Computational Algebraic Number Theory*, GTM 138, section 3.5) for a
+    normalized square-free P with P(0) != 0: ``[P]`` when P is proved
+    irreducible over Z, ``[A, P / A]`` for a factor A it finds, or None when
+    it cannot tell.
+
+    A factor A of P over Z is lc(A) prod_{r in S} (t - r) over a subset S of
+    P's roots, |S| <= e/2 for one of A and P/A, and lc(A) divides lc(P), so
+    lc(P) sum S and lc(P) prod S are integers.  Each subset's two values are
+    screened against the nearest integer within their error bound, which
+    follows from the inclusion disks.  No survivor proves P irreducible.  A
+    survivor counts as a factor only after exact division: lc(P) prod (t -
+    z_i) rounded to integers, made primitive, must divide P.  Overlapping
+    disks, a bound of 1/2 or more, a survivor that does not divide, or a
+    degree above ``_SUBSET_MAX_DEGREE`` leave the question open.
+    """
+    e = len(coeffs) - 1
+    if e > _SUBSET_MAX_DEGREE:
+        return None
+    try:
+        z = _roots(coeffs)
+        radii = _inclusion_radii(coeffs, z)
+    except (ZeroDivisionError, OverflowError, ValueError):  # iterates met or left the floats
+        return None
+    if radii is None:
+        return None
+    lc = coeffs[-1]
+    mods = [abs(zi) for zi in z]
+    if any(rho >= m for rho, m in zip(radii, mods)):
+        return None
+    # |prod r_i - prod z_i| <= prod |z_i| (exp(sum rho_i / |z_i|) - 1)
+    rel = [rho / m for rho, m in zip(radii, mods)]
+    for k in range(1, e // 2 + 1):
+        for S in combinations(range(e), k):
+            zs = [z[i] for i in S]
+            b_sum = lc * sum(radii[i] + 2.0**-40 * mods[i] for i in S) * _SLACK
+            b_prod = lc * prod(mods[i] for i in S) * _SLACK * (
+                expm1(sum(rel[i] for i in S)) + 2.0**-40
+            )
+            if max(b_sum, b_prod) >= 0.5:
+                return None
+            if not (_near_integer(lc * sum(zs), b_sum) and _near_integer(lc * prod(zs), b_prod)):
+                continue
+            monic = [1 + 0j]  # prod (t - z_i), ascending
+            for r in zs:
+                monic = [a - r * b for a, b in zip([0] + monic, monic + [0])]
+            factor = _normalize([round((lc * c).real) for c in monic])
+            quotient = _exact_quotient(coeffs, factor)
+            return None if quotient is None else [factor, quotient]
+    return [tuple(coeffs)]
+
+
 def find_minpoly(
     x,
     max_degree: int,
@@ -337,10 +506,15 @@ def find_minpoly(
     at degree d rules out every degree <= d: a lower-degree relation is a
     degree-d one with zero top coefficients, and PSLQ gives up only once
     its bound on every relation's norm passes 100 times the height bound.
-    So degrees 1, 2, 4, 8, ... are probed until a relation turns up, and a
-    relation of degree e, accepted or not, is followed by a search at e - 1,
-    down to the first failure or to a degree already searched, whose result
-    and descent are known.
+    So degrees 1, 2, 4, 8, ... are probed until a relation turns up.  An
+    accepted relation P is put to the root-subset test (``_factor``): if P
+    is irreducible, no relation of lower degree exists and the search ends;
+    if P splits, the factor that vanishes at x (residual below the accept
+    tolerance, height within the bound) takes its place and is tested in
+    turn.  A relation that is not accepted, or one the test cannot settle,
+    is followed by a search at e - 1, e its degree, down to the first
+    failure or to a degree already searched, whose result and descent are
+    known.
 
     confidence is "verified" only when a ``recompute`` callable is supplied:
     it is invoked with a PrecisionSpec 30 digits higher, and the polynomial's
@@ -389,6 +563,17 @@ def find_minpoly(
                 residual = verify_root(cs, xv, prec)
                 if residual < accept_tol and _is_squarefree(cs):
                     best = cs, residual
+                    # a factor of a square-free P is square-free; the one
+                    # that vanishes at x replaces P when it passes the rest
+                    while (factors := _factor(cs)) and len(factors) == 2:
+                        res, f = min((verify_root(g, xv, prec), g) for g in factors)
+                        if res >= accept_tol or max(map(abs, f)) > height_bound:
+                            factors = None
+                            break
+                        cs, residual = f, res
+                        best = cs, residual
+                    if factors:
+                        break  # cs is irreducible: no relation of lower degree
                 d = len(cs) - 2
                 if d > failed and d not in searched:
                     continue

@@ -14,6 +14,7 @@ from qelliptic.algrec import (
     MinPolyResult,
     NOT_FOUND,
     NotFound,
+    _factor,
     _is_squarefree,
     _pivot,
     _pivot_weights,
@@ -131,11 +132,11 @@ def test_no_relation_costs_the_galloping_probes_only(searched):
     assert searched == [1, 2, 4, 8]
 
 
-def test_octic_is_confirmed_by_one_failure_below_it(searched):
+def test_octic_is_proved_irreducible_without_a_search_below_it(searched):
     prec = PrecisionSpec(120)
     res = find_minpoly(prec.context().root(2, 8), 8, prec=prec)
     assert res.coeffs == (-2, 0, 0, 0, 0, 0, 0, 0, 1)
-    assert searched == [1, 2, 4, 8, 7]
+    assert searched == [1, 2, 4, 8]
 
 
 def test_no_degree_is_searched_twice(searched):
@@ -145,6 +146,90 @@ def test_no_degree_is_searched_twice(searched):
     x = cv(prec.context(), Fraction(10**30 // 3, 10**30))
     assert find_minpoly(x, 8, prec=prec) is NOT_FOUND
     assert len(searched) == len(set(searched))
+
+
+
+def test_overshooting_probe_is_split_without_a_search_below_it(searched):
+    # the degree-8 search returns the sextic times t + 1, and the factor
+    # that vanishes at x is proved irreducible
+    prec = PrecisionSpec(120)
+    ctx = prec.context()
+    res = find_minpoly(ctx.sqrt(2) + ctx.cbrt(3) - 3, 8, prec=prec)
+    assert res.coeffs == (82, 684, 849, 462, 129, 18, 1)
+    assert searched == [1, 2, 4, 8]
+
+
+def test_reducible_relation_at_the_degree_bound(searched):
+    # the degree-4 search returns t (t^3 - 2)
+    res = find_minpoly(P80.context().cbrt(2), 4, prec=P80)
+    assert res.coeffs == (-2, 0, 0, 1)
+    assert searched == [1, 2, 4]
+
+
+def test_factor_above_the_height_bound_leaves_the_degree_to_the_descent(searched):
+    # sqrt 5 - 3 is a root of t^2 + 6t + 4, of height 6; the degree-4 search
+    # returns it times t^2 - t + 1 (height 5), so the descent finds its
+    # multiple by t - 1, as it did before the irreducibility test
+    res = find_minpoly(P80.context().sqrt(5) - 3, 4, height_bound=5, prec=P80)
+    assert res.coeffs == (-4, -2, 5, 1)
+    assert searched == [1, 2, 4, 3]
+
+
+def test_inconclusive_irreducibility_falls_back_to_the_descent(searched):
+    # t^8 - 2 (100 t - 1)^2 is irreducible (Eisenstein at 2), but two of its
+    # roots lie 1.4e-10 apart, too close for Durand-Kerner in floats to
+    # separate their disks
+    mignotte = (-2, 400, -20000, 0, 0, 0, 0, 0, 1)
+    assert _factor(mignotte) is None
+    prec = PrecisionSpec(120)
+    ctx = prec.context()
+    x = ctx.findroot(lambda t: ctx.polyval(mignotte[::-1], t), ctx.mpf(1) / 100 + 7e-11)
+    assert find_minpoly(x, 8, prec=prec).coeffs == mignotte
+    assert searched == [1, 2, 4, 8, 7]
+
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return tuple(out)
+
+
+K3_POLY = (1, 0, -16, 0, 16)
+K5_POLY = (1, 0, -72, 0, 88, 0, -32, 0, 16)
+K6_POLY = (1, -12, 2, 12, 1)
+K25_POLY = (1, -36, 2, 36, 1)
+
+
+@pytest.mark.parametrize(
+    "poly",
+    # k_3 and k_5 factor modulo every prime, so no mod-p factorization
+    # proves them irreducible
+    [K3_POLY, K5_POLY, (-2, 0, 0, 0, 0, 0, 0, 0, 1), (-1, 0, 6, 24, 3), (7, 1), (1, 0, 1)],
+)
+def test_factor_proves_irreducible(poly):
+    assert _factor(poly) == [poly]
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (K3_POLY, (-1, 2, 1)),
+        ((1, -6, 1), (-2, 0, 3)),  # leading coefficients 1 and 3
+        ((7, 0, 0, 3), (5, 1, 0, 0, 11)),  # 3 and 11
+        ((1, 0, -256, 0, 256), (-2, 0, 0, 1)),  # k_7 times a cubic
+        (K6_POLY, K25_POLY),  # two quartics: cofactors of equal degree
+        ((-3, 0, 5), (-2, 0, 0, 1)),
+    ],
+)
+def test_factor_splits_products(a, b):
+    factors = _factor(_mul(a, b))
+    assert sorted(factors) == sorted([a, b])
+
+
+def test_factor_leaves_degrees_past_the_subset_budget_open():
+    assert _factor((-2,) + (0,) * 12 + (1,)) is None
 
 
 def test_precision_precondition():

@@ -727,6 +727,33 @@ def test_radical_below_the_degree_bound_minpoly(k, r, s):
     assert find_minpoly(x, 8, prec=prec).coeffs == tuple(expected)
 
 
+
+noncube_st = st.integers(2, 30).filter(lambda r: round(r ** (1 / 3)) ** 3 != r)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([120, 160]),
+    st.one_of(
+        st.tuples(st.just("sqrt+cbrt"), nonsquare_st, noncube_st),
+        st.tuples(st.just("cbrt of a surd"), st.integers(-9, 9), nonzero_st, nonsquare_st),
+    ),
+    st.integers(-5, 5),
+)
+def test_minpoly_below_an_overshooting_probe(digits, spec, s):
+    # sqrt(a) + cbrt(b) + s and (a + b sqrt(c))^(1/3) + s have degree 6 or
+    # less, so the galloping probe at 8 overshoots; its relation often
+    # carries an extra factor, which find_minpoly splits off
+    prec = PrecisionSpec(digits)
+    ctx = prec.context()
+    if spec[0] == "sqrt+cbrt":
+        x = ctx.sqrt(spec[1]) + ctx.cbrt(spec[2]) + s
+    else:
+        v = spec[1] + spec[2] * ctx.sqrt(spec[3])
+        x = ctx.sign(v) * ctx.cbrt(abs(v)) + s
+    assert find_minpoly(x, 8, prec=prec).coeffs == _findpoly(x, 8, prec)
+
+
 def test_octic_needs_the_pinned_search_settings():
     # eq. (54) at (1,2,5): a degree-8 relation that mpmath's default of 100
     # PSLQ steps does not reach at 120 digits
