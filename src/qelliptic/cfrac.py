@@ -11,6 +11,7 @@ Notation: value = b0 + a1/(b1 + a2/(b2 + a3/(b3 + ...))).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -19,6 +20,7 @@ from .numerics import (
     CrossCheckFailure,
     DomainError,
     PrecisionSpec,
+    _resummed,
     _settle,
     cv,
 )
@@ -175,23 +177,20 @@ def h_cf(q, prec: PrecisionSpec):
 
 def m_series(c, q, prec: PrecisionSpec):
     """M(c, q) = sum_{n>=0} c^n q^(n(n+1)/2); converges for every c when
-    |q| < 1 because the quadratic exponent eventually dominates."""
-    ctx = prec.context()
-    c = cv(ctx, c)
-    q = cv(ctx, q)
-    if abs(q) >= 1:
-        raise DomainError(f"M(c, q) needs |q| < 1, got |q| = {abs(q)}")
+    |q| < 1 because the quadratic exponent eventually dominates.  Re-summed
+    while its terms cancel, by 56 digits at c = -5, q = 0.99."""
 
-    def terms():
-        term = ctx.mpf(1)
+    def summed(p: PrecisionSpec):
+        ctx = p.context()
+        cc, qq = cv(ctx, c), cv(ctx, q)
+        if abs(qq) >= 1:
+            raise DomainError(f"M(c, q) needs |q| < 1, got |q| = {abs(qq)}")
         # term ratio from n-1 to n is c*q^n, so update it incrementally
-        ratio = c * q
-        while True:
-            yield term
-            term = term * ratio
-            ratio = ratio * q
+        ratios = itertools.accumulate(itertools.repeat(qq), operator.mul, initial=cc * qq)
+        terms = itertools.accumulate(ratios, operator.mul, initial=ctx.mpf(1))
+        return _settle(ctx, p.work_eps(ctx), terms)
 
-    return _settle(ctx, prec.work_eps(ctx), terms())
+    return _resummed(prec, summed)
 
 
 def m_cf(c, q, prec: PrecisionSpec):

@@ -7,20 +7,18 @@ and ``numerics._settle(..., wp=wp)`` adds them as integers and decides when
 to stop; the total is rounded once, the way mpmath's own jtheta and hypsum
 sum.  Complex input keeps the loop in mpc numbers.  Both routes raise
 DomainError at a pole: when |1 - c q^n| <= (n + 2) 2^(2 - prec), a few
-working ulps, since c q^n rounds near 1 rather than onto it.  Both also
-add up sum |t_n|, and a sum that cancels past half the guard digits is
-summed once more with the digits it lost.
+working ulps, since c q^n rounds near 1 rather than onto it.  A sum
+that cancels is summed again with more digits by ``numerics._resummed``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from mpmath.libmp import to_fixed
 
-from .numerics import _FIXED_GUARD, DomainError, PrecisionSpec, _from_fixed, _settle, cv
+from .numerics import _FIXED_GUARD, DomainError, PrecisionSpec, _from_fixed, _resummed, _settle, cv
 from .qfunctions import INF, pochhammer
 
 
@@ -39,28 +37,16 @@ def phi21(params: Phi21Params, prec: PrecisionSpec):
     """2-phi-1(a, b; c; q, z) = sum_{n>=0} (a;q)_n (b;q)_n / ((c;q)_n (q;q)_n) z^n.
 
     Requires |q| < 1 and |z| < 1; c must avoid the poles q^(-n), and one
-    within a few working ulps of them raises DomainError.  When the terms
-    cancel by more than half the guard digits, log10(max(1, sum |t_n|) /
-    |total|) > guard // 2, the series is summed once more with that many
-    more digits and rounded back to the working precision.
-
-    Once, not until the loss fits as ``numerics._resummed`` does: the
-    series can be exactly zero at rational input, where no precision
-    resolves its total.  phi21(2, 1/4; 1/2; 1/2, 1/3) is one, since a = 1/q
-    ends the series after 1 - 1 = 0.
+    within a few working ulps of them raises DomainError.  A series that
+    cancels past half the guard digits is summed again with more digits by
+    ``numerics._resummed``, up to its cap at an exact zero: phi21(2, 1/4;
+    1/2; 1/2, 1/3) is one, since a = 1/q ends the series after 1 - 1 = 0.
     """
-    ctx = prec.context()
-    total, scale = _phi21_sum(params, prec)
-    if total == 0 or max(1, scale) <= abs(total) * 10 ** (prec.guard // 2):
-        return total
-    # The terms cancel: sum again with the digits lost, then round back.
-    lost = math.ceil(float(ctx.log10(max(1, scale) / abs(total))))
-    total, _ = _phi21_sum(params, prec.bumped(lost))
-    return ctx.mpc(total) if hasattr(total, "_mpc_") else ctx.mpf(total)
+    return _resummed(prec, lambda p: _phi21_sum(params, p))
 
 
 def _phi21_sum(params: Phi21Params, prec: PrecisionSpec):
-    """The 2-phi-1 series at prec, and the sum of |t_n| over its terms."""
+    """The 2-phi-1 series at prec, and the digits it lost to cancellation."""
     ctx = prec.context()
     values = tuple(cv(ctx, v) for v in (params.a, params.b, params.c, params.q, params.z))
     a, b, c, q, z = values
@@ -68,28 +54,25 @@ def _phi21_sum(params: Phi21Params, prec: PrecisionSpec):
         raise DomainError(f"2-phi-1 needs |q| < 1, got |q| = {abs(q)}")
     if abs(z) >= 1:
         raise DomainError(f"2-phi-1 series needs |z| < 1, got |z| = {abs(z)}")
-    scale = [0]  # sum |t_n|, added up by the terms generator
     if any(isinstance(v, ctx.mpc) for v in values):
-        total = _settle(ctx, prec.work_eps(ctx), _phi21_terms_complex(ctx, scale, *values))
-        return total, scale[0]
+        return _settle(ctx, prec.work_eps(ctx), _phi21_terms_complex(ctx, *values))
     # a q^n, b q^n and c q^n stay within 2^-(ctx.prec + _FIXED_GUARD) of
     # their values however large a, b or c is.
     wp = ctx.prec + _FIXED_GUARD + max(0, *(ctx.mag(v) for v in (a, b, c)))
-    total = _settle(ctx, prec.work_eps(ctx), _phi21_terms_fixed(ctx, wp, scale, *values), wp=wp)
-    return _from_fixed(ctx, total, wp), _from_fixed(ctx, scale[0], wp)
+    total, lost = _settle(ctx, prec.work_eps(ctx), _phi21_terms_fixed(ctx, wp, *values), wp=wp)
+    return _from_fixed(ctx, total, wp), lost
 
 
 def _pole(n: int):
     return DomainError(f"lower parameter c = q^(-{n}) is a pole")
 
 
-def _phi21_terms_complex(ctx, scale, a, b, c, q, z):
+def _phi21_terms_complex(ctx, a, b, c, q, z):
     """The 2-phi-1 terms in ctx's numbers; t_(n+1) = t_n (1 - a q^n)
-    (1 - b q^n) z / ((1 - c q^n)(1 - q^(n+1))).  Adds |t_n| to scale[0]."""
+    (1 - b q^n) z / ((1 - c q^n)(1 - q^(n+1)))."""
     term = ctx.mpf(1)
     qn = ctx.mpf(1)  # q^n
     for n in itertools.count():
-        scale[0] += abs(term)
         yield term
         denom_c = 1 - c * qn
         if abs(denom_c) <= ctx.ldexp(n + 2, 2 - ctx.prec):
@@ -98,16 +81,15 @@ def _phi21_terms_complex(ctx, scale, a, b, c, q, z):
         qn = qn * q
 
 
-def _phi21_terms_fixed(ctx, wp, scale, a, b, c, q, z):
+def _phi21_terms_fixed(ctx, wp, a, b, c, q, z):
     """The same terms for real parameters, advanced and yielded as
-    fixed-point integers (value * 2^wp).  Adds |t_n| * 2^wp to scale[0]."""
+    fixed-point integers (value * 2^wp)."""
     a, b, c, q, z = (to_fixed(v._mpf_, wp) for v in (a, b, c, q, z))
     one = 1 << wp
     pole_shift = wp + 2 - ctx.prec  # |1 - c q^n| <= (n + 2) 2^(2 - prec)
     term = one
     qn = one  # q^n
     for n in itertools.count():
-        scale[0] += abs(term)
         yield term
         term = term * z >> wp
         if not qn:

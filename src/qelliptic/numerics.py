@@ -27,11 +27,15 @@ bits, the way mpmath's own jtheta and hypsum do.  The series among them
 hand those integers to ``_settle(..., wp=wp)``, which adds them without an
 mpf per term, and round the total once with ``_from_fixed``.
 
-A series whose terms cancel loses digits that no stopping rule sees.
-Euler's series and the theta series hand ``_resummed`` a function that
-sums them at a given precision and reports that loss, and it sums them
-again with more digits until the loss fits in half the guard digits.
-``hyperq.phi21``, whose series can be exactly zero, sums again once.
+A series whose terms cancel loses digits that no stopping rule sees:
+``_settle`` returns each series total with the digits its items lost, and
+``_resummed``, the one re-sum rule, sums again with more digits until the
+loss fits in half the guard digits, up to a cap that ends it at exact
+zeros.  Euler's series, ``phi21``, ``m_series``, and the theta and ``agile``
+Gaussian sums (by a bound known before their first term) use it; plain
+``_settle`` serves ``hyperbolic_log_sum`` (positive terms), ``rq_theta``'s
+exp sum (exponentiated, so only its absolute error counts), ``drq_dq``
+(a central difference cross-checks it) and ``verify``'s printed readings.
 """
 
 from __future__ import annotations
@@ -189,6 +193,10 @@ def _settle(
     items; products are always multiplied in ctx's numbers, since a small
     partial product keeps its relative digits only in floating point.
 
+    A series returns its total and the digits its count items lost to
+    cancellation, (peak - mag(total) + log2(count)) log10(2) with 2^peak
+    above the largest item (infinite for an exact zero total).
+
     Products are multiplied directly rather than summed as logarithms:
     every factor used in this package is within a geometrically shrinking
     distance of 1, so the relative error after N factors is bounded by N
@@ -205,20 +213,23 @@ def _settle(
     if wp is not None:
         one = 1 << wp
         eps_fixed = to_fixed(eps._mpf_, wp)
-        total = small = 0
+        total = small = peak = count = 0
         for count, t in enumerate(items, 1):
             total += t
+            peak = max(peak, abs(t))
             small = small + 1 if abs(t) << wp <= eps_fixed * max(one, abs(total)) else 0
             if small == 3:
-                return total
+                break
             if count >= max_terms:
                 raise NonConvergence(f"series did not settle within {max_terms} terms")
-        return total
+        lost = peak.bit_length() - abs(total).bit_length() + math.log2(count) if total else math.inf
+        return total, lost * math.log10(2)
     mag = ctx.mag
     mag_eps = mag(eps)
     one = ctx.mpf(1)
     total = one if product else ctx.mpf(0)
-    small = 0
+    small = count = 0
+    peak = -math.inf
     for count, x in enumerate(items, 1):
         if product:
             if x == 0:
@@ -228,39 +239,43 @@ def _settle(
             negligible = mag(d) - 2 <= mag_eps and abs(d) <= eps
         else:
             total = total + x
+            size = mag(x)
+            if size > peak:
+                peak = size
             negligible = (
-                mag(x) - 2 <= mag_eps + max(0, mag(total))
+                size - 2 <= mag_eps + max(0, mag(total))
                 and abs(x) <= eps * max(one, abs(total))
             )
         small = small + 1 if negligible else 0
         if small == 3:
-            return total
+            break
         if count >= max_terms:
             kind = "product" if product else "series"
             raise NonConvergence(f"{kind} did not settle within {max_terms} terms")
-    return total
+    if product:
+        return total
+    lost = peak - mag(total) + math.log2(count) if total else math.inf
+    return total, lost * math.log10(2)
 
 
 def _resummed(prec: PrecisionSpec, summed):
     """A series at prec, summed again with more digits while it cancels.
 
     ``summed(p)`` sums the series at the PrecisionSpec p and returns its
-    total with the decimal digits the terms lost to cancellation, about
-    log10(max(1, sum |term|) / |total|).  While that loss exceeds the extra
-    digits plus half the guard digits, the series is summed again at
-    ``prec.bumped(extra)``; a total lost in rounding understates the loss,
-    so the extra digits at least double until the loss fits in them.  A
-    re-summed total is rounded back to prec's working precision.
-
-    The loop ends because every caller sums a series that has no zero at
-    any mpf or mpc input, so some finite precision resolves its total.  A
-    series with an exact zero would never end here: ``hyperq.phi21``,
-    which has them, keeps its own single re-sum.
+    total with the decimal digits the terms lost to cancellation.  While
+    that loss exceeds the extra digits plus half the guard digits, the
+    series is summed again at ``prec.bumped(extra)``; a total lost in
+    rounding understates the loss, so the extra digits at least double
+    until the loss fits, up to a cap of 10 * prec.workdps, and the total is
+    rounded back to prec's working precision.  Below the cap it keeps
+    those digits.  Past it, as at an exact zero, which no precision
+    resolves, it is the total at the cap: within about 10^-(11 workdps) of
+    its largest term, with no relative digits promised.
     """
     total, lost = summed(prec)
-    extra = 0
-    while lost > extra + prec.guard // 2:
-        extra = max(math.ceil(lost), 2 * extra)
+    extra, cap = 0, 10 * prec.workdps
+    while lost > extra + prec.guard // 2 and extra < cap:
+        extra = math.ceil(min(cap, max(lost, 2 * extra)))
         total, lost = summed(prec.bumped(extra))
     if not extra:
         return total

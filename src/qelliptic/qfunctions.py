@@ -21,9 +21,9 @@ integers, which ``_settle`` adds as integers before the total is rounded
 once; every other input multiplies out the product in ctx's numbers.  For
 real q, ``_theta_series`` sums in integers and rounds once at the end, as
 mpmath's jtheta does; complex q takes the bilateral sum in mpc numbers.
-Both series measure the digits their terms cancel, and
-``numerics._resummed`` sums them again with more digits until the loss
-fits in half the guard digits.
+Euler's series, the theta series and ``agile``'s theta sum report the
+digits their terms cancel, and ``numerics._resummed`` sums them again with
+more digits until the loss fits in half the guard digits.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .numerics import (
 )
 
 INF = math.inf
-_LOG10_2 = math.log10(2)
 
 
 @dataclass(frozen=True)
@@ -121,9 +120,9 @@ def pochhammer(a, q, n, prec: PrecisionSpec):
     summed instead, in fixed-point integers: its terms fall like
     |q|^(n^2/2), so it needs about the square root of the factor count.
     Its stopping rule is absolute, so it loses about
-    log10(max(1, sum |t_n|) / |total|) digits to cancellation (near |q| = 1
-    a tiny product is the sum of huge terms); ``numerics._resummed`` sums
-    it again with those digits, which ends because (a; q)_inf has no zero
+    log10(max |t_n| / |total|) digits to cancellation (near |q| = 1 a tiny
+    product is the sum of huge terms); ``numerics._resummed`` sums it again
+    with those digits, which resolves it because (a; q)_inf has no zero
     at |a| < 1.  Every other input, |a| >= 1 (where a = q^(-k) gives an
     exact zero) or complex a or q, multiplies out the product in ctx's
     numbers.
@@ -140,14 +139,7 @@ def pochhammer(a, q, n, prec: PrecisionSpec):
         if abs(q) >= 1:
             raise DomainError(f"(a;q)_inf needs |q| < 1, got |q| = {abs(q)}")
         if abs(a) < 1 and not (isinstance(a, ctx.mpc) or isinstance(q, ctx.mpc)):
-
-            def summed(p: PrecisionSpec):
-                if p is prec:
-                    return _euler_series(p, a, q)
-                c = p.context()  # a higher precision: convert a and q again
-                return _euler_series(p, cv(c, a_in), cv(c, q_in))
-
-            return _resummed(prec, summed)
+            return _resummed(prec, lambda p: _euler_series(p, a_in, q_in))
         power = _qpowers(ctx, q)
         factors = (1 - a * power(m) for m in itertools.count())
         return _settle(ctx, prec.work_eps(ctx), factors, product=True)
@@ -165,27 +157,23 @@ def _euler_series(prec: PrecisionSpec, a, q):
     """Euler's series for (a; q)_inf at real a and q, |a| < 1, with every
     term advanced in fixed-point integers (value * 2^wp, wp = ctx.prec +
     ``_FIXED_GUARD``) and added by ``_settle`` as integers; returns the
-    total, rounded once, and the digits it lost to cancellation, read from
-    bit lengths."""
+    total, rounded once, and ``_settle``'s reading of the digits it lost to
+    cancellation."""
     ctx = prec.context()
     wp = ctx.prec + _FIXED_GUARD
     one = 1 << wp
-    a_fixed, q_fixed = to_fixed(a._mpf_, wp), to_fixed(q._mpf_, wp)
-    scale = 0  # sum of |t_n| * 2^wp
+    a_fixed, q_fixed = (to_fixed(cv(ctx, v)._mpf_, wp) for v in (a, q))
 
     def terms():
-        nonlocal scale
         term, qm = one, one  # t_m and q^m
         while True:
-            scale += abs(term)
             yield term
             qm1 = qm * q_fixed >> wp
             term = term * (-a_fixed * qm >> wp) // (one - qm1)
             qm = qm1
 
-    total = _settle(ctx, prec.work_eps(ctx), terms(), wp=wp)
-    lost_bits = max(one, scale).bit_length() - abs(total).bit_length()
-    return _from_fixed(ctx, total, wp), lost_bits * _LOG10_2
+    total, lost = _settle(ctx, prec.work_eps(ctx), terms(), wp=wp)
+    return _from_fixed(ctx, total, wp), lost
 
 
 def euler_f(q, prec: PrecisionSpec):
@@ -241,9 +229,9 @@ def _theta_series(prec: PrecisionSpec, z, q, s: int):
     makes |q^(n^2) e^(2inz)| <= e^(-L n (n-1)) fall from n = 0, so
     sum |term| <= 3 + sqrt(pi/L) is known before the first term, and
     ``numerics._resummed`` sums again with the digits the total falls
-    short of it.  That ends because theta3 and theta4 vanish at no mpf or
-    mpc input: a zero needs e^(2iz) = -q^(2n+1) or q^(2n+1), but e^(2iz) is
-    transcendental for z != 0, and z = 0 needs |q| = 1.
+    short of it.  A precision below its cap resolves the total: a zero of
+    theta3 or theta4 needs e^(2iz) = -q^(2n+1) or q^(2n+1), but e^(2iz) is
+    transcendental at mpf or mpc z != 0, and z = 0 needs |q| = 1.
     """
 
     def summed(p: PrecisionSpec):
@@ -252,13 +240,21 @@ def _theta_series(prec: PrecisionSpec, z, q, s: int):
         if isinstance(q_, ctx.mpc):
             # q^(n^2) e^(2inz) = q^(2 n^2 / 2 + (4iz / ln q) n / 2)
             lin = 4j * z_ / ctx.log(q_) if q_ else 0
-            total = ctx.mpc(_bilateral_halfsquare(ctx, lin, 2, q_, signed=s < 0))
+            total = ctx.mpc(_bilateral_halfsquare(ctx, lin, 2, q_, signed=s < 0)[0])
         else:
             total = _theta_sum_fixed(ctx, z_, q_, s, gaussian_cutoff(ctx.dps, L, t), L, t)
-        mag_total = ctx.mag(total) if total else -ctx.prec  # 0 is below one ulp
-        return total, (math.log2(3 + math.sqrt(math.pi / L)) - mag_total) * _LOG10_2
+        return total, _gaussian_lost(ctx, total, L)
 
     return _resummed(prec, summed)
+
+
+def _gaussian_lost(ctx, total, L: float, c: float = 0.0) -> float:
+    """The digits lost by a Gaussian sum that came to total, from a bound
+    known before its first term: terms of size at most e^(-L n^2 - c n)
+    peak at e^(c^2 / (4L)) and sum to below that times 3 + sqrt(pi / L)."""
+    mag_total = ctx.mag(total) if total else -ctx.prec  # 0 is below one ulp
+    bound = c * c / (4 * L) / math.log(2) + math.log2(3 + math.sqrt(math.pi / L))
+    return (bound - mag_total) * math.log10(2)
 
 
 def _theta_sum_fixed(ctx, z, q, s: int, n_cut: int, L: float, t: float):
@@ -341,13 +337,13 @@ def theta2(q, prec: PrecisionSpec):
     n and -1-n give the same term of S_1 = sum_{n in Z} q^(n^2 + n)."""
     ctx = prec.context()
     q = cv(ctx, q)
-    return qpow(ctx, q, Fraction(1, 4)) * _bilateral_halfsquare(ctx, 2, 2, q, signed=False)
+    return qpow(ctx, q, Fraction(1, 4)) * _bilateral_halfsquare(ctx, 2, 2, q, signed=False)[0]
 
 
 def theta_sum_S(z, q, prec: PrecisionSpec):
     """S_z = sum over all integers n of q^(n^2 + z n); z may be complex."""
     ctx = prec.context()
-    return _bilateral_halfsquare(ctx, 2 * cv(ctx, z), 2, q, signed=False)
+    return _bilateral_halfsquare(ctx, 2 * cv(ctx, z), 2, q, signed=False)[0]
 
 
 def _bilateral_halfsquare(ctx, coeff_lin, p, q, signed: bool):
@@ -355,7 +351,8 @@ def _bilateral_halfsquare(ctx, coeff_lin, p, q, signed: bool):
 
     Shared engine for theta_sum_S (p = 2), theta2, the theta-sum route of
     [a,p;q] and psi_star; the quadratic coefficient is p/2.  At q = 0 only
-    the n = 0 term is kept, which gives 1.
+    the n = 0 term is kept, which gives 1.  Returns the sum and the digits
+    it lost to cancellation, by ``_gaussian_lost``.
 
     The terms are walked out from n = 0 in both directions by
     multiplication: term(n +- 1) / term(n) starts at
@@ -371,7 +368,7 @@ def _bilateral_halfsquare(ctx, coeff_lin, p, q, signed: bool):
     if qa >= 1:
         raise DomainError(f"bilateral Gaussian sum needs |q| < 1, got |q| = {qa}")
     if q == 0:
-        return ctx.mpf(1)
+        return ctx.mpf(1), 0.0
     logq = ctx.log(q)
     L = float(-ctx.re(p * logq)) / 2.0
     if L <= 0:
@@ -392,7 +389,7 @@ def _bilateral_halfsquare(ctx, coeff_lin, p, q, signed: bool):
             term = term * ratio
             ratio = ratio * step
             total = total + term
-    return total
+    return total, _gaussian_lost(ctx, total, L, c)
 
 
 def agile(params: AgileParams, q, prec: PrecisionSpec, route: str | None = None):
@@ -404,12 +401,13 @@ def agile(params: AgileParams, q, prec: PrecisionSpec, route: str | None = None)
         (1/(q^p; q^p)_inf) * sum_{n in Z} (-1)^n q^(p n^2/2 + (p-2a) n/2),
 
     which is defined for every complex a.  Auto-selection: product for real
-    a inside (0, p), theta sum otherwise.
+    a inside (0, p), theta sum otherwise.  The theta sum is re-summed while
+    it cancels, and is exactly 0 when a/p is an integer (a factor is 1 - 1).
     """
     ctx = prec.context()
     a = cv(ctx, params.a)
     p = cv(ctx, params.p)
-    q = cv(ctx, q)
+    q_in, q = q, cv(ctx, q)
     if abs(q) >= 1:
         raise DomainError(f"[a,p;q] needs |q| < 1, got |q| = {abs(q)}")
     if ctx.im(p) != 0 or ctx.re(p) <= 0:
@@ -427,9 +425,14 @@ def agile(params: AgileParams, q, prec: PrecisionSpec, route: str | None = None)
     if route == "theta":
         if ctx.im(q) != 0 or ctx.re(q) <= 0:
             raise DomainError("theta route needs real q in (0, 1)")
-        numer = _bilateral_halfsquare(ctx, p - 2 * a, p, q, signed=True)
-        denom = euler_f(qpow(ctx, q, p), prec)
-        return numer / denom
+        if ctx.isint(a / p):
+            return ctx.mpf(0)
+
+        def summed(at: PrecisionSpec):  # a and p again at `at`: a near k p keeps its distance
+            a_, p_ = (cv(at.context(), v) for v in (params.a, params.p))
+            return _bilateral_halfsquare(at.context(), p_ - 2 * a_, p_, q_in, signed=True)
+
+        return _resummed(prec, summed) / euler_f(qpow(ctx, q, p), prec)
     raise DomainError(f"unknown route {route!r}")
 
 
@@ -447,7 +450,7 @@ def psi_star(a, p, q, prec: PrecisionSpec, route: str = "sum"):
     if abs(q) >= 1:
         raise DomainError(f"psi* needs |q| < 1, got |q| = {abs(q)}")
     if route == "sum":
-        return _bilateral_halfsquare(ctx, p - 2 * a, p, q, signed=False)
+        return _bilateral_halfsquare(ctx, p - 2 * a, p, q, signed=False)[0]
     if route == "product":
         if not (0 < ctx.re(a) < ctx.re(p)):
             raise DomainError(f"product route needs Re(a) in (0, p), got a = {a}")
@@ -484,4 +487,4 @@ def hyperbolic_log_sum(t, a, prec: PrecisionSpec):
             yield (ek + e_negk) / (k * (fk - f_negk))
             ek, e_negk, fk, f_negk = ek * e, e_negk * e_inv, fk * f, f_negk * f_inv
 
-    return _settle(ctx, prec.work_eps(ctx), terms())
+    return _settle(ctx, prec.work_eps(ctx), terms())[0]

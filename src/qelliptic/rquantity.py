@@ -135,7 +135,7 @@ def rq_theta(a, b, p, x, prec: PrecisionSpec, route: str = "theta"):
                 yield (pa + ppa - pb - ppb) / (n * (pp - 1))
                 powers = [v * w for v, w in zip(powers, bases)]
 
-        s = _settle(ctx, prec.work_eps(ctx), terms())
+        s, _ = _settle(ctx, prec.work_eps(ctx), terms())
         return prefactor * ctx.exp(-s)
     raise DomainError(f"unknown route {route!r}")
 
@@ -234,7 +234,7 @@ def drq_dq(params: RQParams, q, prec: PrecisionSpec):
             yield ha + hpa - hb - hpb
             qpn = qpn * qp
 
-    log_deriv = c_exp / qv - _settle(ctx, prec.work_eps(ctx), terms())
+    log_deriv = c_exp / qv - _settle(ctx, prec.work_eps(ctx), terms())[0]
     value = rq(params, qv, prec) * log_deriv
 
     # Independent confirmation by central difference at raised precision.

@@ -667,7 +667,7 @@ def _chk_theta_def_printed(prec, rng):
     ctx = prec.context()
     z, q = cv(ctx, Fraction(3, 10)), cv(ctx, Fraction(1, 5))
     terms = ((-1) ** n * q ** (n * n) * ctx.cos(2 * n * z) for n in itertools.count(1))
-    printed = 1 + _settle(ctx, prec.work_eps(ctx), terms)
+    printed = 1 + _settle(ctx, prec.work_eps(ctx), terms)[0]
     yield abs(printed - theta4_product(z, q, prec))
 
 
@@ -728,7 +728,7 @@ def _chk_rr_eq2324(prec, rng):
             (ctx.cosh(n * x / 2) - ctx.cosh(3 * n * x / 2)) / (n * ctx.sinh(5 * n * x / 2))
             for n in itertools.count(1)
         )
-        s = _settle(ctx, prec.work_eps(ctx), terms)
+        s, _ = _settle(ctx, prec.work_eps(ctx), terms)
         yield abs(R - ctx.exp(-x / 5 + s))
 
 
@@ -1115,7 +1115,7 @@ def _agile_deriv_normalized(a, p, prec):
 
     eps = prec.work_eps(ctx)
     s = sum(
-        _settle(ctx, eps, (dlog(base + p * n) for n in itertools.count()))
+        _settle(ctx, eps, (dlog(base + p * n) for n in itertools.count()))[0]
         for base in (p - a, a)
     )
     dg = g * (cv(ctx, e) / q + s)
@@ -1394,10 +1394,10 @@ def _chk_thm7_eq66_printed(prec, rng):
 )
 def _chk_thm7_eq67(prec, rng):
     # Both bilateral sums vanish identically at eps = 0, so the value is
-    # checked as a limit.  With eps = 10^(-2 digits/5) the residual is
-    # bounded by the larger of the Taylor term O(eps^2) and the cancellation
-    # noise of the vanishing sums, 10^(-workdps)/eps; both shrink by more
-    # than 10^10 per 20 extra digits, preserving the escalation property.
+    # checked as a limit.  Their O(1) terms cancel to O(eps), which agile's
+    # theta route sums again with the digits lost, so the residual is the
+    # Taylor term O(eps^2), eps = 10^(-2 digits/5), or roundoff below it:
+    # more than 10^10 smaller per 20 extra digits, as escalation needs.
     ctx = prec.context()
     eps = Fraction(1, 10 ** ((2 * prec.digits) // 5))
     for m1, m2, p in ((1, 2, 3), (2, 1, 2)):

@@ -58,6 +58,15 @@ def test_eval_euler_product_r_nome(capsys):
     assert out == "0.9981290699259585132799623"
 
 
+def test_eval_mseries_near_unit_q(capsys):
+    # the terms rise to 1e56 and cancel to 0.167
+    code, out, _ = run_cli(
+        capsys, "eval", "--fn", "mseries", "--params", "c=-5", "--q", "0.99", "--digits", "30"
+    )
+    assert code == 0
+    assert out == "0.166899116135176362255442234603"
+
+
 def test_eval_complex_params_two_lines(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import math
 import pathlib
 import threading
 from fractions import Fraction
@@ -23,6 +24,7 @@ from qelliptic.numerics import (
     UnknownSelector,
     VerificationError,
     _from_fixed,
+    _resummed,
     _settle,
     cv,
     gamma,
@@ -166,7 +168,7 @@ def test_settle_geometric_series():
     p = PrecisionSpec(50)
     ctx = p.context()
     z = cv(ctx, Fraction(1, 3))
-    s = _settle(ctx, p.work_eps(ctx), (z**n for n in itertools.count()))
+    s, _ = _settle(ctx, p.work_eps(ctx), (z**n for n in itertools.count()))
     assert abs(s - ctx.mpf(3) / 2) < p.target_eps(ctx)
 
 
@@ -215,7 +217,7 @@ def test_settle_fixed_finite_iterable_is_exact():
     ctx = p.context()
     wp = ctx.prec + _FIXED_GUARD
     items = [3 << wp, -(5 << (wp - 2)), 7, -1]
-    assert _settle(ctx, p.work_eps(ctx), iter(items), wp=wp) == sum(items)
+    assert _settle(ctx, p.work_eps(ctx), iter(items), wp=wp)[0] == sum(items)
 
 
 def test_settle_fixed_nonconvergence():
@@ -233,7 +235,7 @@ def test_settle_fixed_isolated_zeros_do_not_stop():
     wp = ctx.prec + _FIXED_GUARD
     one = 1 << wp
     items = [one, 0, 0, one >> 1, 0, 0, one >> 2, 0, 0, 0, one]
-    assert _settle(ctx, p.work_eps(ctx), iter(items), wp=wp) == one + (one >> 1) + (one >> 2)
+    assert _settle(ctx, p.work_eps(ctx), iter(items), wp=wp)[0] == one + (one >> 1) + (one >> 2)
 
 
 def _exact(x):
@@ -272,11 +274,11 @@ def test_settle_fixed_matches_the_mpf_mode(digits, ratio, gaussian):
             seen[key] += 1
             yield v
 
-    mpf_total = _settle(ctx, eps, counted("mpf", fresh_terms()))
+    mpf_total, _ = _settle(ctx, eps, counted("mpf", fresh_terms()))
     n = seen["mpf"]
     terms += [r ** (k * k if gaussian else k) for k in range(n, n + 5)]
     fixed = (to_fixed(t._mpf_, wp) for t in terms)
-    int_total = _from_fixed(ctx, _settle(ctx, eps, counted("int", fixed), wp=wp), wp)
+    int_total = _from_fixed(ctx, _settle(ctx, eps, counted("int", fixed), wp=wp)[0], wp)
     assert seen["int"] == n
     exact = sum(_exact(t) for t in terms[:n])
 
@@ -286,6 +288,61 @@ def test_settle_fixed_matches_the_mpf_mode(digits, ratio, gaussian):
     assert abs(_exact(int_total) - exact) <= ulp(int_total)
     # every partial sum of these series lies within max(1, |total|)
     assert abs(_exact(mpf_total) - exact) <= n * ulp(max(1, abs(int_total))) / 2
+
+
+def test_settle_loss_reading_agrees_between_modes_and_bounds_the_loss():
+    # e^-40 by its Taylor series: terms up to 40^40/40! ~ 4e16 cancel to
+    # 4.2e-18, 34.4 digits below the largest; the reading adds log10 of the
+    # term count, and both modes read the same exponents
+    p = PrecisionSpec(50)
+    ctx = p.context()
+    eps = p.work_eps(ctx)
+    wp = ctx.prec + _FIXED_GUARD
+    terms = []
+
+    def taylor():
+        term = ctx.mpf(1)
+        for n in itertools.count(1):
+            terms.append(term)
+            yield term
+            term = term * -40 / n
+
+    mpf_total, mpf_lost = _settle(ctx, eps, taylor())
+    int_total, int_lost = _settle(ctx, eps, [to_fixed(t._mpf_, wp) for t in terms], wp=wp)
+    assert abs(mpf_lost - int_lost) < 0.5
+    assert 34.4 < mpf_lost < 34.4 + math.log10(len(terms)) + 1
+    exact = sum(_exact(t) for t in terms)
+    for total in (mpf_total, _from_fixed(ctx, int_total, wp)):
+        # the digits the total falls short of the working precision
+        lost = math.log10(abs(_exact(total) - exact) / abs(exact) * 2**ctx.prec)
+        assert lost <= mpf_lost
+
+
+def test_settle_reads_an_exact_zero_total_as_a_total_loss():
+    p = PrecisionSpec(30)
+    ctx = p.context()
+    wp = ctx.prec + _FIXED_GUARD
+    half = ctx.mpf(1) / 2
+    assert _settle(ctx, p.work_eps(ctx), iter([half, -half])) == (0, math.inf)
+    assert _settle(ctx, p.work_eps(ctx), iter([1 << wp, -1 << wp]), wp=wp) == (0, math.inf)
+
+
+@pytest.mark.parametrize("lost", [0, math.inf])
+def test_resummed_stops_at_its_cap(lost):
+    # a total always at noise level, or an exact zero, never fits: the
+    # extra digits double, or jump, to 10 * workdps and stop there
+    prec = PrecisionSpec(30)
+    extras = []
+
+    def summed(p):
+        extras.append(p.digits - prec.digits)
+        assert extras[-1] <= 10 * prec.workdps  # past the cap: the loop would never end
+        return p.context().mpf(1) / 3, lost + p.workdps
+
+    total = _resummed(prec, summed)
+    assert extras[-1] == 10 * prec.workdps
+    assert extras == sorted(set(extras)) and len(extras) <= 7
+    assert total == prec.context().mpf(1) / 3
 
 
 def _settle_reference(ctx, eps, items, product):
@@ -360,6 +417,7 @@ def test_settle_prefilter_never_changes_a_decision(product, lead, lead_complex, 
                 yield v
 
         new = _settle(ctx, eps, counted("new"), product=product)
+        new = new if product else new[0]
         old = _settle_reference(ctx, eps, counted("old"), product)
         assert seen["new"] == seen["old"]
         assert new == old and type(new) is type(old)

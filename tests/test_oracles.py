@@ -21,12 +21,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qelliptic import qfunctions
 from qelliptic.algrec import PSLQ_MAXSTEPS, _lll_reduce, find_minpoly
-from qelliptic.cfrac import h_cf, m_cf, p_cf, r1_cf, r2_cf, r3_cf, rr_cf
+from qelliptic.cfrac import h_cf, m_cf, m_series, p_cf, r1_cf, r2_cf, r3_cf, rr_cf
 from qelliptic.elliptic import K_of_k, modulus_from_nome
 from qelliptic.hyperq import Phi21Params, phi21
 from qelliptic.numerics import DomainError, PrecisionSpec, cv
@@ -478,6 +478,28 @@ def test_m_fraction_matches_its_series(digits, q, c):
 
 
 @SETTINGS
+@given(
+    st.sampled_from([30, 60, 120, 200]),
+    st.fractions(min_value=-1000, max_value=-1, max_denominator=100),
+    st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100), max_denominator=100),
+)
+@example(30, Fraction(-5), Fraction(99, 100))
+@example(30, Fraction(-1000), Fraction(9, 10))
+@example(30, Fraction(-1000), Fraction(99, 100))
+def test_m_series_keeps_relative_digits_when_its_terms_cancel(digits, c, q):
+    # for c < 0 and q near 1 the terms rise far above the total before they
+    # fall: at c = -5, q = 0.99 to 1e56 against 0.167
+    lc, lq = math.log10(-c), -math.log10(q)
+    # log10 |c^n q^(n(n+1)/2)| = n lc - n(n+1) lq / 2 peaks below lc^2 / (2 lq)
+    ctx = _oracle(digits + math.ceil(lc * lc / (2 * lq)))
+    b = lc - lq / 2
+    N = math.ceil((b + math.sqrt(b * b + 2 * lq * (ctx.dps + 10))) / lq) + 2
+    qv, cv_ = _num(ctx, q), _num(ctx, c)
+    series = ctx.fsum(cv_**n * qv ** (n * (n + 1) // 2) for n in range(N))
+    assert _agree_relative(ctx, m_series(c, q, PrecisionSpec(digits)), series, digits)
+
+
+@SETTINGS
 @given(digits_st, q_st, unit_st, unit_st)
 def test_p_fraction_matches_its_product_form(digits, q, a, b):
     # (a^2 q^3; q^4)(b^2 q^3; q^4) / ((a^2 q; q^4)(b^2 q; q^4))
@@ -556,6 +578,26 @@ def test_psi_star_and_agile_theta_routes_match_qp_at_complex_a(digits, q, p, u, 
     assert _agree(ctx, psi_star(a, p, q, prec, route="sum"), psi, digits)
     value = agile(AgileParams(a, p), q, prec, route="theta")
     assert _agree(ctx, value, _agile_qp(ctx, a, pv, qv), digits)
+
+
+@pytest.mark.parametrize("digits", [30, 60])
+@pytest.mark.parametrize("q", [Fraction(9, 10), Fraction(19, 20), Fraction(97, 100)])
+def test_agile_theta_route_keeps_relative_digits_near_unit_q(digits, q):
+    # the theta route sums O(1) terms to [1/3, 1; q] (q; q)_inf, which is
+    # tiny near q = 1: summed once it was off by 1.5e-27, 9.4e-6 and 2.2e23
+    # relative at 30 digits for these q
+    params = AgileParams(Fraction(1, 3), 1)
+    reference = agile(params, q, PrecisionSpec(200), route="product")
+    value = agile(params, q, PrecisionSpec(digits), route="theta")
+    assert _agree_relative(_oracle(digits), value, reference, digits)
+
+
+def test_agile_is_exactly_zero_when_a_over_p_is_an_integer():
+    # a = -k p or (k + 1) p makes a factor of the product 1 - 1
+    prec = PrecisionSpec(30)
+    for a, p in ((0, 1), (1, 1), (2, 1), (-3, Fraction(3, 2)), (Fraction(9, 2), Fraction(3, 2))):
+        value = agile(AgileParams(a, p), Fraction(1, 2), prec)
+        assert value == 0 and isinstance(value, prec.context().mpf)
 
 
 @SETTINGS
