@@ -11,7 +11,6 @@ Notation: value = b0 + a1/(b1 + a2/(b2 + a3/(b3 + ...))).
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -185,10 +184,17 @@ def m_series(c, q, prec: PrecisionSpec):
         cc, qq = cv(ctx, c), cv(ctx, q)
         if abs(qq) >= 1:
             raise DomainError(f"M(c, q) needs |q| < 1, got |q| = {abs(qq)}")
-        # term ratio from n-1 to n is c*q^n, so update it incrementally
-        ratios = itertools.accumulate(itertools.repeat(qq), operator.mul, initial=cc * qq)
-        terms = itertools.accumulate(ratios, operator.mul, initial=ctx.mpf(1))
-        return _settle(ctx, p.work_eps(ctx), terms)
+
+        def terms():
+            term = ctx.mpf(1)
+            # term ratio from n-1 to n is c*q^n, so update it incrementally
+            ratio = cc * qq
+            while True:
+                yield term
+                term = term * ratio
+                ratio = ratio * qq
+
+        return _settle(ctx, p.work_eps(ctx), terms())
 
     return _resummed(prec, summed)
 

@@ -39,10 +39,11 @@ def phi21(params: Phi21Params, prec: PrecisionSpec):
     Requires |q| < 1 and |z| < 1; c must avoid the poles q^(-n), and one
     within a few working ulps of them raises DomainError.  A series that
     cancels past half the guard digits is summed again with more digits by
-    ``numerics._resummed``, up to its cap at an exact zero: phi21(2, 1/4;
-    1/2; 1/2, 1/3) is one, since a = 1/q ends the series after 1 - 1 = 0.
+    ``numerics._resummed``, at most prec.workdps more, so that an exact
+    zero costs two sums: phi21(2, 1/4; 1/2; 1/2, 1/3) is one, since a = 1/q
+    ends the series after 1 - 1 = 0, and so is phi21(1/3, 3; 2/3; 1/2, 2/3).
     """
-    return _resummed(prec, lambda p: _phi21_sum(params, p))
+    return _resummed(prec, lambda p: _phi21_sum(params, p), cap=prec.workdps)
 
 
 def _phi21_sum(params: Phi21Params, prec: PrecisionSpec):
@@ -126,7 +127,7 @@ def psi_small_product(a, q, z, prec: PrecisionSpec):
 
 
 def gauss_product(a, b, c, q, prec: PrecisionSpec):
-    """Closed form of 2-phi-1(a, b; c; q, ab/c):
+    """Closed form of 2-phi-1(a, b; c; q, c/(ab)), the q-Gauss sum:
 
     (c/a; q)_inf (c/b; q)_inf / ((c; q)_inf (c/(ab); q)_inf)."""
     ctx = prec.context()

@@ -30,12 +30,12 @@ mpf per term, and round the total once with ``_from_fixed``.
 A series whose terms cancel loses digits that no stopping rule sees:
 ``_settle`` returns each series total with the digits its items lost, and
 ``_resummed``, the one re-sum rule, sums again with more digits until the
-loss fits in half the guard digits, up to a cap that ends it at exact
-zeros.  Euler's series, ``phi21``, ``m_series``, and the theta and ``agile``
-Gaussian sums (by a bound known before their first term) use it; plain
-``_settle`` serves ``hyperbolic_log_sum`` (positive terms), ``rq_theta``'s
-exp sum (exponentiated, so only its absolute error counts), ``drq_dq``
-(a central difference cross-checks it) and ``verify``'s printed readings.
+loss fits in half the guard digits.  Euler's series, ``phi21`` (capped:
+it can be exactly zero), ``m_series``, and the theta and ``agile`` Gaussian
+sums (by a bound known before their first term) use it; plain ``_settle``
+serves ``hyperbolic_log_sum`` (positive terms), ``rq_theta``'s exp sum
+(exponentiated, so only its absolute error counts), ``drq_dq`` (a central
+difference cross-checks it) and ``verify``'s printed readings.
 """
 
 from __future__ import annotations
@@ -258,7 +258,7 @@ def _settle(
     return total, lost * math.log10(2)
 
 
-def _resummed(prec: PrecisionSpec, summed):
+def _resummed(prec: PrecisionSpec, summed, cap: float = math.inf):
     """A series at prec, summed again with more digits while it cancels.
 
     ``summed(p)`` sums the series at the PrecisionSpec p and returns its
@@ -266,21 +266,17 @@ def _resummed(prec: PrecisionSpec, summed):
     that loss exceeds the extra digits plus half the guard digits, the
     series is summed again at ``prec.bumped(extra)``; a total lost in
     rounding understates the loss, so the extra digits at least double
-    until the loss fits, up to a cap of 10 * prec.workdps, and the total is
-    rounded back to prec's working precision.  Below the cap it keeps
-    those digits.  Past it, as at an exact zero, which no precision
-    resolves, it is the total at the cap: within about 10^-(11 workdps) of
-    its largest term, with no relative digits promised.
+    until the loss fits, and the total is rounded back to prec's working
+    precision.  That ends only where the series is not zero, so a series
+    that can be exactly zero passes a ``cap`` on the extra digits; past it
+    the total keeps its absolute accuracy, not its relative digits.
     """
     total, lost = summed(prec)
-    extra, cap = 0, 10 * prec.workdps
+    extra = 0
     while lost > extra + prec.guard // 2 and extra < cap:
         extra = math.ceil(min(cap, max(lost, 2 * extra)))
         total, lost = summed(prec.bumped(extra))
-    if not extra:
-        return total
-    ctx = prec.context()
-    return ctx.mpc(total) if hasattr(total, "_mpc_") else ctx.mpf(total)
+    return +prec.context().convert(total) if extra else total  # unary + rounds
 
 
 def gamma(x, prec: PrecisionSpec):

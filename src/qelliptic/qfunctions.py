@@ -42,6 +42,7 @@ from mpmath.libmp import (
     mpf_neg,
     mpf_shift,
     to_fixed,
+    to_rational,
 )
 
 from .numerics import (
@@ -229,9 +230,9 @@ def _theta_series(prec: PrecisionSpec, z, q, s: int):
     makes |q^(n^2) e^(2inz)| <= e^(-L n (n-1)) fall from n = 0, so
     sum |term| <= 3 + sqrt(pi/L) is known before the first term, and
     ``numerics._resummed`` sums again with the digits the total falls
-    short of it.  A precision below its cap resolves the total: a zero of
-    theta3 or theta4 needs e^(2iz) = -q^(2n+1) or q^(2n+1), but e^(2iz) is
-    transcendental at mpf or mpc z != 0, and z = 0 needs |q| = 1.
+    short of it.  That ends because theta3 and theta4 vanish at no mpf or
+    mpc input: a zero needs e^(2iz) = -q^(2n+1) or q^(2n+1), but e^(2iz) is
+    transcendental for z != 0, and z = 0 needs |q| = 1.
     """
 
     def summed(p: PrecisionSpec):
@@ -401,8 +402,9 @@ def agile(params: AgileParams, q, prec: PrecisionSpec, route: str | None = None)
         (1/(q^p; q^p)_inf) * sum_{n in Z} (-1)^n q^(p n^2/2 + (p-2a) n/2),
 
     which is defined for every complex a.  Auto-selection: product for real
-    a inside (0, p), theta sum otherwise.  The theta sum is re-summed while
-    it cancels, and is exactly 0 when a/p is an integer (a factor is 1 - 1).
+    a inside (0, p), theta sum otherwise.  The theta sum is exactly 0 when
+    a/p is an integer (a factor is 1 - 1), its only zero at exact a, p, q,
+    and is otherwise re-summed while it cancels.
     """
     ctx = prec.context()
     a = cv(ctx, params.a)
@@ -425,7 +427,11 @@ def agile(params: AgileParams, q, prec: PrecisionSpec, route: str | None = None)
     if route == "theta":
         if ctx.im(q) != 0 or ctx.re(q) <= 0:
             raise DomainError("theta route needs real q in (0, 1)")
-        if ctx.isint(a / p):
+        try:  # exactly: a quotient rounded to ctx can land on an integer or miss one
+            integer = (_fraction(params.a) / _fraction(params.p)).denominator == 1
+        except (TypeError, ValueError, OverflowError):  # complex a or p
+            integer = ctx.isint(a / p)
+        if integer:
             return ctx.mpf(0)
 
         def summed(at: PrecisionSpec):  # a and p again at `at`: a near k p keeps its distance
@@ -434,6 +440,11 @@ def agile(params: AgileParams, q, prec: PrecisionSpec, route: str | None = None)
 
         return _resummed(prec, summed) / euler_f(qpow(ctx, q, p), prec)
     raise DomainError(f"unknown route {route!r}")
+
+
+def _fraction(x) -> Fraction:
+    """A real int, Fraction, float, decimal string or mpf as the exact Fraction."""
+    return Fraction(*to_rational(x._mpf_)) if hasattr(x, "_mpf_") else Fraction(x)
 
 
 def psi_star(a, p, q, prec: PrecisionSpec, route: str = "sum"):

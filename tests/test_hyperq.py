@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qelliptic import hyperq
 from qelliptic.hyperq import (
     Phi21Params,
     gauss_product,
@@ -40,6 +41,26 @@ def test_psi_small_euler_case():
     q, z = Fraction(1, 5), Fraction(3, 10)
     v = psi_small(0, q, z, P50) * pochhammer(z, q, INF, P50)
     assert abs(v - 1) < ctx.mpf(10) ** (-45)
+
+
+def test_phi21_exact_zero_costs_two_sums(monkeypatch):
+    # the q-Gauss sum gives (c/a; q)_inf (c/b; q)_inf / ((c; q)_inf (c/(ab); q)_inf)
+    # at z = c/(ab), and c/a = 1/q makes it 0: no precision resolves the
+    # total, so the extra digits stop at one working precision
+    prec = PrecisionSpec(200)
+    calls = []
+    summed = hyperq._phi21_sum
+
+    def counted(params, p):
+        calls.append(p)
+        return summed(params, p)
+
+    monkeypatch.setattr(hyperq, "_phi21_sum", counted)
+    params = Phi21Params(Fraction(1, 3), 3, Fraction(2, 3), Fraction(1, 2), Fraction(2, 3))
+    value = phi21(params, prec)
+    assert [p.digits - prec.digits for p in calls] == [0, prec.workdps]
+    ctx = prec.context()
+    assert abs(value) < ctx.mpf(10) ** -prec.workdps
 
 
 def test_psi_small_is_phi21_with_b_c_zero():

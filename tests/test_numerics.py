@@ -330,19 +330,34 @@ def test_settle_reads_an_exact_zero_total_as_a_total_loss():
 @pytest.mark.parametrize("lost", [0, math.inf])
 def test_resummed_stops_at_its_cap(lost):
     # a total always at noise level, or an exact zero, never fits: the
-    # extra digits double, or jump, to 10 * workdps and stop there
+    # extra digits double, or jump, to the cap and stop there
+    prec = PrecisionSpec(30)
+    cap = 10 * prec.workdps
+    extras = []
+
+    def summed(p):
+        extras.append(p.digits - prec.digits)
+        assert extras[-1] <= cap  # past the cap: the loop would never end
+        return p.context().mpf(1) / 3, lost + p.workdps
+
+    total = _resummed(prec, summed, cap=cap)
+    assert extras[-1] == cap
+    assert extras == sorted(set(extras)) and len(extras) <= 7
+    assert total == prec.context().mpf(1) / 3
+
+
+def test_resummed_without_a_cap_sums_until_the_loss_fits():
+    # a series that loses 1000 digits, more than 10 * workdps, until it is
+    # summed with them comes back resolved
     prec = PrecisionSpec(30)
     extras = []
 
     def summed(p):
         extras.append(p.digits - prec.digits)
-        assert extras[-1] <= 10 * prec.workdps  # past the cap: the loop would never end
-        return p.context().mpf(1) / 3, lost + p.workdps
+        return p.context().mpf(1) / 3, 1000 if extras[-1] < 1000 else 0
 
-    total = _resummed(prec, summed)
-    assert extras[-1] == 10 * prec.workdps
-    assert extras == sorted(set(extras)) and len(extras) <= 7
-    assert total == prec.context().mpf(1) / 3
+    assert _resummed(prec, summed) == prec.context().mpf(1) / 3
+    assert extras == [0, 1000]
 
 
 def _settle_reference(ctx, eps, items, product):

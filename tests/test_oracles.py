@@ -593,11 +593,38 @@ def test_agile_theta_route_keeps_relative_digits_near_unit_q(digits, q):
 
 
 def test_agile_is_exactly_zero_when_a_over_p_is_an_integer():
-    # a = -k p or (k + 1) p makes a factor of the product 1 - 1
+    # a = -k p or (k + 1) p makes a factor of the product 1 - 1; at 7/10
+    # and 7/30 the quotient of the rounded a and p is not 3
     prec = PrecisionSpec(30)
-    for a, p in ((0, 1), (1, 1), (2, 1), (-3, Fraction(3, 2)), (Fraction(9, 2), Fraction(3, 2))):
+    pairs = ((0, 1), (1, 1), (2, 1), (-3, Fraction(3, 2)), (Fraction(9, 2), Fraction(3, 2)))
+    for a, p in pairs + ((Fraction(7, 10), Fraction(7, 30)), ("0.7", Fraction(7, 30))):
         value = agile(AgileParams(a, p), Fraction(1, 2), prec)
         assert value == 0 and isinstance(value, prec.context().mpf)
+
+
+@pytest.mark.parametrize("a", [3 + Fraction(1, 10**60), 3 - Fraction(1, 10**60), "3.0000000001"])
+def test_agile_near_an_integer_ratio_keeps_relative_digits(a):
+    # a/p within half an ulp of 3 at 30 digits, or well inside the working
+    # digits, is no zero: the factor 1 - q^(1 - a + 2) = 1 - q^(3 - a) is
+    # about (3 - a) ln 2
+    ctx = _oracle(100)
+    qv, av = ctx.mpf(1) / 2, ctx.mpf(Fraction(a).numerator) / Fraction(a).denominator
+    reference = ctx.qp(qv**av, qv) * ctx.qp(qv ** (1 - av), qv)
+    value = agile(AgileParams(a, 1), Fraction(1, 2), PrecisionSpec(30), route="theta")
+    assert _agree_relative(ctx, value, reference, 30)
+
+
+def test_euler_f_and_theta4_keep_relative_digits_at_q_999_1000():
+    # both lose about 1070 digits to cancellation at q = 999/1000; against
+    # their modular transforms at q' = e^(-4 pi^2 / t) and e^(-pi^2 / t),
+    # t = -ln q, whose tails fall below 10^-8000
+    ctx = _oracle(60)
+    t = -ctx.log(ctx.mpf(999) / 1000)
+    euler = ctx.sqrt(2 * ctx.pi / t) * ctx.exp(t / 24 - ctx.pi**2 / (6 * t))
+    theta = 2 * ctx.sqrt(ctx.pi / t) * ctx.exp(-(ctx.pi**2) / (4 * t))
+    prec = PrecisionSpec(30)
+    assert _agree_relative(ctx, euler_f(Fraction(999, 1000), prec), euler, 30)
+    assert _agree_relative(ctx, theta4(0, Fraction(999, 1000), prec), theta, 30)
 
 
 @SETTINGS
