@@ -14,18 +14,22 @@ to pass between contexts.
 Infinite series, products and continued fractions are summed or
 multiplied by ``_settle``: callers hand it an iterable of numbers of their
 context (or, for a series, of fixed-point integers), and it applies the one
-stopping rule and term budget.  The two Gaussian sums are the exception:
+stopping rule and term budget.  A continued fraction hands it either the
+ratios of its approximants, as a product, or their increments, as a
+series.  The two Gaussian sums are the exception:
 ``qfunctions._theta_series`` and ``qfunctions._bilateral_halfsquare``
 (behind theta2/3/4, ``theta_sum_S``, ``psi_star`` and the theta route of
 ``agile``) run to ``gaussian_cutoff``, a term count fixed in advance from
 |q| and the working digits, with no per-term test.
 
 Real-input routes (``qfunctions.pochhammer`` at n = inf,
-``qfunctions._theta_series`` and ``hyperq.phi21``) advance their terms in
-Python integers scaled by 2^wp, with wp at least ctx.prec + ``_FIXED_GUARD``
-bits, the way mpmath's own jtheta and hypsum do.  The series among them
-hand those integers to ``_settle(..., wp=wp)``, which adds them without an
-mpf per term, and round the total once with ``_from_fixed``.
+``qfunctions._theta_series``, ``hyperq.phi21``, the continued fractions of
+``cfrac`` at real input and ``rquantity.rq_theta``'s exp sum) advance their
+terms in Python integers scaled by 2^wp, with wp at least ctx.prec +
+``_FIXED_GUARD`` bits, the way mpmath's own jtheta and hypsum do.  All but
+the theta series hand those integers (for a fraction, its approximant
+increments) to ``_settle(..., wp=wp)``, which adds them without an mpf per
+term, and round the total once with ``_from_fixed``.
 
 A series whose terms cancel loses digits that no stopping rule sees:
 ``_settle`` returns each series total with the digits its items lost, and
@@ -34,8 +38,10 @@ loss fits in half the guard digits.  Euler's series, ``phi21`` (capped:
 it can be exactly zero), ``m_series``, and the theta and ``agile`` Gaussian
 sums (by a bound known before their first term) use it; plain ``_settle``
 serves ``hyperbolic_log_sum`` (positive terms), ``rq_theta``'s exp sum
-(exponentiated, so only its absolute error counts), ``drq_dq`` (a central
-difference cross-checks it) and ``verify``'s printed readings.
+(in integers; exponentiated, so only its absolute error counts),
+``eval_cf``'s approximant increments (a backward pass from twice the depth
+cross-checks them), ``drq_dq`` (a central difference cross-checks it) and
+``verify``'s printed readings.
 """
 
 from __future__ import annotations
@@ -183,7 +189,8 @@ def _settle(
     raise NonConvergence.  Items must already be numbers of ``ctx``.
     Callers pass ``eps = prec.work_eps(ctx)``; series and products keep
     the default budget ``MAX_TERMS``, and ``cfrac.eval_cf`` passes its own
-    level budget.
+    level budget, with the ratios of its approximants as a product or, in
+    fixed point, their increments as a series.
 
     With ``wp`` given, the items of a series are Python ints instead,
     fixed-point values scaled by 2^wp, and so is the returned total: the

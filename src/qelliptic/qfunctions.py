@@ -92,19 +92,21 @@ def qpow(ctx, q, x):
     return ctx.exp(x * ctx.log(q))
 
 
-def _qpowers(ctx, q):
+def _qpowers(ctx, q, wp: int | None = None):
     """m -> q^m for integers m >= 0, read from a table that grows by one
     multiplication per new m (q must already be a number of ``ctx``).
 
     Used where a loop needs q^1, q^2, ... in turn: m multiplications cost
     far less than m exp/log pairs and lose at most m ulps, which the guard
-    digits absorb.
+    digits absorb.  With ``wp`` given, q must be real and the powers are
+    fixed-point integers scaled by 2^wp, losing at most m units of 2^-wp.
     """
-    table = [ctx.mpf(1), q]
+    table = [ctx.mpf(1), q] if wp is None else [1 << wp, to_fixed(q._mpf_, wp)]
+    base = table[1]
 
     def power(m: int):
         while len(table) <= m:
-            table.append(table[-1] * q)
+            table.append(table[-1] * base if wp is None else table[-1] * base >> wp)
         return table[m]
 
     return power

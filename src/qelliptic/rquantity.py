@@ -10,10 +10,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from mpmath.libmp import to_fixed
+
 from .numerics import (
+    _FIXED_GUARD,
     CrossCheckFailure,
     DomainError,
     PrecisionSpec,
+    _from_fixed,
     _settle,
     cv,
 )
@@ -95,7 +99,8 @@ def rq(params: RQParams, q, prec: PrecisionSpec):
 
 
 def rq_theta(a, b, p, x, prec: PrecisionSpec, route: str = "theta"):
-    """R(a,b,p;e^(-x)) for positive reals a, b, p, x, by theta quotient:
+    """R(a,b,p;e^(-x)) for real p, x > 0 and a, b in (0, p), by theta
+    quotient:
 
         exp(-x(a^2-b^2)/(2p) + x(a-b)/2)
         * theta4((p-2a) i x/4, e^(-px/2)) / theta4((p-2b) i x/4, e^(-px/2)).
@@ -103,12 +108,18 @@ def rq_theta(a, b, p, x, prec: PrecisionSpec, route: str = "theta"):
     route="expsum" evaluates the equivalent exponential-sum form
 
         prefactor * exp(- sum_{n>=1} (1/n)
-            (e^(anx) + e^((p-a)nx) - e^(bnx) - e^((p-b)nx)) / (e^(pnx) - 1)).
+            (e^(anx) + e^((p-a)nx) - e^(bnx) - e^((p-b)nx)) / (e^(pnx) - 1)),
 
-    The five exponentials e^(ax), e^((p-a)x), e^(bx), e^((p-b)x) and e^(px)
-    are computed once and raised to the n-th power by one multiplication
-    per term.  The two routes (and the product route of ``rq``) agree; the
-    suite asserts that.
+    its numerator and denominator divided by e^(pnx), so that the five
+    bases e^(-(p-a)x), e^(-ax), e^(-(p-b)x), e^(-bx) and e^(-px) all lie
+    below 1.  They are computed once, raised to the n-th power by one
+    multiplication per term, and the terms are summed in fixed-point
+    integers by ``_settle``.  The two routes (and the product route of
+    ``rq``) agree; the suite asserts that.
+
+    Outside a, b in (0, p) the theta route fails its growth guard and the
+    exponential sum diverges, so both routes raise DomainError there
+    before any work.
     """
     ctx = prec.context()
     a = cv(ctx, a)
@@ -118,6 +129,8 @@ def rq_theta(a, b, p, x, prec: PrecisionSpec, route: str = "theta"):
     for name, v in (("a", a), ("b", b), ("p", p), ("x", x)):
         if ctx.im(v) != 0 or v <= 0:
             raise DomainError(f"{name} must be positive real, got {v}")
+    if not (a < p and b < p):
+        raise DomainError(f"rq_theta needs a and b in (0, p), got a={a}, b={b}, p={p}")
     prefactor = ctx.exp(-x * (a * a - b * b) / (2 * p) + x * (a - b) / 2)
     if route == "theta":
         qq = ctx.exp(-p * x / 2)
@@ -126,17 +139,19 @@ def rq_theta(a, b, p, x, prec: PrecisionSpec, route: str = "theta"):
         value = prefactor * theta4(zn, qq, prec) / theta4(zd, qq, prec)
         return ctx.re(value) if abs(ctx.im(value)) < prec.target_eps(ctx) else value
     if route == "expsum":
-        bases = [ctx.exp(e * x) for e in (a, p - a, b, p - b, p)]
+        wp = ctx.prec + _FIXED_GUARD
+        one = 1 << wp
+        bases = [to_fixed(ctx.exp(-e * x)._mpf_, wp) for e in (p - a, a, p - b, b, p)]
 
         def terms():
             powers = bases
             for n in itertools.count(1):
                 pa, ppa, pb, ppb, pp = powers
-                yield (pa + ppa - pb - ppb) / (n * (pp - 1))
-                powers = [v * w for v, w in zip(powers, bases)]
+                yield ((pa + ppa - pb - ppb) << wp) // (n * (one - pp))
+                powers = [v * w >> wp for v, w in zip(powers, bases)]
 
-        s, _ = _settle(ctx, prec.work_eps(ctx), terms())
-        return prefactor * ctx.exp(-s)
+        s, _ = _settle(ctx, prec.work_eps(ctx), terms(), wp=wp)
+        return prefactor * ctx.exp(-_from_fixed(ctx, s, wp))
     raise DomainError(f"unknown route {route!r}")
 
 

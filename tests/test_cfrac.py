@@ -3,6 +3,7 @@
 import dataclasses
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from qelliptic import cfrac
@@ -38,14 +39,17 @@ def test_eval_cf_golden_ratio():
 
 
 def test_eval_cf_exact_termination():
-    # numerator hits exact zero at level 3: value is exactly 1/(1 + 1/1) = 1/2
-    cf = ContinuedFraction(
-        b0=0,
-        partial_num=lambda n: 1 if n < 3 else 0,
-        partial_den=lambda n: 1,
-    )
-    v = eval_cf(cf, P60)
-    assert v == 0.5
+    # numerator hits exact zero at level 3: value is exactly 1/(1 + 1/1) = 1/2,
+    # for items in ctx's numbers and in fixed point
+    for one, wp in ((1, None), (1 << 300, 300)):
+        cf = ContinuedFraction(
+            b0=0,
+            partial_num=lambda n, one=one: one if n < 3 else 0,
+            partial_den=lambda n, one=one: one,
+            wp=wp,
+        )
+        v = eval_cf(cf, P60)
+        assert v == 0.5
 
 
 def test_eval_cf_nonconvergence_budget(monkeypatch):
@@ -94,23 +98,41 @@ def test_eval_cf_backward_pass_is_compared(monkeypatch):
         eval_cf(cf, P60)
 
 
+def test_eval_cf_fixed_backward_pass_is_compared(monkeypatch):
+    # the same for items in fixed point: a forward total off by 2^-66
+    # (1.4e-20) relative must be caught at 60 digits
+    settle = cfrac._settle
+
+    def off_settle(*args, **kwargs):
+        total, lost = settle(*args, **kwargs)
+        return total + (total >> 66), lost
+
+    monkeypatch.setattr(cfrac, "_settle", off_settle)
+    one = 1 << 300
+    cf = ContinuedFraction(b0=one, partial_num=lambda n: one, partial_den=lambda n: one, wp=300)
+    with pytest.raises(CrossCheckFailure):
+        eval_cf(cf, P60)
+
+
 def test_eval_cf_requests_each_term_once():
     # the backward pass reads the forward pass's a_n and b_n for n <= depth
-    # and requests only the deeper ones, each once
-    requested = {"num": [], "den": []}
-
-    def partial(kind):
-        def term(n):
-            requested[kind].append(n)
-            return 1
-
-        return term
-
-    cf = ContinuedFraction(b0=1, partial_num=partial("num"), partial_den=partial("den"))
+    # and requests only the deeper ones, each once, for items in ctx's
+    # numbers and in fixed point
     ctx = P60.context()
-    assert abs(eval_cf(cf, P60) - (1 + ctx.sqrt(5)) / 2) < ctx.mpf(10) ** (-60)
-    for seen in requested.values():
-        assert sorted(seen) == list(range(1, len(seen) + 1))
+    for one, wp in ((1, None), (1 << 300, 300)):
+        requested = {"num": [], "den": []}
+
+        def partial(kind, one=one, requested=requested):
+            def term(n):
+                requested[kind].append(n)
+                return one
+
+            return term
+
+        cf = ContinuedFraction(b0=one, partial_num=partial("num"), partial_den=partial("den"), wp=wp)
+        assert abs(eval_cf(cf, P60) - (1 + ctx.sqrt(5)) / 2) < ctx.mpf(10) ** (-60)
+        for seen in requested.values():
+            assert sorted(seen) == list(range(1, len(seen) + 1))
 
 
 def test_rr_cf_frozen_at_inverse_e():
@@ -234,6 +256,24 @@ def test_p_cf_near_its_q_bound_matches_qp(q):
         / (ctx.qp(a * a * qv, q4) * ctx.qp(b * b * qv, q4))
     )
     assert abs(p_cf(a, b, qv, P60) - product) < ctx.mpf(10) ** (-55) * abs(product)
+
+
+@pytest.mark.parametrize("digits", [40, 60])
+def test_p_cf_settles_near_unit_ab(digits):
+    # ab = 0.998: a forward pass in ctx's numbers stalls with its Lentz
+    # ratios at |r - 1| = 1.02e-53, just above eps = 1.0e-53 at 40 digits,
+    # and raises NonConvergence after 4.8 s
+    ctx = mpmath.mp.__class__()
+    ctx.dps = digits + 20
+    a = b = ctx.mpf(999) / 1000
+    q = ctx.mpf(1) / 2
+    q4 = q**4
+    product = (
+        ctx.qp(a * a * q**3, q4) * ctx.qp(b * b * q**3, q4)
+        / (ctx.qp(a * a * q, q4) * ctx.qp(b * b * q, q4))
+    )
+    value = p_cf(Fraction(999, 1000), Fraction(999, 1000), Fraction(1, 2), PrecisionSpec(digits))
+    assert abs(value - product) < ctx.mpf(10) ** (-digits) * abs(product)
 
 
 def test_p_cf_domain():

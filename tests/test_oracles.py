@@ -15,6 +15,7 @@ computed 20 digits deeper, to 10^-digits times max(1, |reference|), or to
 10^-digits relative where a value can be tiny.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -24,12 +25,22 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qelliptic import qfunctions
+from qelliptic import cfrac, qfunctions
 from qelliptic.algrec import PSLQ_MAXSTEPS, _lll_reduce, find_minpoly
-from qelliptic.cfrac import h_cf, m_cf, m_series, p_cf, r1_cf, r2_cf, r3_cf, rr_cf
+from qelliptic.cfrac import (
+    ContinuedFraction,
+    h_cf,
+    m_cf,
+    m_series,
+    p_cf,
+    r1_cf,
+    r2_cf,
+    r3_cf,
+    rr_cf,
+)
 from qelliptic.elliptic import K_of_k, modulus_from_nome
 from qelliptic.hyperq import Phi21Params, phi21
-from qelliptic.numerics import DomainError, PrecisionSpec, cv
+from qelliptic.numerics import DomainError, PrecisionSpec, _from_fixed, cv
 from qelliptic.qfunctions import (
     INF,
     AgileParams,
@@ -356,6 +367,83 @@ def test_theta_real_and_complex_q_routes_agree(digits, q, negative, x, growth, b
             assert isinstance(real, kind) and isinstance(complex_, ctx.mpc)
             assert _agree_relative(ctx, complex_, real, digits)
 
+def _fraction_routes(fraction, args, digits):
+    """The fraction that fraction(*args) hands eval_cf, evaluated as given,
+    in fixed point, and with its items rounded to ctx's numbers and no wp:
+    the value and the levels of the forward pass of each."""
+    prec = PrecisionSpec(digits)
+    ctx = prec.context()
+    evaluate = cfrac.eval_cf
+    handed = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cfrac, "eval_cf", lambda cf, p: handed.append(cf) or evaluate(cf, p))
+        fraction(*args, prec)
+    (fixed,) = handed
+
+    def rounded(item):
+        return lambda n: _from_fixed(ctx, item(n), fixed.wp)
+
+    in_ctx = ContinuedFraction(
+        _from_fixed(ctx, fixed.b0, fixed.wp), rounded(fixed.partial_num), rounded(fixed.partial_den)
+    )
+    results = []
+    for cf in (fixed, in_ctx):
+        requested = []
+        counted = dataclasses.replace(
+            cf, partial_num=lambda n, item=cf.partial_num: requested.append(n) or item(n)
+        )
+        # the forward pass requests levels 1..N, the backward pass N+1..2N
+        results.append((evaluate(counted, prec), len(requested) // 2))
+    return results
+
+
+def _assert_fraction_routes_agree(fraction, args, digits):
+    (fixed, fixed_levels), (in_ctx, ctx_levels) = _fraction_routes(fraction, args, digits)
+    assert _agree_relative(PrecisionSpec(digits).context(), fixed, in_ctx, digits)
+    # The integer pass stops on the increments of g = a1/value, three of them
+    # below eps * max(1, |g|), and the ctx pass on the ratios of its
+    # approximants, three of them within eps of 1: the same rule where
+    # |g| >= 1, a looser one, absolute, below |g| = 1.
+    assert fixed_levels <= ctx_levels + 1
+    if abs(in_ctx) <= 1:
+        assert fixed_levels >= ctx_levels - 1
+
+
+@SETTINGS
+@given(
+    st.sampled_from([20, 60, 200]),
+    st.sampled_from([rr_cf, r2_cf, r3_cf]),
+    st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100), max_denominator=100),
+)
+@example(200, rr_cf, Fraction(99, 100))
+@example(200, r2_cf, Fraction(99, 100))
+@example(200, r3_cf, Fraction(99, 100))
+def test_nome_fractions_integer_and_ctx_routes_agree(digits, fraction, q):
+    _assert_fraction_routes_agree(fraction, (q,), digits)
+
+
+@SETTINGS
+@given(
+    st.sampled_from([20, 60, 200]),
+    c_st,
+    st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100), max_denominator=100),
+)
+@example(200, Fraction(1), Fraction(99, 100))
+@example(200, Fraction(-1), Fraction(99, 100))
+def test_m_fraction_integer_and_ctx_routes_agree(digits, c, q):
+    _assert_fraction_routes_agree(m_cf, (c, q), digits)
+
+
+@SETTINGS
+@given(st.sampled_from([20, 60, 200]), q_st, unit_st, unit_st)
+@example(20, Fraction(1, 2), Fraction(49, 50), Fraction(1))
+@example(60, Fraction(1, 2), Fraction(-49, 50), Fraction(1))
+@example(200, Fraction(1, 2), Fraction(7, 10), Fraction(7, 5))
+@example(200, Fraction(1, 2), Fraction(-7, 10), Fraction(7, 5))
+def test_p_fraction_integer_and_ctx_routes_agree(digits, q, a, b):
+    _assert_fraction_routes_agree(p_cf, (a, b, q), digits)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     st.sampled_from([20, 40, 60]),
@@ -563,6 +651,26 @@ def test_rq_theta_routes_match_qp_quotient(digits, p, u, v, x):
     reference = _r_qp(ctx, _num(ctx, a), _num(ctx, b), ctx.mpf(p), ctx.exp(-_num(ctx, x)))
     for route in ("theta", "expsum"):
         assert _agree(ctx, rq_theta(a, b, p, x, prec, route=route), reference, digits)
+
+
+@SETTINGS
+@given(
+    series_digits_st,
+    period_st,
+    share_st,
+    share_st,
+    st.fractions(min_value=Fraction(1, 10), max_value=Fraction(7, 10), max_denominator=100),
+)
+@example(200, 1, Fraction(1, 10), Fraction(1, 2), Fraction(1, 10))
+@example(200, 5, Fraction(1, 10), Fraction(49, 50), Fraction(1, 10))
+def test_rq_theta_exp_sum_matches_theta_route_at_small_x(digits, p, u, v, x):
+    # the exp sum's first term is about 2/(px), and it takes about
+    # digits ln(10) / (min(a, p - a) x) terms
+    prec = PrecisionSpec(digits)
+    ctx = prec.context()
+    a, b = u * p, v * p
+    theta = rq_theta(a, b, p, x, prec, route="theta")
+    assert _agree(ctx, rq_theta(a, b, p, x, prec, route="expsum"), theta, digits)
 
 
 @SETTINGS

@@ -1,5 +1,6 @@
 """Quotient quantities R, R*, tau, character products, and dR/dq."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -43,8 +44,17 @@ def test_rq_matches_theta_quotient_form():
 def test_rq_theta_route_validation():
     with pytest.raises(DomainError):
         rq_theta(1, 2, 5, 3, P50, route="bogus")
-    with pytest.raises(DomainError):
-        rq_theta(-1, 2, 5, 3, P50)
+    for route in ("theta", "expsum"):
+        with pytest.raises(DomainError):
+            rq_theta(-1, 2, 5, 3, P50, route=route)
+        # a or b outside (0, p): the exp sum diverges there (10^6 terms,
+        # 31 s, then NonConvergence) and the theta route fails its growth
+        # guard
+        started = time.perf_counter()
+        for a, b in ((3, 1), (2, 1), (1, 3), (1, 2)):
+            with pytest.raises(DomainError):
+                rq_theta(a, b, 2, 1, PrecisionSpec(30), route=route)
+        assert time.perf_counter() - started < 1
 
 
 def test_character_product_equals_rq_star():
