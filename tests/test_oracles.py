@@ -4,7 +4,8 @@ R by theta quotient and by exponential sum, its q-derivative, psi*, [a,p;q]
 and the hyperbolic log sum against qp, jtheta and mpmath's diff;
 K, the modulus from the nome and 2-phi-1 against ellipk, jtheta and qhyper;
 the fixed-point real routes of 2-phi-1, (a; q)_inf and theta3/theta4
-against their complex routes;
+against their complex routes, those of the continued fractions against the
+same fractions in ctx's numbers, and R's exp sum against its theta route;
 minimal polynomials against their closed forms and mpmath's findpoly, and
 the PSLQ search behind them against mpmath's pslq; the documented domain
 errors.
@@ -366,6 +367,7 @@ def test_theta_real_and_complex_q_routes_agree(digits, q, negative, x, growth, b
             complex_ = theta(z, ctx.mpc(qv, 0), prec)
             assert isinstance(real, kind) and isinstance(complex_, ctx.mpc)
             assert _agree_relative(ctx, complex_, real, digits)
+
 
 def _fraction_routes(fraction, args, digits):
     """The fraction that fraction(*args) hands eval_cf, evaluated as given,
