@@ -193,10 +193,12 @@ def _fraction_wp(ctx, bound) -> int:
 
 
 def _real_q(ctx, q):
+    """q as a real number of ctx in (0, 1); an mpc with zero imaginary part
+    counts as real."""
     q = cv(ctx, q)
-    if ctx.im(q) != 0 or not (0 < q < 1):
+    if ctx.im(q) != 0 or not (0 < ctx.re(q) < 1):
         raise DomainError(f"this fraction is evaluated for real q in (0, 1), got {q}")
-    return q
+    return ctx.re(q)
 
 
 def rr_cf(q, prec: PrecisionSpec):
@@ -301,11 +303,9 @@ def m_cf(c, q, prec: PrecisionSpec):
     """
     ctx = prec.context()
     c = cv(ctx, c)
-    q = cv(ctx, q)
-    if ctx.im(c) != 0 or ctx.im(q) != 0:
-        raise DomainError("the M fraction is evaluated for real c and q")
-    if not (0 < q < 1):
-        raise DomainError(f"the M fraction needs real q in (0, 1), got {q}")
+    if ctx.im(c) != 0:
+        raise DomainError(f"the M fraction is evaluated for real c, got {c}")
+    q = _real_q(ctx, q)
     wp = _fraction_wp(ctx, max(1, abs(c)))
     one = 1 << wp
     c = to_fixed(ctx.re(c)._mpf_, wp)

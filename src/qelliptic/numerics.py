@@ -23,13 +23,14 @@ series.  The two Gaussian sums are the exception:
 |q| and the working digits, with no per-term test.
 
 Real-input routes (``qfunctions.pochhammer`` at n = inf,
-``qfunctions._theta_series``, ``hyperq.phi21``, the continued fractions of
-``cfrac`` at real input and ``rquantity.rq_theta``'s exp sum) advance their
-terms in Python integers scaled by 2^wp, with wp at least ctx.prec +
-``_FIXED_GUARD`` bits, the way mpmath's own jtheta and hypsum do.  All but
-the theta series hand those integers (for a fraction, its approximant
-increments) to ``_settle(..., wp=wp)``, which adds them without an mpf per
-term, and round the total once with ``_from_fixed``.
+``qfunctions._theta_series``, ``qfunctions._bilateral_halfsquare``,
+``hyperq.phi21``, the continued fractions of ``cfrac`` at real input and
+``rquantity.rq_theta``'s exp sum) advance their terms in Python integers
+scaled by 2^wp, with wp at least ctx.prec + ``_FIXED_GUARD`` bits, the way
+mpmath's own jtheta and hypsum do.  All but the two Gaussian sums hand
+those integers (for a fraction, its approximant increments) to
+``_settle(..., wp=wp)``, which adds them without an mpf per term; every
+route rounds its total once with ``_from_fixed``.
 
 A series whose terms cancel loses digits that no stopping rule sees:
 ``_settle`` returns each series total with the digits its items lost, and

@@ -4,8 +4,9 @@ product quantity [a,p;q] with its theta-sum twin.
 
 Sign convention used throughout: ``euler_f(q)`` and ``weber_phi(q)`` return
 the products (q;q)_inf and (-q;q)_inf, i.e. the classical symbols f(-q) and
-phi(-q) evaluated so that the caller passes plain q.  Fractional powers of q
-are always e^(x*ln q) on the principal branch, never root extraction.  No
+phi(-q) evaluated so that the caller passes plain q.  ``qpow`` gives an
+integer power of q as q ** n, multiplied out; any other power is
+e^(x*ln q) on the principal branch, never root extraction.  No
 series loop calls exp or log per term: the integer powers a loop walks
 through come from ``_qpowers`` or from a running product, and a term of a
 bilateral sum from its neighbour times a ratio that itself advances by
@@ -21,6 +22,8 @@ integers, which ``_settle`` adds as integers before the total is rounded
 once; every other input multiplies out the product in ctx's numbers.  For
 real q, ``_theta_series`` sums in integers and rounds once at the end, as
 mpmath's jtheta does; complex q takes the bilateral sum in mpc numbers.
+``_bilateral_halfsquare`` likewise walks in integers at real q in (0, 1)
+with a real period and linear coefficient, and in ctx's numbers otherwise.
 Euler's series, the theta series and ``agile``'s theta sum report the
 digits their terms cancel, and ``numerics._resummed`` sums them again with
 more digits until the loss fits in half the guard digits.
@@ -35,13 +38,17 @@ from fractions import Fraction
 
 from mpmath.libmp import (
     mpf_abs,
+    mpf_add,
     mpf_cos,
     mpf_cos_sin,
     mpf_exp,
+    mpf_log,
     mpf_mul,
     mpf_neg,
     mpf_shift,
+    mpf_sub,
     to_fixed,
+    to_float,
     to_rational,
 )
 
@@ -79,8 +86,12 @@ class AgileParams:
 
 
 def qpow(ctx, q, x):
-    """q**x on the principal branch: e^(x*ln q). Exact 0^0 = 1 and 0^x = 0
-    for Re(x) > 0; any other power of 0 raises DomainError."""
+    """q**x on the principal branch. Exact 0^0 = 1 and 0^x = 0 for
+    Re(x) > 0; any other power of 0 raises DomainError.
+
+    An integer-valued real x gives q ** n, which mpmath multiplies out with
+    log2(n) guard bits and rounds once (a real q < 0 stays real); any other
+    x gives e^(x*ln q)."""
     q = cv(ctx, q)
     x = cv(ctx, x)
     if q == 0:
@@ -89,6 +100,8 @@ def qpow(ctx, q, x):
         if ctx.re(x) > 0:
             return ctx.mpf(0)
         raise DomainError(f"0^x is not defined for Re(x) <= 0, got x = {x}")
+    if isinstance(x, ctx.mpf) and ctx.isint(x):
+        return q ** int(x)
     return ctx.exp(x * ctx.log(q))
 
 
@@ -360,9 +373,17 @@ def _bilateral_halfsquare(ctx, coeff_lin, p, q, signed: bool):
     The terms are walked out from n = 0 in both directions by
     multiplication: term(n +- 1) / term(n) starts at
     s e^((p/2 +- coeff_lin/2) ln q) and gains a factor Q = e^(p ln q) per
-    step.  Three exp calls per sum, whatever the precision; exp turns the
-    sum of exponents into the product exactly, so the branch is the
-    principal one of the closed form.
+    step.  Three exp calls and one ln q at the walk's precision per sum,
+    whatever the number of terms; exp turns the sum of exponents into the
+    product exactly, so the branch is the principal one of the closed form.
+
+    For real q in (0, 1) and real p and coeff_lin the walk runs in
+    fixed-point integers (value * 2^wp) and the total is rounded once, as
+    in ``_theta_sum_fixed``.  Terms e^(-L n^2 - c n) peak at e^(c^2 / (4L)),
+    so wp gains c^2 / (4L ln 2) bits beyond ``_FIXED_GUARD``, and ln q is
+    taken at wp: an ln q rounded at ctx.prec would pass its error, times an
+    exponent as large as the peak's, to every term.  Complex q, p or
+    coeff_lin walk in ctx's numbers.
     """
     q = cv(ctx, q)
     p = cv(ctx, p)
@@ -372,15 +393,10 @@ def _bilateral_halfsquare(ctx, coeff_lin, p, q, signed: bool):
         raise DomainError(f"bilateral Gaussian sum needs |q| < 1, got |q| = {qa}")
     if q == 0:
         return ctx.mpf(1), 0.0
+    if all(isinstance(v, ctx.mpf) for v in (q, p, b)) and q > 0:
+        return _bilateral_fixed(ctx, b, p, q, signed)
     logq = ctx.log(q)
-    L = float(-ctx.re(p * logq)) / 2.0
-    if L <= 0:
-        raise DomainError("bilateral Gaussian sum needs Re(p ln q) < 0")
-    # |term| = e^(-L n^2 - c n) with c = -Re(coeff_lin ln q)/2; the linear
-    # term shifts the peak, so widen the cutoff by the peak offset.
-    c = float(-ctx.re(b * logq)) / 2.0
-    n_cut = gaussian_cutoff(ctx.dps, L, abs(c) / 2.0)
-    shift = int(math.ceil(abs(c) / (2 * L))) + 1
+    L, c, n_cut = _gaussian_shape(ctx, float(-ctx.re(p * logq)), float(-ctx.re(b * logq)))
     step = ctx.exp(p * logq)
     total = ctx.mpf(1)
     for sign in (1, -1):
@@ -388,10 +404,50 @@ def _bilateral_halfsquare(ctx, coeff_lin, p, q, signed: bool):
         if signed:
             ratio = -ratio
         term = ctx.mpf(1)
-        for _ in range(n_cut + shift):
+        for _ in range(n_cut):
             term = term * ratio
             ratio = ratio * step
             total = total + term
+    return total, _gaussian_lost(ctx, total, L, c)
+
+
+def _gaussian_shape(ctx, p_lam: float, b_lam: float):
+    """L, c and the terms to walk each way for |term| = e^(-L n^2 - c n),
+    from -Re(p ln q) and -Re(coeff_lin ln q); raises unless L > 0.  The
+    linear term shifts the peak, so the cutoff widens by the peak offset."""
+    if p_lam <= 0:
+        raise DomainError("bilateral Gaussian sum needs Re(p ln q) < 0")
+    L, c = p_lam / 2.0, b_lam / 2.0
+    return L, c, gaussian_cutoff(ctx.dps, L, abs(c) / 2.0) + math.ceil(abs(c) / (2 * L)) + 1
+
+
+def _bilateral_fixed(ctx, b, p, q, signed: bool):
+    """``_bilateral_halfsquare`` at real q in (0, 1), real p and real b, in
+    fixed-point integers.  The cutoff and wp need only a float ln q; the
+    ratios take ln q at wp + 10 bits."""
+    lam = -to_float(mpf_log(q._mpf_, 53))
+    L, c, n_cut = _gaussian_shape(ctx, float(p) * lam, float(b) * lam)
+    wp = ctx.prec + _FIXED_GUARD + math.ceil(c * c / (4 * L * math.log(2))) + 1
+    lp = wp + 10
+    logq = mpf_log(q._mpf_, lp)
+
+    def fixed_qpow(x):  # e^(x ln q) at wp, x an exact mpf
+        return to_fixed(mpf_exp(mpf_mul(x, logq, lp), lp), wp)
+
+    one = 1 << wp
+    p_, b_ = p._mpf_, b._mpf_
+    step = fixed_qpow(p_)
+    total = one
+    for x in (mpf_add(p_, b_), mpf_sub(p_, b_)):
+        ratio = fixed_qpow(mpf_shift(x, -1))
+        if signed:
+            ratio = -ratio
+        term = one
+        for _ in range(n_cut):
+            term = term * ratio >> wp
+            ratio = ratio * step >> wp
+            total += term
+    total = _from_fixed(ctx, total, wp)
     return total, _gaussian_lost(ctx, total, L, c)
 
 

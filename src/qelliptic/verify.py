@@ -666,8 +666,18 @@ def _chk_theta_eq19(prec, rng):
 def _chk_theta_def_printed(prec, rng):
     ctx = prec.context()
     z, q = cv(ctx, Fraction(3, 10)), cv(ctx, Fraction(1, 5))
-    terms = ((-1) ** n * q ** (n * n) * ctx.cos(2 * n * z) for n in itertools.count(1))
-    printed = 1 + _settle(ctx, prec.work_eps(ctx), terms)[0]
+
+    def terms():  # (-1)^n q^(n^2) by its ratio -q^(2n-1), cos(2nz) by Chebyshev
+        term, ratio, q2 = 1, -q, q * q
+        c1 = ctx.cos(2 * z)
+        cos_prev, cos_n = 1, c1
+        while True:
+            term *= ratio
+            ratio *= q2
+            yield term * cos_n
+            cos_prev, cos_n = cos_n, 2 * c1 * cos_n - cos_prev
+
+    printed = 1 + _settle(ctx, prec.work_eps(ctx), terms())[0]
     yield abs(printed - theta4_product(z, q, prec))
 
 
@@ -724,12 +734,21 @@ def _chk_rr_eq2324(prec, rng):
     for x in (ctx.mpf(1), ctx.mpf(2), ctx.pi):
         R = r1_cf(ctx.exp(-x), prec)
         yield abs(R - rq_theta(1, 2, 5, x, prec, route="expsum"))
-        terms = (
-            (ctx.cosh(n * x / 2) - ctx.cosh(3 * n * x / 2)) / (n * ctx.sinh(5 * n * x / 2))
-            for n in itertools.count(1)
-        )
-        s, _ = _settle(ctx, prec.work_eps(ctx), terms)
+        s, _ = _settle(ctx, prec.work_eps(ctx), _cosh_sinh_terms(ctx, x))
         yield abs(R - ctx.exp(-x / 5 + s))
+
+
+def _cosh_sinh_terms(ctx, x):
+    """(cosh(nx/2) - cosh(3nx/2)) / (n sinh(5nx/2)) for n >= 1, written in
+    E = e^(x/2) as (E^n + E^-n - E^3n - E^-3n) / (n (E^5n - E^-5n)); each
+    power advances by one multiplication per term."""
+    e = ctx.exp(x / 2)
+    steps = (e, 1 / e, e**3, e**-3, e**5, e**-5)
+    powers = steps
+    for n in itertools.count(1):
+        e1, e_1, e3, e_3, e5, e_5 = powers
+        yield (e1 + e_1 - e3 - e_3) / (n * (e5 - e_5))
+        powers = tuple(a * b for a, b in zip(powers, steps))
 
 
 @check(
@@ -1110,14 +1129,14 @@ def _agile_deriv_normalized(a, p, prec):
     e = _agile_exponent(a, p)
     g = qpow(ctx, q, e) * agile(AgileParams(a, p), q, prec)
 
-    def dlog(m):  # d/dq log(1 - q^m)
-        return -m * q ** (m - 1) / (1 - q**m)
+    def dlogs(base):  # d/dq log(1 - q^m) for m = base + p n, from a running q^m
+        qm, step = q**base, q**p
+        for m in itertools.count(base, p):
+            yield -m * qm / (q * (1 - qm))
+            qm *= step
 
     eps = prec.work_eps(ctx)
-    s = sum(
-        _settle(ctx, eps, (dlog(base + p * n) for n in itertools.count()))[0]
-        for base in (p - a, a)
-    )
+    s = sum(_settle(ctx, eps, dlogs(base))[0] for base in (p - a, a))
     dg = g * (cv(ctx, e) / q + s)
     return ctx.re(dg * q * 4 / theta3(0, q, prec) ** 4)
 

@@ -281,3 +281,12 @@ def test_p_cf_domain():
         p_cf(2, 1, Fraction(1, 10), P60)  # |ab| >= 1
     with pytest.raises(DomainError):
         p_cf(Fraction(1, 3), Fraction(1, 4), 1, P60)
+
+
+def test_real_fractions_accept_an_mpc_with_zero_imaginary_part():
+    ctx = P60.context()
+    fractions = (rr_cf, r1_cf, r2_cf, r3_cf, h_cf, lambda q, p: m_cf(1, q, p))
+    for fn in fractions:
+        assert fn(ctx.mpc(0.5, 0), P60) == fn(0.5, P60)
+        with pytest.raises(DomainError):
+            fn(ctx.mpc(0.5, 0.1), P60)

@@ -5,6 +5,7 @@ here; route-vs-route tests need no external values at all.
 """
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -249,3 +250,38 @@ def test_exp_and_log_calls_do_not_grow_with_precision(monkeypatch):
     # a series loop that called exp per term would make these counts grow
     # with the number of terms, i.e. with the digits
     assert _transcendental_calls(monkeypatch, 200) == _transcendental_calls(monkeypatch, 40)
+
+
+def test_qpow_integer_exponents_multiply_out():
+    ctx = P60.context()
+    hi = PrecisionSpec(120).context()
+    for q in (cv(ctx, Fraction(3, 7)), cv(ctx, Fraction(-2, 3)), ctx.mpc(0.3, -0.4)):
+        for n in (2, -3, 17):
+            for x in (n, Fraction(n, 1), ctx.mpf(n)):
+                assert qpow(ctx, q, x) == q**n
+            ref = hi.convert(q) ** n
+            assert abs(qpow(ctx, q, n) - ref) <= abs(ref) * 2 ** (1 - ctx.prec)
+    assert isinstance(qpow(ctx, Fraction(-2, 3), 5), ctx.mpf)
+    q, x = cv(ctx, Fraction(3, 7)), cv(ctx, Fraction(5, 2))
+    assert qpow(ctx, q, x) == ctx.exp(x * ctx.log(q))
+    assert qpow(ctx, q, ctx.mpc(2, 1)) == ctx.exp(ctx.mpc(2, 1) * ctx.log(q))
+
+
+@pytest.mark.parametrize("digits", [60, 200])
+def test_real_bilateral_sums_are_correctly_rounded(digits):
+    # the fixed-point route against the same call at 2 digits + 30 on the
+    # same rounded inputs; shifts up to z = 15 put the peak far from n = 0
+    prec, hi = PrecisionSpec(digits), PrecisionSpec(2 * digits + 30)
+    ctx = prec.context()
+    for q in (Fraction(1, 100), Fraction(3, 20), Fraction(1, 2), Fraction(9, 10)):
+        q = cv(ctx, q)
+        calls = [partial(theta_sum_S, cv(ctx, z), q) for z in (0, Fraction(1, 3), 7.5, 15, -15)]
+        for a, p in ((Fraction(1, 3), 2), (Fraction(-29, 2), 1), (15, 3)):
+            calls.append(partial(psi_star, cv(ctx, a), p, q))
+        for a in (Fraction(1, 3), Fraction(-29, 4)):
+            calls.append(partial(agile, AgileParams(cv(ctx, a), 1), q, route="theta"))
+        calls.append(partial(theta2, q))
+        for call in calls:
+            ref = call(hi)
+            assert ref != 0
+            assert abs(call(prec) - ref) <= abs(ref) * 2 ** (1 - ctx.prec)
