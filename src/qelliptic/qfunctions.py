@@ -89,9 +89,9 @@ def qpow(ctx, q, x):
     """q**x on the principal branch. Exact 0^0 = 1 and 0^x = 0 for
     Re(x) > 0; any other power of 0 raises DomainError.
 
-    An integer-valued real x gives q ** n, which mpmath multiplies out with
-    log2(n) guard bits and rounds once (a real q < 0 stays real); any other
-    x gives e^(x*ln q)."""
+    An integer-valued real x gives q ** n, which mpmath multiplies out
+    exactly or with guard bits growing like log2(n), and rounds once (a
+    real q < 0 stays real); any other x gives e^(x*ln q)."""
     q = cv(ctx, q)
     x = cv(ctx, x)
     if q == 0:
