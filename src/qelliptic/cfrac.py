@@ -335,9 +335,8 @@ def p_cf(a, b, q, prec: PrecisionSpec):
     cross-check.
     """
     ctx = prec.context()
-    a = cv(ctx, a)
-    b = cv(ctx, b)
-    q = cv(ctx, q)
+    # an mpc with zero imaginary part counts as real, as in _real_q
+    a, b, q = (ctx.re(v) if ctx.im(v) == 0 else v for v in (cv(ctx, a), cv(ctx, b), cv(ctx, q)))
     if abs(q) >= 1:
         raise DomainError(f"P(a, b, q) needs |q| < 1, got |q| = {abs(q)}")
     if abs(a * b) >= 1:

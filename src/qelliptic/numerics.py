@@ -16,21 +16,21 @@ multiplied by ``_settle``: callers hand it an iterable of numbers of their
 context (or, for a series, of fixed-point integers), and it applies the one
 stopping rule and term budget.  A continued fraction hands it either the
 ratios of its approximants, as a product, or their increments, as a
-series.  The two Gaussian sums are the exception:
-``qfunctions._theta_series`` and ``qfunctions._bilateral_halfsquare``
-(behind theta2/3/4, ``theta_sum_S``, ``psi_star`` and the theta route of
-``agile``) run to ``gaussian_cutoff``, a term count fixed in advance from
-|q| and the working digits, with no per-term test.
+series.  The Gaussian sums are the exception: ``qfunctions._gaussian_fixed``,
+the one kernel behind every theta3/theta4 series and bilateral sum at real
+q (theta2/3/4, ``theta_sum_S``, ``psi_star`` and the theta route of
+``agile``, at real or complex z and shift), runs to ``gaussian_cutoff``, a
+term count fixed in advance from |q|, the shift and the working digits,
+with no per-term test.
 
 Real-input routes (``qfunctions.pochhammer`` at n = inf,
-``qfunctions._theta_series``, ``qfunctions._bilateral_halfsquare``,
-``hyperq.phi21``, the continued fractions of ``cfrac`` at real input and
-``rquantity.rq_theta``'s exp sum) advance their terms in Python integers
-scaled by 2^wp, with wp at least ctx.prec + ``_FIXED_GUARD`` bits, the way
-mpmath's own jtheta and hypsum do.  All but the two Gaussian sums hand
-those integers (for a fraction, its approximant increments) to
-``_settle(..., wp=wp)``, which adds them without an mpf per term; every
-route rounds its total once with ``_from_fixed``.
+``qfunctions._gaussian_fixed``, ``hyperq.phi21``, the continued fractions
+of ``cfrac`` at real input and ``rquantity.rq_theta``'s exp sum) advance
+their terms in Python integers scaled by 2^wp, with wp at least ctx.prec +
+``_FIXED_GUARD`` bits, the way mpmath's own jtheta and hypsum do.  All but
+the Gaussian kernel hand those integers (for a fraction, its approximant
+increments) to ``_settle(..., wp=wp)``, which adds them without an mpf per
+term; every route rounds its total once with ``_from_fixed``.
 
 A series whose terms cancel loses digits that no stopping rule sees:
 ``_settle`` returns each series total with the digits its items lost, and

@@ -11,22 +11,25 @@ series loop calls exp or log per term: the integer powers a loop walks
 through come from ``_qpowers`` or from a running product, and a term of a
 bilateral sum from its neighbour times a ratio that itself advances by
 multiplication.  Infinite sums and products reach ``numerics._settle`` as
-generators of numbers of the working context, except the Gaussian sums
-(``_theta_series`` and ``_bilateral_halfsquare``), whose terms fall like
-|q|^(n^2): they stop at ``numerics.gaussian_cutoff``, known before the
-first term, because a per-term test costs more there than it saves.
+generators of numbers of the working context, except the Gaussian sums,
+whose terms fall like |q|^(n^2): they stop at ``numerics.gaussian_cutoff``,
+known before the first term, because a per-term test costs more there
+than it saves.
 
 Each kernel has one route per input type.  For real a and q with |a| < 1,
 ``pochhammer(a, q, inf)`` sums Euler's series in fixed-point Python
 integers, which ``_settle`` adds as integers before the total is rounded
-once; every other input multiplies out the product in ctx's numbers.  For
-real q, ``_theta_series`` sums in integers and rounds once at the end, as
-mpmath's jtheta does; complex q takes the bilateral sum in mpc numbers.
-``_bilateral_halfsquare`` likewise walks in integers at real q in (0, 1)
-with a real period and linear coefficient, and in ctx's numbers otherwise.
-Euler's series, the theta series and ``agile``'s theta sum report the
-digits their terms cancel, and ``numerics._resummed`` sums them again with
-more digits until the loss fits in half the guard digits.
+once; every other input multiplies out the product in ctx's numbers.  At
+real q every theta3/theta4 series and every bilateral sum is the one sum
+1 + sum_{n>=1} s^n Q^(n^2) (e^(n beta) + e^(-n beta)), which
+``_gaussian_fixed`` adds in integers and rounds once, as mpmath's jtheta
+does, for real and complex beta alike: ``_theta_series`` passes Q = q and
+beta = 2iz, and ``_bilateral_halfsquare``, at q in (0, 1) and real p,
+Q = q^(p/2) and beta = (coeff_lin / 2) ln q.  Complex q or p walks the
+bilateral sum in ctx's numbers.  Euler's series, the theta series and
+``agile``'s theta sum report the digits their terms cancel, and
+``numerics._resummed`` sums them again with more digits until the loss
+fits in half the guard digits.
 """
 
 from __future__ import annotations
@@ -37,20 +40,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath.libmp import (
+    fzero,
     mpf_abs,
-    mpf_add,
-    mpf_cos,
-    mpf_cos_sin,
     mpf_exp,
     mpf_log,
     mpf_mul,
     mpf_neg,
     mpf_shift,
-    mpf_sub,
     to_fixed,
     to_float,
     to_rational,
 )
+from mpmath.libmp.libelefun import cos_sin_fixed
 
 from .numerics import (
     _FIXED_GUARD,
@@ -236,9 +237,10 @@ def theta4(z, q, prec: PrecisionSpec):
 
 def _theta_series(prec: PrecisionSpec, z, q, s: int):
     """1 + 2 sum_{n>=1} s^n q^(n^2) cos(2 n z), s = 1 or -1, summed to the
-    Gaussian cutoff of the working precision: in fixed-point integers for
-    real q, and for complex q as the bilateral sum of s^n q^(n^2) e^(2inz)
-    by ``_bilateral_halfsquare``, returned as an mpc, q = 0 included.
+    Gaussian cutoff of the working precision.  Real q hands Q = q and
+    beta = 2iz to ``_gaussian_fixed``, which needs no ln q for them; complex
+    q takes the bilateral sum of s^n q^(n^2) e^(2inz) by
+    ``_bilateral_halfsquare``.  Complex z or q gives an mpc, q = 0 included.
 
     The cutoff bounds the error relative to 1, and theta4(0, q) near q = 1
     is a tiny sum of O(1) terms.  The growth guard 2|Im z| < L = |ln|q||
@@ -258,7 +260,11 @@ def _theta_series(prec: PrecisionSpec, z, q, s: int):
             lin = 4j * z_ / ctx.log(q_) if q_ else 0
             total = ctx.mpc(_bilateral_halfsquare(ctx, lin, 2, q_, signed=s < 0)[0])
         else:
-            total = _theta_sum_fixed(ctx, z_, q_, s, gaussian_cutoff(ctx.dps, L, t), L, t)
+            x, y = z_._mpc_ if isinstance(z_, ctx.mpc) else (z_._mpf_, fzero)
+            beta = (mpf_neg(mpf_shift(y, 1)), mpf_shift(x, 1))  # 2iz
+            total = _gaussian_fixed(ctx, s, L, 2 * t, lambda wp: (q_._mpf_, *beta))
+            if isinstance(z_, ctx.mpc):
+                total = ctx.mpc(total)
         return total, _gaussian_lost(ctx, total, L)
 
     return _resummed(prec, summed)
@@ -266,66 +272,78 @@ def _theta_series(prec: PrecisionSpec, z, q, s: int):
 
 def _gaussian_lost(ctx, total, L: float, c: float = 0.0) -> float:
     """The digits lost by a Gaussian sum that came to total, from a bound
-    known before its first term: terms of size at most e^(-L n^2 - c n)
+    known before its first term: terms of size at most e^(-L n^2 + c |n|)
     peak at e^(c^2 / (4L)) and sum to below that times 3 + sqrt(pi / L)."""
     mag_total = ctx.mag(total) if total else -ctx.prec  # 0 is below one ulp
     bound = c * c / (4 * L) / math.log(2) + math.log2(3 + math.sqrt(math.pi / L))
     return (bound - mag_total) * math.log10(2)
 
 
-def _theta_sum_fixed(ctx, z, q, s: int, n_cut: int, L: float, t: float):
-    """The theta series for real q, its terms advanced by recurrences in
-    fixed-point integers (value * 2^wp) and rounded once at the end, as
-    mpmath's jtheta does.  term = s^n q^(n^2) advances by the ratio
-    s q^(2n+1), which advances by q^2; cos(2nz) follows the Chebyshev
-    recurrence in cos(2z).
+def _gaussian_fixed(ctx, s: int, L: float, a: float, parts):
+    """1 + sum_{n>=1} s^n Q^(n^2) (e^(n beta) + e^(-n beta)) for real Q with
+    |Q| < 1 and s = 1 or -1, in fixed-point integers (value * 2^wp) rounded
+    once at the end, as mpmath's jtheta does: the one kernel behind every
+    theta series and bilateral Gaussian sum at real q.  L = -ln|Q| and
+    a = |Re beta| come as floats, and ``parts(wp)`` gives Q, Re beta and
+    Im beta as mpf values good to wp bits.  A real total comes back as an
+    mpf, any other as an mpc.
 
-    For complex z, cos(2nz) grows like e^(2nt) (t = |Im z|), far past what
-    the truncated q^(n^2) can be multiplied by, so the recurrence runs on
-    the (re, im) integer pair of cos(2nz) e^(-2nt), bounded by 1, and term
-    carries e^(2nt) instead.  That term, e^(2nt - n^2 L) with L = |ln|q||,
-    peaks below e^(t^2 / L), so wp gains t^2 / (L ln 2) bits for it.
+    The term s^n Q^(n^2) advances by the ratio s Q^(2n+1), which advances
+    by Q^2, and cosh(n beta) follows the Chebyshev recurrence in
+    cosh(beta).  cosh(n beta) grows like rho^n, rho = e^a, far past what
+    the truncated Q^(n^2) can be multiplied by, so the recurrence runs on
+    the (re, im) integer pair c_n = cosh(n beta) / rho^n, bounded by 1,
+
+        c_(n+1) = (2 cosh(beta) / rho) c_n - c_(n-1) + (1 - rho^-2) c_(n-1),
+
+    and the term carries rho^n instead.  That term, e^(a n - L n^2), peaks
+    below e^(a^2 / (4L)), so wp gains a^2 / (4 L ln 2) bits for it, and the
+    loop stops at its Gaussian cutoff.  A real or an imaginary beta keeps
+    the pair's imaginary part at 0, and the loop runs on its real part
+    alone; at imaginary beta (theta at real z) rho = 1, so it costs the
+    multiplications of a plain cosine recurrence.  rho^-2 is a division,
+    not another exp.
     """
-    wp = ctx.prec + _FIXED_GUARD
-    complex_z = isinstance(z, ctx.mpc)
-    if complex_z:
-        wp += int(t * t / (L * math.log(2))) + 1
+    wp = ctx.prec + _FIXED_GUARD + math.ceil(a * a / (4 * L * math.log(2))) + 1
+    Q, u, v = parts(wp)
     one = 1 << wp
+    q_fixed = to_fixed(Q, wp)
+    step = q_fixed * q_fixed >> wp
+    ratio, gap = s * q_fixed, 0  # rho = 1
+    if u != fzero:
+        rho = mpf_exp(mpf_abs(u), wp)
+        # s Q rho as one wp-bit product: its error stays 2^-wp however small
+        # Q is and however large rho
+        ratio = s * to_fixed(mpf_mul(Q, rho, wp), wp)
+        gap = one - (one << wp) // to_fixed(mpf_mul(rho, rho, wp), wp)  # 1 - rho^-2
+    # 2 cosh(beta) / rho = cos v (1 + rho^-2) + i sgn(u) sin v (1 - rho^-2)
+    cos_v, sin_v = cos_sin_fixed(to_fixed(v, wp), wp)
+    c1_re = 2 * cos_v - (cos_v * gap >> wp)
+    c1_im = (-sin_v if u[0] else sin_v) * gap >> wp
     term = one
-    ratio = s * to_fixed(q._mpf_, wp)
-    q2 = ratio * ratio >> wp
-    if not complex_z:
-        c1 = to_fixed(mpf_cos(mpf_shift(z._mpf_, 1), wp), wp)
-        cos_prev, cos_n, total = one, c1, 0
+    re_prev, im_prev, re_n, im_n = one, 0, c1_re >> 1, c1_im >> 1
+    total_re = total_im = 0
+    n_cut = gaussian_cutoff(ctx.dps, L, a / 2)
+    if c1_im:
         for _ in range(n_cut):
             term = term * ratio >> wp
-            ratio = ratio * q2 >> wp
-            total += term * cos_n >> wp
-            cos_prev, cos_n = cos_n, (c1 * cos_n >> (wp - 1)) - cos_prev
-        return _from_fixed(ctx, one + 2 * total, wp)
-    x, y = z._mpc_
-    two_t = mpf_shift(mpf_abs(y), 1)
-    # s q e^(2t) as one wp-bit product: its error stays 2^-wp however small
-    # q is and however large e^(2t)
-    ratio = s * to_fixed(mpf_mul(q._mpf_, mpf_exp(two_t, wp), wp), wp)
-    shrink2 = to_fixed(mpf_exp(mpf_neg(mpf_shift(two_t, 1)), wp), wp)  # e^(-4t)
-    # cos(2z) e^(-2t) = cos 2x (1 + e^(-4t))/2 - i sgn(y) sin 2x (1 - e^(-4t))/2
-    cos_2x, sin_2x = (to_fixed(v, wp) for v in mpf_cos_sin(mpf_shift(x, 1), wp))
-    c1_re = cos_2x * (one + shrink2) >> (wp + 1)
-    c1_im = sin_2x * (one - shrink2) >> (wp + 1)
-    if not y[0]:  # y >= 0
-        c1_im = -c1_im
-    re_prev, im_prev, re_n, im_n = one, 0, c1_re, c1_im
-    total_re = total_im = 0
-    for _ in range(n_cut):
-        term = term * ratio >> wp
-        ratio = ratio * q2 >> wp
-        total_re += term * re_n >> wp
-        total_im += term * im_n >> wp
-        re_next = ((c1_re * re_n - c1_im * im_n) >> (wp - 1)) - (shrink2 * re_prev >> wp)
-        im_next = ((c1_re * im_n + c1_im * re_n) >> (wp - 1)) - (shrink2 * im_prev >> wp)
-        re_prev, im_prev, re_n, im_n = re_n, im_n, re_next, im_next
-    return ctx.mpc(_from_fixed(ctx, one + 2 * total_re, wp), _from_fixed(ctx, 2 * total_im, wp))
+            ratio = ratio * step >> wp
+            total_re += term * re_n >> wp
+            total_im += term * im_n >> wp
+            re_prev, im_prev, re_n, im_n = (
+                re_n,
+                im_n,
+                ((c1_re * re_n - c1_im * im_n + gap * re_prev) >> wp) - re_prev,
+                ((c1_re * im_n + c1_im * re_n + gap * im_prev) >> wp) - im_prev,
+            )
+    else:
+        for _ in range(n_cut):
+            term = term * ratio >> wp
+            ratio = ratio * step >> wp
+            total_re += term * re_n >> wp
+            re_prev, re_n = re_n, ((c1_re * re_n + gap * re_prev) >> wp) - re_prev
+    total = _from_fixed(ctx, one + 2 * total_re, wp)
+    return ctx.mpc(total, _from_fixed(ctx, 2 * total_im, wp)) if total_im else total
 
 
 def theta4_product(z, q, prec: PrecisionSpec):
@@ -370,20 +388,16 @@ def _bilateral_halfsquare(ctx, coeff_lin, p, q, signed: bool):
     the n = 0 term is kept, which gives 1.  Returns the sum and the digits
     it lost to cancellation, by ``_gaussian_lost``.
 
-    The terms are walked out from n = 0 in both directions by
-    multiplication: term(n +- 1) / term(n) starts at
-    s e^((p/2 +- coeff_lin/2) ln q) and gains a factor Q = e^(p ln q) per
-    step.  Three exp calls and one ln q at the walk's precision per sum,
-    whatever the number of terms; exp turns the sum of exponents into the
-    product exactly, so the branch is the principal one of the closed form.
-
-    For real q in (0, 1) and real p and coeff_lin the walk runs in
-    fixed-point integers (value * 2^wp) and the total is rounded once, as
-    in ``_theta_sum_fixed``.  Terms e^(-L n^2 - c n) peak at e^(c^2 / (4L)),
-    so wp gains c^2 / (4L ln 2) bits beyond ``_FIXED_GUARD``, and ln q is
-    taken at wp: an ln q rounded at ctx.prec would pass its error, times an
-    exponent as large as the peak's, to every term.  Complex q, p or
-    coeff_lin walk in ctx's numbers.
+    At real q in (0, 1) and real p the sum is
+    1 + sum_{n>=1} s^n Q^(n^2) (e^(n beta) + e^(-n beta)) with Q = q^(p/2)
+    and beta = (coeff_lin / 2) ln q, real or complex, which
+    ``_gaussian_fixed`` sums in integers.  Q and beta take ln q at wp + 10
+    bits: an ln q rounded at ctx.prec would pass its error, times an
+    exponent as large as the peak's, to every term.  Complex q or p walks
+    out from n = 0 in both directions in ctx's numbers: term(n +- 1) /
+    term(n) starts at s e^((p/2 +- coeff_lin/2) ln q) and gains a factor
+    e^(p ln q) per step, so exp turns the sum of exponents into the
+    product exactly, and the branch is the principal one of the closed form.
     """
     q = cv(ctx, q)
     p = cv(ctx, p)
@@ -393,62 +407,37 @@ def _bilateral_halfsquare(ctx, coeff_lin, p, q, signed: bool):
         raise DomainError(f"bilateral Gaussian sum needs |q| < 1, got |q| = {qa}")
     if q == 0:
         return ctx.mpf(1), 0.0
-    if all(isinstance(v, ctx.mpf) for v in (q, p, b)) and q > 0:
-        return _bilateral_fixed(ctx, b, p, q, signed)
-    logq = ctx.log(q)
-    L, c, n_cut = _gaussian_shape(ctx, float(-ctx.re(p * logq)), float(-ctx.re(b * logq)))
-    step = ctx.exp(p * logq)
-    total = ctx.mpf(1)
-    for sign in (1, -1):
-        ratio = ctx.exp((p + sign * b) / 2 * logq)
-        if signed:
-            ratio = -ratio
-        term = ctx.mpf(1)
-        for _ in range(n_cut):
-            term = term * ratio
-            ratio = ratio * step
-            total = total + term
-    return total, _gaussian_lost(ctx, total, L, c)
-
-
-def _gaussian_shape(ctx, p_lam: float, b_lam: float):
-    """L, c and the terms to walk each way for |term| = e^(-L n^2 - c n),
-    from -Re(p ln q) and -Re(coeff_lin ln q); raises unless L > 0.  The
-    linear term shifts the peak, so the cutoff widens by the peak offset."""
-    if p_lam <= 0:
+    s = -1 if signed else 1
+    fixed = isinstance(q, ctx.mpf) and isinstance(p, ctx.mpf) and q > 0
+    # |term| = e^(-L n^2 -+ a n); a float ln q suffices for L and a
+    log_q = to_float(mpf_log(q._mpf_, 53)) if fixed else complex(ctx.log(q))
+    L, a = -(complex(p) * log_q).real / 2, abs((complex(b) * log_q).real) / 2
+    if L <= 0:
         raise DomainError("bilateral Gaussian sum needs Re(p ln q) < 0")
-    L, c = p_lam / 2.0, b_lam / 2.0
-    return L, c, gaussian_cutoff(ctx.dps, L, abs(c) / 2.0) + math.ceil(abs(c) / (2 * L)) + 1
+    if fixed:
+        b_parts = b._mpc_ if isinstance(b, ctx.mpc) else (b._mpf_, fzero)
 
+        def parts(wp):
+            lp = wp + 10
+            half_logq = mpf_shift(mpf_log(q._mpf_, lp), -1)
+            Q = mpf_exp(mpf_mul(p._mpf_, half_logq, lp), lp)
+            return Q, *(mpf_mul(w, half_logq, lp) for w in b_parts)
 
-def _bilateral_fixed(ctx, b, p, q, signed: bool):
-    """``_bilateral_halfsquare`` at real q in (0, 1), real p and real b, in
-    fixed-point integers.  The cutoff and wp need only a float ln q; the
-    ratios take ln q at wp + 10 bits."""
-    lam = -to_float(mpf_log(q._mpf_, 53))
-    L, c, n_cut = _gaussian_shape(ctx, float(p) * lam, float(b) * lam)
-    wp = ctx.prec + _FIXED_GUARD + math.ceil(c * c / (4 * L * math.log(2))) + 1
-    lp = wp + 10
-    logq = mpf_log(q._mpf_, lp)
-
-    def fixed_qpow(x):  # e^(x ln q) at wp, x an exact mpf
-        return to_fixed(mpf_exp(mpf_mul(x, logq, lp), lp), wp)
-
-    one = 1 << wp
-    p_, b_ = p._mpf_, b._mpf_
-    step = fixed_qpow(p_)
-    total = one
-    for x in (mpf_add(p_, b_), mpf_sub(p_, b_)):
-        ratio = fixed_qpow(mpf_shift(x, -1))
-        if signed:
-            ratio = -ratio
-        term = one
-        for _ in range(n_cut):
-            term = term * ratio >> wp
-            ratio = ratio * step >> wp
-            total += term
-    total = _from_fixed(ctx, total, wp)
-    return total, _gaussian_lost(ctx, total, L, c)
+        total = _gaussian_fixed(ctx, s, L, a, parts)
+        if isinstance(b, ctx.mpc):
+            total = ctx.mpc(total)
+    else:
+        logq = ctx.log(q)
+        step = ctx.exp(p * logq)
+        total = ctx.mpf(1)
+        for sign in (1, -1):
+            ratio = s * ctx.exp((p + sign * b) / 2 * logq)
+            term = ctx.mpf(1)
+            for _ in range(gaussian_cutoff(ctx.dps, L, a / 2)):
+                term = term * ratio
+                ratio = ratio * step
+                total = total + term
+    return total, _gaussian_lost(ctx, total, L, a)
 
 
 def agile(params: AgileParams, q, prec: PrecisionSpec, route: str | None = None):
@@ -496,7 +485,9 @@ def agile(params: AgileParams, q, prec: PrecisionSpec, route: str | None = None)
             a_, p_ = (cv(at.context(), v) for v in (params.a, params.p))
             return _bilateral_halfsquare(at.context(), p_ - 2 * a_, p_, q_in, signed=True)
 
-        return _resummed(prec, summed) / euler_f(qpow(ctx, q, p), prec)
+        # (Q; Q)_inf amplifies the rounding of Q = q^p, so both take more digits
+        hi = prec.bumped(5)
+        return _resummed(prec, summed) / euler_f(qpow(hi.context(), q_in, params.p), hi)
     raise DomainError(f"unknown route {route!r}")
 
 

@@ -274,6 +274,9 @@ def test_p_cf_settles_near_unit_ab(digits):
     )
     value = p_cf(Fraction(999, 1000), Fraction(999, 1000), Fraction(1, 2), PrecisionSpec(digits))
     assert abs(value - product) < ctx.mpf(10) ** (-digits) * abs(product)
+    # an mpc with zero imaginary part takes the real pass, not the stalling one
+    args = (Fraction(999, 1000), Fraction(1, 2), PrecisionSpec(digits))
+    assert p_cf(mpmath.mpc(0.999, 0), *args) == p_cf(0.999, *args)
 
 
 def test_p_cf_domain():

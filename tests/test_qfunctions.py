@@ -270,17 +270,35 @@ def test_qpow_integer_exponents_multiply_out():
 @pytest.mark.parametrize("digits", [60, 200])
 def test_real_bilateral_sums_are_correctly_rounded(digits):
     # the fixed-point route against the same call at 2 digits + 30 on the
-    # same rounded inputs; shifts up to z = 15 put the peak far from n = 0
+    # same rounded inputs; shifts up to z = 15 put the peak far from n = 0,
+    # and complex shifts, complex a and complex z run on the (re, im) pair
     prec, hi = PrecisionSpec(digits), PrecisionSpec(2 * digits + 30)
     ctx = prec.context()
+
+    def c(re, im):
+        return ctx.mpc(cv(ctx, re), cv(ctx, im))
+
     for q in (Fraction(1, 100), Fraction(3, 20), Fraction(1, 2), Fraction(9, 10)):
         q = cv(ctx, q)
-        calls = [partial(theta_sum_S, cv(ctx, z), q) for z in (0, Fraction(1, 3), 7.5, 15, -15)]
-        for a, p in ((Fraction(1, 3), 2), (Fraction(-29, 2), 1), (15, 3)):
+        shifts = (0, Fraction(1, 3), 7.5, 15, -15)
+        shifts += (c(Fraction(1, 3), Fraction(1, 2)), c(-15, 3), c(Fraction(7, 2), -40))
+        calls = [partial(theta_sum_S, cv(ctx, z), q) for z in shifts]
+        psi_args = ((Fraction(1, 3), 2), (Fraction(-29, 2), 1), (15, 3))
+        psi_args += ((c(Fraction(1, 3), 1), 2), (c(Fraction(-29, 2), Fraction(-7, 3)), 1))
+        for a, p in psi_args:
             calls.append(partial(psi_star, cv(ctx, a), p, q))
         for a in (Fraction(1, 3), Fraction(-29, 4)):
             calls.append(partial(agile, AgileParams(cv(ctx, a), 1), q, route="theta"))
+        for a in (c(Fraction(1, 3), 1), c(2, Fraction(1, 100))):
+            for p in (1, Fraction(5, 2)):
+                calls.append(partial(agile, AgileParams(a, p), q, route="theta"))
+        # p != 1: (q^p; q^p)_inf amplifies the rounding of q^p
+        for a, p in ((1, 4), (Fraction(-7, 2), 2)):
+            calls.append(partial(agile, AgileParams(a, p), q, route="theta"))
         calls.append(partial(theta2, q))
+        # 2|Im z| = |ln q| / 4, inside the growth guard, where the sums do not cancel
+        z = c(Fraction(1, 3), -ctx.log(q) / 8)
+        calls += [partial(theta3, z, q), partial(theta4, z, q)]
         for call in calls:
             ref = call(hi)
             assert ref != 0
