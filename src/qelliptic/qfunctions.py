@@ -42,6 +42,7 @@ from fractions import Fraction
 from mpmath.libmp import (
     fzero,
     mpf_abs,
+    mpf_cos_sin,
     mpf_exp,
     mpf_log,
     mpf_mul,
@@ -51,7 +52,6 @@ from mpmath.libmp import (
     to_float,
     to_rational,
 )
-from mpmath.libmp.libelefun import cos_sin_fixed
 
 from .numerics import (
     _FIXED_GUARD,
@@ -299,10 +299,9 @@ def _gaussian_fixed(ctx, s: int, L: float, a: float, parts):
     and the term carries rho^n instead.  That term, e^(a n - L n^2), peaks
     below e^(a^2 / (4L)), so wp gains a^2 / (4 L ln 2) bits for it, and the
     loop stops at its Gaussian cutoff.  A real or an imaginary beta keeps
-    the pair's imaginary part at 0, and the loop runs on its real part
-    alone; at imaginary beta (theta at real z) rho = 1, so it costs the
-    multiplications of a plain cosine recurrence.  rho^-2 is a division,
-    not another exp.
+    the pair's imaginary part at 0.  rho^-2 is a division, not another exp.
+    cos and sin of Im beta come from mpf_cos_sin, which reduces a large
+    argument by pi/2 at the extra bits it needs.
     """
     wp = ctx.prec + _FIXED_GUARD + math.ceil(a * a / (4 * L * math.log(2))) + 1
     Q, u, v = parts(wp)
@@ -317,31 +316,24 @@ def _gaussian_fixed(ctx, s: int, L: float, a: float, parts):
         ratio = s * to_fixed(mpf_mul(Q, rho, wp), wp)
         gap = one - (one << wp) // to_fixed(mpf_mul(rho, rho, wp), wp)  # 1 - rho^-2
     # 2 cosh(beta) / rho = cos v (1 + rho^-2) + i sgn(u) sin v (1 - rho^-2)
-    cos_v, sin_v = cos_sin_fixed(to_fixed(v, wp), wp)
+    cos_v, sin_v = (to_fixed(w, wp) for w in mpf_cos_sin(v, wp))
     c1_re = 2 * cos_v - (cos_v * gap >> wp)
     c1_im = (-sin_v if u[0] else sin_v) * gap >> wp
     term = one
     re_prev, im_prev, re_n, im_n = one, 0, c1_re >> 1, c1_im >> 1
     total_re = total_im = 0
     n_cut = gaussian_cutoff(ctx.dps, L, a / 2)
-    if c1_im:
-        for _ in range(n_cut):
-            term = term * ratio >> wp
-            ratio = ratio * step >> wp
-            total_re += term * re_n >> wp
-            total_im += term * im_n >> wp
-            re_prev, im_prev, re_n, im_n = (
-                re_n,
-                im_n,
-                ((c1_re * re_n - c1_im * im_n + gap * re_prev) >> wp) - re_prev,
-                ((c1_re * im_n + c1_im * re_n + gap * im_prev) >> wp) - im_prev,
-            )
-    else:
-        for _ in range(n_cut):
-            term = term * ratio >> wp
-            ratio = ratio * step >> wp
-            total_re += term * re_n >> wp
-            re_prev, re_n = re_n, ((c1_re * re_n + gap * re_prev) >> wp) - re_prev
+    for _ in range(n_cut):
+        term = term * ratio >> wp
+        ratio = ratio * step >> wp
+        total_re += term * re_n >> wp
+        total_im += term * im_n >> wp
+        re_prev, im_prev, re_n, im_n = (
+            re_n,
+            im_n,
+            ((c1_re * re_n - c1_im * im_n + gap * re_prev) >> wp) - re_prev,
+            ((c1_re * im_n + c1_im * re_n + gap * im_prev) >> wp) - im_prev,
+        )
     total = _from_fixed(ctx, one + 2 * total_re, wp)
     return ctx.mpc(total, _from_fixed(ctx, 2 * total_im, wp)) if total_im else total
 
@@ -485,8 +477,11 @@ def agile(params: AgileParams, q, prec: PrecisionSpec, route: str | None = None)
             a_, p_ = (cv(at.context(), v) for v in (params.a, params.p))
             return _bilateral_halfsquare(at.context(), p_ - 2 * a_, p_, q_in, signed=True)
 
-        # (Q; Q)_inf amplifies the rounding of Q = q^p, so both take more digits
-        hi = prec.bumped(5)
+        # (Q; Q)_inf amplifies the rounding of Q = q^p by
+        # sum_n n / (e^(n t) - 1) < pi^2 / (6 t^2), t = -ln Q, so both take
+        # that many more digits and one more
+        t = -to_float(mpf_log(ctx.re(q)._mpf_, 53)) * float(ctx.re(p))
+        hi = prec.bumped(max(0, math.ceil(math.log10(math.pi**2 / (6 * t * t)))) + 1)
         return _resummed(prec, summed) / euler_f(qpow(hi.context(), q_in, params.p), hi)
     raise DomainError(f"unknown route {route!r}")
 

@@ -107,6 +107,8 @@ def test_theta2_matches_jtheta(digits, q):
 
 @SETTINGS
 @given(digits_st, q_st, real_st, imag_st)
+@example(60, Fraction(3, 20), Fraction(10**40), Fraction(1, 7))
+@example(200, Fraction(1, 2), Fraction(10**80), Fraction(-1, 5))
 def test_theta3_theta4_match_jtheta(digits, q, x, y):
     ctx = _oracle(digits)
     prec = PrecisionSpec(digits)

@@ -292,13 +292,16 @@ def test_real_bilateral_sums_are_correctly_rounded(digits):
         for a in (c(Fraction(1, 3), 1), c(2, Fraction(1, 100))):
             for p in (1, Fraction(5, 2)):
                 calls.append(partial(agile, AgileParams(a, p), q, route="theta"))
-        # p != 1: (q^p; q^p)_inf amplifies the rounding of q^p
-        for a, p in ((1, 4), (Fraction(-7, 2), 2)):
+        # p != 1: (q^p; q^p)_inf amplifies the rounding of q^p, at q = 9/10
+        # and p = 1/50 by about 4e5
+        for a, p in ((1, 4), (Fraction(-7, 2), 2), (Fraction(3, 350), Fraction(1, 50))):
             calls.append(partial(agile, AgileParams(a, p), q, route="theta"))
         calls.append(partial(theta2, q))
         # 2|Im z| = |ln q| / 4, inside the growth guard, where the sums do not cancel
         z = c(Fraction(1, 3), -ctx.log(q) / 8)
         calls += [partial(theta3, z, q), partial(theta4, z, q)]
+        # a large real z, whose cosine needs pi/2 to more than the working bits
+        calls += [partial(theta3, cv(ctx, 2**40), q), partial(theta4, cv(ctx, 2**40), q)]
         for call in calls:
             ref = call(hi)
             assert ref != 0
