@@ -5,11 +5,11 @@ One PSLQ search (Ferguson, Bailey and Arno, Math. Comp. 68, 1999) looks for
 an integer relation among (1, x, x^2, ..., x^d) at each degree d that
 ``find_minpoly`` tries.  The search is a local transcription of mpmath
 1.3.0's ``pslq`` that skips work whose result is unread or known exactly
-(see ``_lll_reduce``); it returns exactly what ``pslq`` returns, and the
-tests use ``pslq`` as its oracle.  A relation is normalized to content 1
-with positive leading coefficient, ascending powers, and accepted only when
-it is square-free and its Horner residual at x is below the accept
-tolerance.
+(see ``_lll_reduce``); it takes ``pslq``'s steps, the tests use ``pslq`` as
+its oracle, and it stops a failed search sooner, at a norm bound.  A
+relation is normalized to content 1 with positive leading coefficient,
+ascending powers, and accepted only when it is square-free and its Horner
+residual at x is below the accept tolerance.
 
 The degree of an accepted relation is settled by proving it irreducible
 (``_factor``: Durand-Kerner roots in floats, inclusion disks, and a screen
@@ -29,7 +29,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import expm1, gcd, hypot, ldexp, pi, prod
+from math import expm1, gcd, hypot, isqrt, ldexp, pi, prod
 from typing import Callable, Sequence
 
 from mpmath.libmp import sqrt_fixed
@@ -179,26 +179,28 @@ def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
 
     A transcription of mpmath 1.3.0's ``identification.pslq`` (Bailey's
     pseudocode in fixed point at ``ctx.prec + 60`` bits).  For the inputs
-    ``find_minpoly`` passes (two or more entries, ``ctx.prec >= 53``) it
-    returns the same relation or None as ``ctx.pslq(xs, tol=tol,
-    maxcoeff=maxcoeff, maxsteps=PSLQ_MAXSTEPS)``; the tests hold it to that.  The ``H``, ``y``
-    and ``s`` arithmetic and every exit are mpmath's, bit for bit.  Dropped
+    ``find_minpoly`` passes (two or more entries, ``ctx.prec >= 53``) its
+    steps are those of ``ctx.pslq(xs, tol=tol, maxcoeff=maxcoeff,
+    maxsteps=PSLQ_MAXSTEPS)``, and the tests hold its result to pslq's.  The
+    ``H``, ``y`` and ``s`` arithmetic and every exit but the stop test are
+    mpmath's, bit for bit.  Dropped
     is work that is never read or whose result is known exactly: the matrix
     A; the 2^prec scaling of B, whose multipliers are integers, so B holds
     plain integers; tuple-keyed dicts (``H`` is a list of rows and ``B`` a
     list of columns, so a swap exchanges two references); and reductions
-    whose multiplier rounds to 0.  Three shortcuts reach mpmath's integers
+    whose multiplier rounds to 0.  Two shortcuts reach mpmath's integers
     with less big-integer work:
 
     - the row choice screens the weights g^(i+1) |H_ii| in floats and
       multiplies out only the rows the screen cannot tell apart (``_pivot``);
     - the multiplier floor(H_ij / H_jj + 1/2), which mpmath rounds from a
       2*prec-bit quotient, is ``divmod``'s quotient plus 1 when twice the
-      remainder reaches |H_jj| (``_round_div``);
-    - the stop test ((2^(2 prec) // max|H_ij|) >> prec) // 100 >= maxcoeff
-      holds exactly when max|H_ij| <= (2^(2 prec)) // (100 maxcoeff 2^prec),
-      a bound fixed once per search, so a step scans H only up to the first
-      row above it.
+      remainder reaches |H_jj| (``_round_div``).
+
+    It stops at Ferguson, Bailey and Arno's bound: every relation m has
+    |m|_2 >= 2^prec / max_j |H_jj|, and one with max|c| < maxcoeff has
+    |m|_2 < maxcoeff sqrt(n), so a failed search ends in fewer steps than
+    pslq's, which waits for every |H_ij| to fall below 2^prec / (100 maxcoeff).
 
     The name predates PSLQ: the benchmark's tracer counts the degrees
     ``find_minpoly`` tries by rebinding this module global, so it is looked
@@ -214,7 +216,7 @@ def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
     if minx < tol // 100:
         return None
     weights, floor = _pivot_weights(n, prec)
-    bound = (1 << 2 * prec) // ((100 * maxcoeff) << prec)
+    bound = (1 << prec) // (maxcoeff * (isqrt(n) + 1))
     s, t = [0] * n, 0
     for k in range(n - 1, -1, -1):
         t += x[k] ** 2 >> prec
@@ -275,13 +277,8 @@ def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
         for yi, column in zip(y, B):
             if abs(yi) < tol and max(abs(c) for c in column) < maxcoeff:
                 return list(column)
-        for row in H:
-            if max(row) > bound or min(row) < -bound:
-                break
-        else:
-            # no entry of H exceeds bound in size: mpmath's lower bound on
-            # the norm of any relation has reached 100 maxcoeff
-            break
+        if max(abs(H[j][j]) for j in range(n - 1)) <= bound:
+            break  # every relation has norm >= 2^prec / max|H_jj| > maxcoeff sqrt(n)
     return None
 
 
@@ -505,7 +502,8 @@ def find_minpoly(
     The lowest degree with an accepted candidate wins.  A search that fails
     at degree d rules out every degree <= d: a lower-degree relation is a
     degree-d one with zero top coefficients, and PSLQ gives up only once
-    its bound on every relation's norm passes 100 times the height bound.
+    its bound on every relation's norm passes sqrt(d + 1) times the height
+    bound, the largest norm of a relation within it.
     So degrees 1, 2, 4, 8, ... are probed until a relation turns up.  An
     accepted relation P is put to the root-subset test (``_factor``): if P
     is irreducible, no relation of lower degree exists and the search ends;

@@ -11,17 +11,20 @@ results are reproducible under threads and concurrent suites.  Returned
 values are ordinary ``mpf``/``mpc`` instances, which are immutable and safe
 to pass between contexts.
 
-Infinite series, products and continued fractions are summed or
-multiplied by ``_settle``: callers hand it an iterable of numbers of their
-context (or, for a series, of fixed-point integers), and it applies the one
-stopping rule and term budget.  A continued fraction hands it either the
-ratios of its approximants, as a product, or their increments, as a
-series.  The Gaussian sums are the exception: ``qfunctions._gaussian_fixed``,
-the one kernel behind every theta3/theta4 series and bilateral sum at real
-q (theta2/3/4, ``theta_sum_S``, ``psi_star`` and the theta route of
-``agile``, at real or complex z and shift), runs to ``gaussian_cutoff``, a
-term count fixed in advance from |q|, the shift and the working digits,
-with no per-term test.
+Infinite series, products and continued fractions are summed or multiplied
+by ``_settle``: callers hand it an iterable of numbers of their context (or,
+for a series, of fixed-point integers), and it applies the one stopping rule
+and term budget.  A continued fraction hands it either the ratios of its
+approximants, as a product, or their increments, as a series.  A geometric
+series stopped there keeps up to eps r/(1 - r) of its tail at ratio r, so
+``hyperq.phi21``, whose term ratio tends to z, hands it the q-shifted
+differences of its terms, which fall like (z q^8)^n and so end sooner and
+keep a smaller tail.  The Gaussian sums are the exception:
+``qfunctions._gaussian_fixed``, the one kernel behind every theta3/theta4
+series and bilateral sum at real q (theta2/3/4, ``theta_sum_S``,
+``psi_star`` and the theta route of ``agile``, at real or complex z and
+shift), runs to ``gaussian_cutoff``, a term count fixed in advance from |q|,
+the shift and the working digits, with no per-term test.
 
 Real-input routes (``qfunctions.pochhammer`` at n = inf,
 ``qfunctions._gaussian_fixed``, ``hyperq.phi21``, the continued fractions

@@ -475,7 +475,8 @@ def agile(params: AgileParams, q, prec: PrecisionSpec, route: str | None = None)
 
         def summed(at: PrecisionSpec):  # a and p again at `at`: a near k p keeps its distance
             a_, p_ = (cv(at.context(), v) for v in (params.a, params.p))
-            return _bilateral_halfsquare(at.context(), p_ - 2 * a_, p_, q_in, signed=True)
+            lin = at.context().fsub(p_, 2 * a_, exact=True)
+            return _bilateral_halfsquare(at.context(), lin, p_, q_in, signed=True)
 
         # (Q; Q)_inf amplifies the rounding of Q = q^p by
         # sum_n n / (e^(n t) - 1) < pi^2 / (6 t^2), t = -ln Q, so both take
@@ -505,7 +506,7 @@ def psi_star(a, p, q, prec: PrecisionSpec, route: str = "sum"):
     if abs(q) >= 1:
         raise DomainError(f"psi* needs |q| < 1, got |q| = {abs(q)}")
     if route == "sum":
-        return _bilateral_halfsquare(ctx, p - 2 * a, p, q, signed=False)[0]
+        return _bilateral_halfsquare(ctx, ctx.fsub(p, 2 * a, exact=True), p, q, signed=False)[0]
     if route == "product":
         if not (0 < ctx.re(a) < ctx.re(p)):
             raise DomainError(f"product route needs Re(a) in (0, p), got a = {a}")

@@ -132,6 +132,30 @@ def test_no_relation_costs_the_galloping_probes_only(searched):
     assert searched == [1, 2, 4, 8]
 
 
+@pytest.mark.parametrize("degree, mpmath_steps", [(4, 286), (8, 1233)])
+def test_failed_search_stops_at_the_norm_bound(monkeypatch, degree, mpmath_steps):
+    # mpmath's pslq gives up on this random x after mpmath_steps steps, once
+    # every |H_ij| is 100 maxcoeff below 2^prec; the search stops sooner, at
+    # 1 / max|H_jj|, a lower bound on the norm of every relation, past
+    # sqrt(degree + 1) times the height bound
+    ctx = PrecisionSpec(120).context()
+    x = ctx.mpf(random.Random(1).getrandbits(400)) / 2**400
+    seen = []
+
+    def pivot(H, *args):
+        seen.append(H)
+        return _pivot(H, *args)
+
+    monkeypatch.setattr(qelliptic.algrec, "_pivot", pivot)
+    maxcoeff = 10**8 + 1
+    xs = [x**i for i in range(degree + 1)]
+    assert qelliptic.algrec._lll_reduce(ctx, xs, ctx.mpf(10) ** -105, maxcoeff) is None
+    assert len(seen) < mpmath_steps
+    H = seen[-1]  # the search's own H, as it stopped
+    diag = max(abs(H[j][j]) for j in range(degree))
+    assert (2 ** (ctx.prec + 60) / diag) ** 2 > (degree + 1) * maxcoeff**2
+
+
 def test_octic_is_proved_irreducible_without_a_search_below_it(searched):
     prec = PrecisionSpec(120)
     res = find_minpoly(prec.context().root(2, 8), 8, prec=prec)

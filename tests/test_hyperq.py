@@ -12,7 +12,7 @@ from qelliptic.hyperq import (
     psi_small,
     psi_small_product,
 )
-from qelliptic.numerics import DomainError, PrecisionSpec
+from qelliptic.numerics import DomainError, PrecisionSpec, cv
 from qelliptic.qfunctions import INF, pochhammer
 from qelliptic.verify import _thm6_cf_residual, run_suite
 
@@ -102,6 +102,66 @@ def test_phi21_domain():
         phi21(Phi21Params(a=1, b=1, c=Fraction(1, 2), q=Fraction(3, 2), z=Fraction(1, 2)), P50)
     with pytest.raises(DomainError):
         phi21(Phi21Params(a=1, b=1, c=Fraction(1, 2), q=Fraction(1, 5), z=1), P50)
+
+
+def _phi21_direct(ctx, a, b, c, q, z):
+    """The 2-phi-1 series term by term in ctx's numbers, up to the first term
+    t_N from which every factor of the term ratio but z is 1 at ctx's
+    precision; the rest is the geometric t_N / (1 - z)."""
+    big = max(1, abs(a), abs(b), abs(c))
+    total, term, qn = 0, ctx.mpf(1), ctx.mpf(1)
+    while abs(qn) * big >= ctx.eps:
+        total += term
+        term *= (1 - a * qn) * (1 - b * qn) * z / ((1 - c * qn) * (1 - q * qn))
+        qn *= q
+    return total + term / (1 - z)
+
+
+def _phi21_ulps(args, digits, route):
+    """|phi21 - direct sum at 2 digits + 30| in units of 2^-prec of |value|,
+    on identically rounded inputs; route "mpc" passes them as mpc."""
+    prec = PrecisionSpec(digits)
+    ctx, hi = prec.context(), PrecisionSpec(2 * digits + 30).context()
+    values = [cv(ctx, v) for v in args]
+    ref = _phi21_direct(hi, *(hi.convert(v) for v in values))
+    if route == "mpc":
+        values = [ctx.mpc(v) for v in values]
+    return abs(phi21(Phi21Params(*values), prec) - ref) / abs(ref) * 2**ctx.prec
+
+
+_REAL_POINTS = (
+    (Fraction(1, 3), Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), Fraction(999, 1000)),
+    (Fraction(1, 3), Fraction(1, 4), Fraction(1, 2), Fraction(-1, 2), Fraction(-9, 10)),
+    (Fraction(1, 3), Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)),
+    (Fraction(7, 3), Fraction(-5, 4), Fraction(1, 7), Fraction(3, 10), Fraction(1, 2)),
+)
+_COMPLEX_POINT = (complex(1, 3) / 4, 5, Fraction(-1, 3), Fraction(3, 5), complex(0, 3) / 5)
+
+
+@pytest.mark.parametrize("digits", [30, 60, 200])
+@pytest.mark.parametrize("args, route", [
+    *((args, route) for args in _REAL_POINTS for route in ("fixed", "mpc")),
+    (_COMPLEX_POINT, "mpc"),
+])
+def test_phi21_is_correctly_rounded(args, route, digits):
+    # phi21 sums q-shifted differences that fall like (z q^K)^n, so even at
+    # z = 999/1000 _settle leaves no tail the rounding would not hide
+    q, z = args[3:]
+    assert abs(complex(z) * complex(q) ** hyperq._SHIFTS) <= 1 / 4
+    assert _phi21_ulps(args, digits, route) <= 2
+
+
+@pytest.mark.parametrize("route", ["fixed", "mpc"])
+@pytest.mark.parametrize("q, z, before", [
+    (Fraction(9, 10), Fraction(95, 100), 1.8e4),
+    (Fraction(99, 100), Fraction(99, 100), 1.1e5),
+])
+def test_phi21_near_unit_q_and_z(q, z, before, route):
+    # where z q^K is near 1 the differences still fall slowly, and _settle
+    # keeps their tail at that ratio; summing the terms themselves, phi21
+    # kept the tail at ratio z and was `before` ulps off at 30 digits
+    args = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 2), q, z)
+    assert _phi21_ulps(args, 30, route) < before
 
 
 @pytest.mark.parametrize("digits", [20, 50, 200])

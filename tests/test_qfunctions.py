@@ -287,8 +287,10 @@ def test_real_bilateral_sums_are_correctly_rounded(digits):
         psi_args += ((c(Fraction(1, 3), 1), 2), (c(Fraction(-29, 2), Fraction(-7, 3)), 1))
         for a, p in psi_args:
             calls.append(partial(psi_star, cv(ctx, a), p, q))
+        # p - 2a is formed exactly, so a rounded real a costs no rounding at p != 1
         for a in (Fraction(1, 3), Fraction(-29, 4)):
-            calls.append(partial(agile, AgileParams(cv(ctx, a), 1), q, route="theta"))
+            for p in (1, Fraction(5, 2)):
+                calls.append(partial(agile, AgileParams(cv(ctx, a), p), q, route="theta"))
         for a in (c(Fraction(1, 3), 1), c(2, Fraction(1, 100))):
             for p in (1, Fraction(5, 2)):
                 calls.append(partial(agile, AgileParams(a, p), q, route="theta"))
