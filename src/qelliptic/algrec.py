@@ -197,10 +197,13 @@ def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
       2*prec-bit quotient, is ``divmod``'s quotient plus 1 when twice the
       remainder reaches |H_jj| (``_round_div``).
 
-    It stops at Ferguson, Bailey and Arno's bound: every relation m has
-    |m|_2 >= 2^prec / max_j |H_jj|, and one with max|c| < maxcoeff has
-    |m|_2 < maxcoeff sqrt(n), so a failed search ends in fewer steps than
-    pslq's, which waits for every |H_ij| to fall below 2^prec / (100 maxcoeff).
+    It stops at Ferguson, Bailey and Arno's bound: every relation m of the
+    fixed-point vector has |m|_2 >= 2^prec / max_j |H_jj|, and one with
+    max|c| < maxcoeff has |m|_2 < maxcoeff sqrt(n), so a failed search ends
+    in fewer steps than pslq's, which waits for every |H_ij| to fall below
+    2^prec / (100 maxcoeff).  A relation of an algebraic x only nearly
+    vanishes there; the tests hold one at the height bound, at the fewest
+    digits ``find_minpoly`` allows, to pslq's result.
 
     The name predates PSLQ: the benchmark's tracer counts the degrees
     ``find_minpoly`` tries by rebinding this module global, so it is looked

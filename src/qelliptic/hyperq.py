@@ -24,8 +24,9 @@ from mpmath.libmp import to_fixed
 from .numerics import _FIXED_GUARD, DomainError, PrecisionSpec, _from_fixed, _resummed, _settle, cv
 from .qfunctions import INF, pochhammer
 
-# Levels K of q-shifted differences (8 beat 6 by 6% at 200 digits; 10 and 12
-# gained at most 2% more there but lost 4-11% at 30 digits).
+# Levels K of q-shifted differences.  On eval-mix-like draws (pure-Python
+# mpmath, 2-core x86-64), 8 beat 6 by 7% at 200 digits; 10 and 12 gained at
+# most 3% more there but lost 5-12% at 30 digits.
 _SHIFTS = 8
 
 
@@ -62,7 +63,9 @@ def _phi21_sum(params: Phi21Params, prec: PrecisionSpec):
     t_(-1) = 0, which sum to prod_k (1 - z q^k) times the series and fall
     like (z q^K)^n: each factor cancels the (z q^k)^n part of the terms t_n.
     They carry g more bits, 2^g >= prod_k 1 / (1 - |z q^k|), so dividing by
-    the product loses nothing, and the loss reading leaves it out.
+    the product loses nothing, and the loss reading leaves it out; ``_settle``
+    stops at eps 2^-g, since the total it reads is the series times the
+    product.
     """
     ctx = prec.context()
     values = tuple(cv(ctx, v) for v in (params.a, params.b, params.c, params.q, params.z))
@@ -90,7 +93,8 @@ def _phi21_sum(params: Phi21Params, prec: PrecisionSpec):
         a, b, c, q, z = (to_fixed(v._mpf_, wp) for v in values)
     terms = _phi21_terms(a, b, c, q, z, one, mul, div, tiny)
     lams = list(itertools.accumulate([z] + [q] * (_SHIFTS - 1), mul))  # z q^k
-    total, lost = _settle(work, prec.work_eps(ctx), _differenced(terms, lams, mul), wp=wp)
+    eps = ctx.ldexp(prec.work_eps(ctx), -g)
+    total, lost = _settle(work, eps, _differenced(terms, lams, mul), wp=wp)
     divisor = math.prod(one - lam for lam in lams)  # one**K times the product
     if wp is None:  # unary + rounds; mag(x) >= log2 |x|, where a float can underflow
         return +ctx.convert(total / divisor), lost + work.mag(divisor) * math.log10(2)

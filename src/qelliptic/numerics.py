@@ -16,10 +16,9 @@ by ``_settle``: callers hand it an iterable of numbers of their context (or,
 for a series, of fixed-point integers), and it applies the one stopping rule
 and term budget.  A continued fraction hands it either the ratios of its
 approximants, as a product, or their increments, as a series.  A geometric
-series stopped there keeps up to eps r/(1 - r) of its tail at ratio r, so
-``hyperq.phi21``, whose term ratio tends to z, hands it the q-shifted
-differences of its terms, which fall like (z q^8)^n and so end sooner and
-keep a smaller tail.  The Gaussian sums are the exception:
+series stopped there keeps up to eps r/(1 - r) of its tail at ratio r, which
+is why ``hyperq.phi21`` hands it the q-shifted differences of its terms (see
+``hyperq``).  The Gaussian sums are the exception:
 ``qfunctions._gaussian_fixed``, the one kernel behind every theta3/theta4
 series and bilateral sum at real q (theta2/3/4, ``theta_sum_S``,
 ``psi_star`` and the theta route of ``agile``, at real or complex z and

@@ -164,6 +164,35 @@ def test_phi21_near_unit_q_and_z(q, z, before, route):
     assert _phi21_ulps(args, 30, route) < before
 
 
+def _qbinomial(ctx, a, z, q):
+    """(az; q)_inf / (z; q)_inf factor by factor in ctx's numbers, up to the
+    first z q^n below ctx's epsilon."""
+    total, zn = ctx.mpf(1), z
+    while abs(zn) >= ctx.eps:
+        total *= (1 - a * zn) / (1 - zn)
+        zn *= q
+    return total
+
+
+@pytest.mark.parametrize("route", ["fixed", "mpc"])
+@pytest.mark.parametrize("q", [Fraction(99, 100), Fraction(999, 1000)])
+def test_phi21_near_unit_q_stops_relative_to_the_product(q, route):
+    # phi21(a, b; b; q, z) = (az; q)_inf / (z; q)_inf is near 1 at a = 1 -
+    # 10^-7, while the differences sum to prod_k (1 - z q^k) times it,
+    # 10^-12 at q = 0.99 and 10^-15 at 0.999; stopped at an absolute eps
+    # they left 10^15 and 10^19 ulps.  What remains is _settle's tail at
+    # ratio r = z q^K, eps r / (1 - r).
+    prec = PrecisionSpec(30)
+    ctx, hi = prec.context(), PrecisionSpec(90).context()
+    values = (1 - Fraction(1, 10**7), Fraction(1, 4), q, Fraction(99, 100))
+    a, b, q, z = (cv(ctx, v) for v in values)
+    reference = _qbinomial(hi, *(hi.convert(v) for v in (a, z, q)))
+    args = (a, b, b, q, z) if route == "fixed" else tuple(map(ctx.mpc, (a, b, b, q, z)))
+    r = z * q**hyperq._SHIFTS
+    error = abs(phi21(Phi21Params(*args), prec) - reference) / reference
+    assert error <= 2 * prec.work_eps(ctx) * r / (1 - r)
+
+
 @pytest.mark.parametrize("digits", [20, 50, 200])
 @pytest.mark.parametrize("c, q, n", [
     (1, Fraction(1, 5), 0),

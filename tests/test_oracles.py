@@ -833,6 +833,28 @@ def test_local_pslq_precision_exhausted_exit(x, degree, expected):
     assert ctx.pslq(xs, tol=tol, maxcoeff=maxcoeff, maxsteps=PSLQ_MAXSTEPS) == expected
 
 
+@pytest.mark.parametrize("degree, search", [(e, e) for e in range(1, 9)] + [(3, 4), (7, 8)])
+def test_local_pslq_finds_relations_at_the_height_bound(degree, search):
+    # the norm bound that stops a search holds for exact relations of the
+    # fixed-point vector; an algebraic x's relation only nearly vanishes
+    # there, so one with every coefficient within 3 of the height bound
+    # 10^8, at the fewest digits find_minpoly allows, must still turn up
+    # as pslq finds it (over 400 such roots, max|H_jj| was at least 1.39
+    # times the stop's bound when the relation turned up)
+    digits = 10 * search + 40
+    ctx, rng = PrecisionSpec(digits).context(), random.Random(degree)
+    tol, maxcoeff, relation = ctx.mpf(10) ** (15 - digits), 10**8 + 1, [0]
+    while max(map(abs, relation)) < 10**8 - 3:
+        cs = [rng.choice([-1, 1]) * (10**8 - rng.randint(0, 3)) for _ in range(degree + 1)]
+        roots = ctx.polyroots(cs[::-1], maxsteps=500, extraprec=2 * ctx.prec)
+        for x in (ctx.re(r) for r in roots if abs(ctx.im(r)) < tol):
+            xs = [x**i for i in range(search + 1)]
+            relation = ctx.pslq(xs, tol=tol, maxcoeff=maxcoeff, maxsteps=PSLQ_MAXSTEPS) or [0]
+            if max(map(abs, relation)) >= 10**8 - 3:
+                break
+    assert _lll_reduce(ctx, xs, tol, maxcoeff) == relation
+
+
 def _findpoly(x, max_degree, prec):
     """mpmath's findpoly at find_minpoly's default settings, in ascending
     powers with a positive leading coefficient."""
