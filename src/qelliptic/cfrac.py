@@ -33,6 +33,7 @@ from .numerics import (
     _resummed,
     _settle,
     cv,
+    cv_real,
 )
 from .qfunctions import _qpowers, qpow
 
@@ -195,10 +196,10 @@ def _fraction_wp(ctx, bound) -> int:
 def _real_q(ctx, q):
     """q as a real number of ctx in (0, 1); an mpc with zero imaginary part
     counts as real."""
-    q = cv(ctx, q)
-    if ctx.im(q) != 0 or not (0 < ctx.re(q) < 1):
+    q = cv_real(ctx, q)
+    if isinstance(q, ctx.mpc) or not (0 < q < 1):
         raise DomainError(f"this fraction is evaluated for real q in (0, 1), got {q}")
-    return ctx.re(q)
+    return q
 
 
 def rr_cf(q, prec: PrecisionSpec):
@@ -335,8 +336,7 @@ def p_cf(a, b, q, prec: PrecisionSpec):
     cross-check.
     """
     ctx = prec.context()
-    # an mpc with zero imaginary part counts as real, as in _real_q
-    a, b, q = (ctx.re(v) if ctx.im(v) == 0 else v for v in (cv(ctx, a), cv(ctx, b), cv(ctx, q)))
+    a, b, q = (cv_real(ctx, v) for v in (a, b, q))
     if abs(q) >= 1:
         raise DomainError(f"P(a, b, q) needs |q| < 1, got |q| = {abs(q)}")
     if abs(a * b) >= 1:

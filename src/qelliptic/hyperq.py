@@ -5,9 +5,9 @@ with its q-binomial product twin, and the Gauss product evaluation.
 (see ``_phi21_sum``), which fall like (z q^K)^n where the terms fall like
 z^n.  A geometric series stopped by ``_settle`` keeps up to eps r/(1 - r)
 of its tail at ratio r, so the differences are also more accurate.  At
-real a, b, c, q and z they are fixed-point integers, which ``_settle(...,
-wp=wp)`` adds as integers, and the total is rounded once; complex input
-runs the same loop in mpc numbers.  Both routes raise DomainError at a
+real a, b, c, q and z (an mpc with zero imaginary part counts as real) they
+are fixed-point integers, which ``_settle(..., wp=wp)`` adds as integers,
+and the total is rounded once; complex input runs the loop in mpc numbers.  Both routes raise DomainError at a
 pole: when |1 - c q^n| <= (n + 2) 2^(2 - prec), a few working ulps, since
 c q^n rounds near 1 rather than onto it.  A sum that cancels is summed
 again with more digits by ``numerics._resummed``.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from mpmath.libmp import to_fixed
 
-from .numerics import _FIXED_GUARD, DomainError, PrecisionSpec, _from_fixed, _resummed, _settle, cv
+from .numerics import _FIXED_GUARD, DomainError, PrecisionSpec, _from_fixed, _resummed, _settle, cv_real
 from .qfunctions import INF, pochhammer
 
 # Levels K of q-shifted differences.  On eval-mix-like draws (pure-Python
@@ -68,7 +68,7 @@ def _phi21_sum(params: Phi21Params, prec: PrecisionSpec):
     product.
     """
     ctx = prec.context()
-    values = tuple(cv(ctx, v) for v in (params.a, params.b, params.c, params.q, params.z))
+    values = tuple(cv_real(ctx, v) for v in (params.a, params.b, params.c, params.q, params.z))
     a, b, c, q, z = values
     if abs(q) >= 1:
         raise DomainError(f"2-phi-1 needs |q| < 1, got |q| = {abs(q)}")
@@ -139,8 +139,8 @@ def psi_small_product(a, q, z, prec: PrecisionSpec):
     extends psi beyond |z| < 1.
     """
     ctx = prec.context()
-    a = cv(ctx, a)
-    z = cv(ctx, z)
+    a = cv_real(ctx, a)
+    z = cv_real(ctx, z)
     numer = pochhammer(a * z, q, INF, prec)
     denom = pochhammer(z, q, INF, prec)
     if denom == 0:
@@ -153,9 +153,9 @@ def gauss_product(a, b, c, q, prec: PrecisionSpec):
 
     (c/a; q)_inf (c/b; q)_inf / ((c; q)_inf (c/(ab); q)_inf)."""
     ctx = prec.context()
-    a = cv(ctx, a)
-    b = cv(ctx, b)
-    c = cv(ctx, c)
+    a = cv_real(ctx, a)
+    b = cv_real(ctx, b)
+    c = cv_real(ctx, c)
     numer = pochhammer(c / a, q, INF, prec) * pochhammer(c / b, q, INF, prec)
     denom = pochhammer(c, q, INF, prec) * pochhammer(c / (a * b), q, INF, prec)
     if denom == 0:

@@ -12,27 +12,28 @@ values are ordinary ``mpf``/``mpc`` instances, which are immutable and safe
 to pass between contexts.
 
 Infinite series, products and continued fractions are summed or multiplied
-by ``_settle``: callers hand it an iterable of numbers of their context (or,
-for a series, of fixed-point integers), and it applies the one stopping rule
-and term budget.  A continued fraction hands it either the ratios of its
+by ``_settle``: callers hand it an iterable of numbers of their context or
+of fixed-point integers, and it applies the one stopping rule and term
+budget.  A continued fraction hands it either the ratios of its
 approximants, as a product, or their increments, as a series.  A geometric
 series stopped there keeps up to eps r/(1 - r) of its tail at ratio r, which
 is why ``hyperq.phi21`` hands it the q-shifted differences of its terms (see
-``hyperq``).  The Gaussian sums are the exception:
+``hyperq``) and the routes that round once pass ``tail_eps``.  The Gaussian
+sums are the exception:
 ``qfunctions._gaussian_fixed``, the one kernel behind every theta3/theta4
 series and bilateral sum at real q (theta2/3/4, ``theta_sum_S``,
 ``psi_star`` and the theta route of ``agile``, at real or complex z and
 shift), runs to ``gaussian_cutoff``, a term count fixed in advance from |q|,
 the shift and the working digits, with no per-term test.
 
-Real-input routes (``qfunctions.pochhammer`` at n = inf,
-``qfunctions._gaussian_fixed``, ``hyperq.phi21``, the continued fractions
-of ``cfrac`` at real input and ``rquantity.rq_theta``'s exp sum) advance
-their terms in Python integers scaled by 2^wp, with wp at least ctx.prec +
-``_FIXED_GUARD`` bits, the way mpmath's own jtheta and hypsum do.  All but
-the Gaussian kernel hand those integers (for a fraction, its approximant
-increments) to ``_settle(..., wp=wp)``, which adds them without an mpf per
-term; every route rounds its total once with ``_from_fixed``.
+Every real-input series and product but ``cfrac.m_series`` and three of
+``verify``'s own readings advances its items in Python integers scaled by
+2^wp, wp at least ctx.prec + ``_FIXED_GUARD`` bits, the way mpmath's own
+jtheta and hypsum do, and all but the Gaussian kernel hand them to
+``_settle(..., wp=wp)``, which adds or multiplies them with no mpf per
+item; a product carries a binary exponent, so a small partial product
+keeps its relative digits.  An mpc with zero imaginary part counts as real
+(``cv_real``).  Each route rounds once.
 
 A series whose terms cancel loses digits that no stopping rule sees:
 ``_settle`` returns each series total with the digits its items lost, and
@@ -41,10 +42,10 @@ loss fits in half the guard digits.  Euler's series, ``phi21`` (capped:
 it can be exactly zero), ``m_series``, and the theta and ``agile`` Gaussian
 sums (by a bound known before their first term) use it; plain ``_settle``
 serves ``hyperbolic_log_sum`` (positive terms), ``rq_theta``'s exp sum
-(in integers; exponentiated, so only its absolute error counts),
-``eval_cf``'s approximant increments (a backward pass from twice the depth
-cross-checks them), ``drq_dq`` (a central difference cross-checks it) and
-``verify``'s printed readings.
+(exponentiated, so only its absolute error counts), ``eval_cf``'s
+approximant increments (a backward pass from twice the depth cross-checks
+them), ``drq_dq`` (a central difference cross-checks it) and ``verify``'s
+readings.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ MAX_TERMS = 10**6
 # Guard bits of fixed-point terms and sums beyond the working precision.
 _FIXED_GUARD = 30
 
-# Per-thread map workdps -> MPContext, filled by PrecisionSpec.context().
+# Per-thread maps workdps -> MPContext and (workdps, prec) -> work_eps.
 _contexts = threading.local()
 
 
@@ -139,8 +140,12 @@ class PrecisionSpec:
         return ctx.mpf(10) ** (-self.digits)
 
     def work_eps(self, ctx: MPContext):
-        """Cutoff used internally; two digits above working roundoff."""
-        return ctx.mpf(10) ** (-(self.workdps - 2))
+        """Cutoff used internally; two digits above working roundoff, kept
+        beside the thread's contexts once computed."""
+        cache, key = _contexts.__dict__, (self.workdps, ctx.prec)
+        if key not in cache:
+            cache[key] = ctx.mpf(10) ** (-(self.workdps - 2))
+        return cache[key]
 
     def bumped(self, extra: int) -> "PrecisionSpec":
         """Same spec with `extra` more target digits (used by cross-checks)."""
@@ -156,6 +161,12 @@ def cv(ctx: MPContext, x):
     if isinstance(x, Fraction):
         return ctx.mpf(x.numerator) / ctx.mpf(x.denominator)
     return ctx.convert(x)
+
+
+def cv_real(ctx, x):
+    """``cv(ctx, x)``, but an mpc with zero imaginary part becomes an mpf."""
+    x = cv(ctx, x)
+    return ctx.re(x) if isinstance(x, ctx.mpc) and not x.imag else x
 
 
 def gaussian_cutoff(total_digits: int, log_q_abs: float, imag_shift: float = 0.0) -> int:
@@ -190,27 +201,26 @@ def _settle(
     A factor that is exactly zero makes the product exactly zero; a finite
     iterable gives its exact total; ``max_terms`` items without settling
     raise NonConvergence.  Items must already be numbers of ``ctx``.
-    Callers pass ``eps = prec.work_eps(ctx)``; series and products keep
+    Callers pass ``prec.work_eps(ctx)`` or ``tail_eps``; series and products keep
     the default budget ``MAX_TERMS``, and ``cfrac.eval_cf`` passes its own
     level budget, with the ratios of its approximants as a product or, in
     fixed point, their increments as a series.
 
-    With ``wp`` given, the items of a series are Python ints instead,
-    fixed-point values scaled by 2^wp, and so is the returned total: the
-    same rule runs as the exact integer test |t| 2^wp <= eps_fixed *
-    max(2^wp, |total|), eps_fixed = eps * 2^wp, with no mpf per term, and
-    the caller rounds the total once.  ``wp`` only states the scale of the
-    items; products are always multiplied in ctx's numbers, since a small
-    partial product keeps its relative digits only in floating point.
+    With ``wp`` given, the items are fixed-point Python ints scaled by 2^wp,
+    and the rule runs as exact integer tests with eps_fixed = eps 2^wp.  A
+    series returns its total as such an integer, for the caller to round
+    once.  A product also takes (re, im) pairs as complex factors; it keeps
+    the running product at wp bits with a binary exponent, so a small
+    partial product keeps its relative digits, and returns it rounded once,
+    an mpc when its imaginary part is not zero.
 
     A series returns its total and the digits its count items lost to
     cancellation, (peak - mag(total) + log2(count)) log10(2) with 2^peak
     above the largest item (infinite for an exact zero total).
 
-    Products are multiplied directly rather than summed as logarithms:
-    every factor used in this package is within a geometrically shrinking
-    distance of 1, so the relative error after N factors is bounded by N
-    ulps, and the branch bookkeeping of complex logarithms is avoided.
+    Products are multiplied directly, not summed as logarithms: every factor
+    here is within a geometrically shrinking distance of 1, so N factors
+    cost at most N ulps, with no branch bookkeeping of complex logarithms.
 
     Most mpf and mpc items are far from the threshold, so binary exponents
     settle them first: ``ctx.mag`` gives |x| <= 2^mag(x), and |x| >=
@@ -220,6 +230,23 @@ def _settle(
     prefilter never changes a decision; it costs an integer comparison
     where the exact test costs an abs and a multiplication.
     """
+    if wp is not None and product:
+        one, eps_sq = 1 << wp, to_fixed(eps._mpf_, wp) ** 2
+        re, im, exp, small = one, 0, 0, 0  # the product is (re + i im) 2^(exp - wp)
+        for count, f in enumerate(items, 1):
+            fr, fi = f if isinstance(f, tuple) else (f, 0)
+            if not (fr or fi):
+                return ctx.mpf(0)
+            re, im = re * fr - im * fi, re * fi + im * fr
+            shift = max(0, max(abs(re), abs(im)).bit_length() - wp - 1)
+            re, im, exp = re >> shift, im >> shift, exp + shift - wp
+            small = small + 1 if (fr - one) ** 2 + fi * fi <= eps_sq else 0
+            if small == 3:
+                break
+            if count >= max_terms:
+                raise NonConvergence(f"product did not settle within {max_terms} terms")
+        total = _from_fixed(ctx, re, wp - exp)
+        return ctx.mpc(total, _from_fixed(ctx, im, wp - exp)) if im else total
     if wp is not None:
         one = 1 << wp
         eps_fixed = to_fixed(eps._mpf_, wp)
@@ -266,6 +293,14 @@ def _settle(
         return total
     lost = peak - mag(total) + math.log2(count) if total else math.inf
     return total, lost * math.log10(2)
+
+
+def tail_eps(ctx, r):
+    """An eps for ``_settle`` that leaves below one working ulp (relative to
+    max(1, |total|)) of a tail falling like r^n, r in [0, 1): after three
+    items below eps the rest add up to at most eps r^3 / (1 - r), while
+    ``work_eps`` is about 10^3 ulps."""
+    return ctx.ldexp(1 - r, -ctx.prec)
 
 
 def _resummed(prec: PrecisionSpec, summed, cap: float = math.inf):

@@ -11,15 +11,17 @@ series loop calls exp or log per term: the integer powers a loop walks
 through come from ``_qpowers`` or from a running product, and a term of a
 bilateral sum from its neighbour times a ratio that itself advances by
 multiplication.  Infinite sums and products reach ``numerics._settle`` as
-generators of numbers of the working context, except the Gaussian sums,
-whose terms fall like |q|^(n^2): they stop at ``numerics.gaussian_cutoff``,
-known before the first term, because a per-term test costs more there
-than it saves.
+generators, of fixed-point integers at real input, except the Gaussian
+sums, whose terms fall like |q|^(n^2): they stop at
+``numerics.gaussian_cutoff``, known before the first term, because a
+per-term test costs more there than it saves.
 
-Each kernel has one route per input type.  For real a and q with |a| < 1,
-``pochhammer(a, q, inf)`` sums Euler's series in fixed-point Python
-integers, which ``_settle`` adds as integers before the total is rounded
-once; every other input multiplies out the product in ctx's numbers.  At
+Each kernel has one route per input type, and an mpc with zero imaginary
+part counts as real.  For real a and q, ``pochhammer(a, q, inf)`` sums
+Euler's series (|a| < 1) or multiplies the product (|a| >= 1) in
+fixed-point Python integers, and so do ``theta4_product`` and
+``hyperbolic_log_sum``; ``_settle`` adds or multiplies the integers, and the
+total is rounded once.  Complex input multiplies in ctx's numbers.  At
 real q every theta3/theta4 series and every bilateral sum is the one sum
 1 + sum_{n>=1} s^n Q^(n^2) (e^(n beta) + e^(-n beta)), which
 ``_gaussian_fixed`` adds in integers and rounds once, as mpmath's jtheta
@@ -40,14 +42,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath.libmp import (
+    from_man_exp,
     fzero,
+    mpc_cos,
     mpf_abs,
     mpf_cos_sin,
     mpf_exp,
     mpf_log,
     mpf_mul,
     mpf_neg,
+    mpf_pi,
     mpf_shift,
+    mpf_sub,
     to_fixed,
     to_float,
     to_rational,
@@ -62,7 +68,9 @@ from .numerics import (
     _resummed,
     _settle,
     cv,
+    cv_real,
     gaussian_cutoff,
+    tail_eps,
 )
 
 INF = math.inf
@@ -140,9 +148,9 @@ def pochhammer(a, q, n, prec: PrecisionSpec):
     log10(max |t_n| / |total|) digits to cancellation (near |q| = 1 a tiny
     product is the sum of huge terms); ``numerics._resummed`` sums it again
     with those digits, which resolves it because (a; q)_inf has no zero
-    at |a| < 1.  Every other input, |a| >= 1 (where a = q^(-k) gives an
-    exact zero) or complex a or q, multiplies out the product in ctx's
-    numbers.
+    at |a| < 1.  Real |a| >= 1 (where a = q^(-k) gives an exact zero)
+    multiplies out the product in fixed-point integers, which keep their
+    relative digits in ``_settle``; complex a or q, in ctx's numbers.
 
     Euler's identity is not the Jacobi triple product: checks that set a
     product against a theta series, and ``psi_small`` against
@@ -150,16 +158,21 @@ def pochhammer(a, q, n, prec: PrecisionSpec):
     """
     ctx = prec.context()
     a_in, q_in = a, q
-    a = cv(ctx, a)
-    q = cv(ctx, q)
+    a = cv_real(ctx, a)
+    q = cv_real(ctx, q)
     if n is None or n == INF:
         if abs(q) >= 1:
             raise DomainError(f"(a;q)_inf needs |q| < 1, got |q| = {abs(q)}")
-        if abs(a) < 1 and not (isinstance(a, ctx.mpc) or isinstance(q, ctx.mpc)):
+        if isinstance(a, ctx.mpc) or isinstance(q, ctx.mpc):
+            power = _qpowers(ctx, q)
+            factors = (1 - a * power(m) for m in itertools.count())
+            return _settle(ctx, prec.work_eps(ctx), factors, product=True)
+        if abs(a) < 1:
             return _resummed(prec, lambda p: _euler_series(p, a_in, q_in))
-        power = _qpowers(ctx, q)
-        factors = (1 - a * power(m) for m in itertools.count())
-        return _settle(ctx, prec.work_eps(ctx), factors, product=True)
+        wp = ctx.prec + _FIXED_GUARD + ctx.mag(a)
+        one, a_fixed, power = 1 << wp, to_fixed(a._mpf_, wp), _qpowers(ctx, q, wp)
+        factors = (one - (a_fixed * power(m) >> wp) for m in itertools.count())
+        return _settle(ctx, tail_eps(ctx, abs(q)), factors, product=True, wp=wp)
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"n must be a non-negative integer or math.inf, got {n!r}")
     total = ctx.mpf(1)
@@ -179,7 +192,7 @@ def _euler_series(prec: PrecisionSpec, a, q):
     ctx = prec.context()
     wp = ctx.prec + _FIXED_GUARD
     one = 1 << wp
-    a_fixed, q_fixed = (to_fixed(cv(ctx, v)._mpf_, wp) for v in (a, q))
+    a_fixed, q_fixed = (to_fixed(cv_real(ctx, v)._mpf_, wp) for v in (a, q))
 
     def terms():
         term, qm = one, one  # t_m and q^m
@@ -209,7 +222,8 @@ def _theta_guard(ctx, z, q):
 
     L = |ln|q||, t = |Im z|.  Raises when terms q^(n^2) e^(2inz) would not
     decay fast enough to sum: the documented precondition is |q| e^(2|Im z|)
-    strictly below 1.
+    strictly below 1.  L comes from a 53-bit ln|q|; the test runs at working
+    precision only where 2t is not below L by more than float rounding.
     """
     z = cv(ctx, z)
     q = cv(ctx, q)
@@ -217,11 +231,10 @@ def _theta_guard(ctx, z, q):
     if qa >= 1:
         raise DomainError(f"theta series need |q| < 1, got |q| = {qa}")
     t = abs(ctx.im(z))
-    if qa > 0 and qa * ctx.exp(2 * t) >= 1:
-        raise NonConvergence(
-            f"growth guard: |q| e^(2|Im z|) = {qa * ctx.exp(2 * t)} >= 1"
-        )
-    L = float(-ctx.log(qa)) if qa > 0 else INF
+    L = -to_float(mpf_log(qa._mpf_, 53)) if qa else INF
+    near = L - 2 * float(t) <= L * 2**-40 + 2.0 ** (8 - ctx.prec)
+    if near and qa * ctx.exp(2 * t) >= 1:
+        raise NonConvergence(f"growth guard: |q| e^(2|Im z|) = {qa * ctx.exp(2 * t)} >= 1")
     return z, q, L, float(t)
 
 
@@ -344,18 +357,31 @@ def theta4_product(z, q, prec: PrecisionSpec):
     prod_{n>=1} (1 - q^(2n)) (1 - 2 q^(2n-1) cos(2z) + q^(4n-2)).
 
     Kept as an independent route so the series form can be cross-checked.
+    At real q the factors are fixed-point integers, (re, im) pairs for
+    complex z, with r_n = q^(2n-1) cos 2z advancing by q^2 (below 1 by the
+    growth guard).  Complex q takes the same product as
+    (q^2; q^2)_inf (q e^(2iz); q^2)_inf (q e^(-2iz); q^2)_inf.
     """
     ctx = prec.context()
-    z, q, _, _ = _theta_guard(ctx, z, q)
-    c = ctx.cos(2 * z)
-    power = _qpowers(ctx, q)
+    z, q, _, _ = _theta_guard(ctx, cv_real(ctx, z), cv_real(ctx, q))
+    if isinstance(q, ctx.mpc):
+        w, q2 = ctx.exp(2j * z), q * q
+        return math.prod(pochhammer(x, q2, INF, prec) for x in (q2, q * w, q / w))
+    wp = ctx.prec + _FIXED_GUARD
+    one, q_fixed = 1 << wp, to_fixed(q._mpf_, wp)
+    cos2z = mpc_cos(ctx.mpc(2 * z)._mpc_, wp)
 
     def factors():
-        for n in itertools.count(1):
-            qodd = power(2 * n - 1)
-            yield (1 - power(2 * n)) * (1 - 2 * qodd * c + qodd * qodd)
+        qodd, step = q_fixed, q_fixed * q_fixed >> wp
+        r_re, r_im = (to_fixed(mpf_mul(q._mpf_, w, wp), wp) for w in cos2z)
+        while True:
+            left = one - (qodd * q_fixed >> wp)
+            right = one - 2 * r_re + (qodd * qodd >> wp)
+            yield left * right >> wp, -2 * left * r_im >> wp
+            qodd, r_re, r_im = (w * step >> wp for w in (qodd, r_re, r_im))
 
-    return _settle(ctx, prec.work_eps(ctx), factors(), product=True)
+    total = _settle(ctx, tail_eps(ctx, q * q), factors(), product=True, wp=wp)
+    return ctx.mpc(total) if isinstance(z, ctx.mpc) else total
 
 
 def theta2(q, prec: PrecisionSpec):
@@ -523,24 +549,25 @@ def hyperbolic_log_sum(t, a, prec: PrecisionSpec):
     """sum_{k>=1} cosh(2 t k) / (k sinh(pi a k)) for a > 0, |t| < pi a / 2.
 
     The terms decay like e^((2|t| - pi a) k), so the decay region is exactly
-    |t| < pi a / 2.  With E = e^(2t) and F = e^(pi a), the k-th term is
-    (E^k + E^-k) / (k (F^k - F^-k)); the four powers advance by one
-    multiplication each, so the sum costs two exp calls.
+    |t| < pi a / 2.  Divided by e^(pi a k), the k-th term is
+    u^k (1 + rho^k) / (k (1 - w^k)) with u = e^(2|t| - pi a),
+    rho = e^(-4|t|) and w = e^(-2 pi a), none above 1; the sum is u times
+    that of u^(k-1) (1 + rho^k) / (k (1 - w^k)), whose powers advance by one
+    multiplication each in fixed-point integers, and it is rounded once.
     """
     ctx = prec.context()
-    t = cv(ctx, t)
-    a = cv(ctx, a)
+    t = cv_real(ctx, t)
+    a = cv_real(ctx, a)
     if ctx.im(a) != 0 or a <= 0:
         raise DomainError(f"need positive real a, got {a}")
     if ctx.im(t) != 0 or 2 * abs(t) >= ctx.pi * a:
         raise DomainError(f"need real t with |t| < pi a / 2, got t = {t}")
-    e, f = ctx.exp(2 * t), ctx.exp(ctx.pi * a)
-    e_inv, f_inv = 1 / e, 1 / f
-
-    def terms():
-        ek, e_negk, fk, f_negk = e, e_inv, f, f_inv
-        for k in itertools.count(1):
-            yield (ek + e_negk) / (k * (fk - f_negk))
-            ek, e_negk, fk, f_negk = ek * e, e_negk * e_inv, fk * f, f_negk * f_inv
-
-    return _settle(ctx, prec.work_eps(ctx), terms())[0]
+    wp = ctx.prec + _FIXED_GUARD
+    lp = wp + 10 + max(0, ctx.mag(a))  # the exponents, to 2^-wp after exp
+    pi_a, two_t = mpf_mul(mpf_pi(lp), a._mpf_, lp), mpf_shift(abs(t)._mpf_, 1)
+    args = (mpf_sub(two_t, pi_a, lp), mpf_neg(mpf_shift(two_t, 1)), mpf_neg(mpf_shift(pi_a, 1)))
+    u, rho, w = (ctx.make_mpf(mpf_exp(x, wp)) for x in args)
+    one, uk, rhok, wk = 1 << wp, *(_qpowers(ctx, x, wp) for x in (u, rho, w))
+    terms = (uk(k - 1) * (one + rhok(k)) // (k * (one - wk(k))) for k in itertools.count(1))
+    total, _ = _settle(ctx, tail_eps(ctx, u), terms, wp=wp)
+    return ctx.make_mpf(mpf_mul(u._mpf_, from_man_exp(total, -wp), ctx.prec, "n"))

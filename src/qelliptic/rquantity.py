@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath.libmp import to_fixed
+from mpmath.libmp import mpf_exp, mpf_log, mpf_mul, to_fixed
 
 from .numerics import (
     _FIXED_GUARD,
@@ -20,8 +20,10 @@ from .numerics import (
     _from_fixed,
     _settle,
     cv,
+    cv_real,
+    tail_eps,
 )
-from .qfunctions import AgileParams, _qpowers, agile, psi_star, qpow, theta3, theta4
+from .qfunctions import AgileParams, _fraction, _qpowers, agile, psi_star, qpow, theta3, theta4
 
 
 @dataclass(frozen=True)
@@ -157,26 +159,32 @@ def rq_theta(a, b, p, x, prec: PrecisionSpec, route: str = "theta"):
 
 def rq_charprod(a: int, b: int, p: int, q, prec: PrecisionSpec):
     """R*(a,b,p;q) as prod_{n>=1} (1-q^n)^(exponent(n)) over the character
-    pattern of Chi2Character(a, b, p)."""
-    chi = Chi2Character(a, b, p)
+    pattern of Chi2Character(a, b, p), one factor per n with a nonzero
+    exponent (an exact 1 would count as negligible to the stopping rule).
+    At real q the factors are fixed-point integers, which ``_settle``
+    multiplies and renormalizes; complex q multiplies them in ctx's numbers.
+    """
+    exponents = Chi2Character(a, b, p).values
     ctx = prec.context()
-    q = cv(ctx, q)
+    q = cv_real(ctx, q)
     if abs(q) >= 1:
         raise DomainError(f"character product needs |q| < 1, got |q| = {abs(q)}")
-    power = _qpowers(ctx, q)
+    if not any(exponents.values()):
+        return ctx.mpf(1)
+    nonzero = ((n, exponents[n % p]) for n in itertools.count(1) if exponents[n % p])
+    if isinstance(q, ctx.mpc):
+        power = _qpowers(ctx, q)
+        factors = ((1 - power(n)) ** e for n, e in nonzero)
+        return _settle(ctx, prec.work_eps(ctx), factors, product=True)
+    wp = ctx.prec + _FIXED_GUARD
+    one, power = 1 << wp, _qpowers(ctx, q, wp)
 
-    def blocks():
-        # One factor per period: a single n would often give an exact 1
-        # (exponent 0), which the stopping rule counts as negligible.
-        for k in itertools.count():
-            f = ctx.mpf(1)
-            for n in range(k * p, (k + 1) * p):
-                e = chi.exponent(n)
-                if e:
-                    f = f * (1 - power(n)) ** e
-            yield f
+    def factor(n, e):  # (1 - q^n)^e
+        f = (one - power(n)) ** abs(e)
+        return f >> (e - 1) * wp if e > 0 else (one << -e * wp) // f
 
-    return _settle(ctx, prec.work_eps(ctx), blocks(), product=True)
+    factors = (factor(n, e) for n, e in nonzero)
+    return _settle(ctx, tail_eps(ctx, abs(q)), factors, product=True, wp=wp)
 
 
 def tau_star(a, p, q, prec: PrecisionSpec):
@@ -210,47 +218,27 @@ def drq_dq(params: RQParams, q, prec: PrecisionSpec):
     h(m) = m q^(m-1)/(1 - q^m),
 
         R'(q) = R(q) [ C/q - sum_{n>=0} (h(pn+a) + h(pn+p-a)
-                                         - h(pn+b) - h(pn+p-b)) ].
+                                         - h(pn+b) - h(pn+p-b)) ],
 
-    The powers come as q^(pn+e) = q^e (q^p)^n for e in (a, p-a, b, p-b):
-    four qpow calls per derivative, and one multiplication per term.
+    the bracket by ``_log_derivative``.
 
     Cross-checked against a central difference with step 10^(-digits/2)
     computed at raised working precision; disagreement beyond
     10^(-digits/3) raises CrossCheckFailure.
     """
     ctx = prec.context()
-    a = cv(ctx, params.a)
-    b = cv(ctx, params.b)
-    p = cv(ctx, params.p)
-    qv = cv(ctx, q)
+    a, b, p, qv = (cv_real(ctx, v) for v in (params.a, params.b, params.p, q))
     for name, v in (("a", a), ("b", b), ("p", p)):
-        if ctx.im(v) != 0:
+        if isinstance(v, ctx.mpc):
             raise DomainError(f"{name} must be real for the derivative, got {v}")
-    if ctx.im(qv) != 0 or not (0 < qv < 1):
+    if isinstance(qv, ctx.mpc) or not (0 < qv < 1):
         raise DomainError(f"derivative needs real q in (0, 1), got {qv}")
     if a == b:
         return ctx.mpf(0)
     if not (0 < a < p and 0 < b < p):
         raise DomainError("derivative route needs a, b in (0, p)")
 
-    c_exp = -(a - b) / 2 + (a * a - b * b) / (2 * p)
-    offsets = (a, p - a, b, p - b)
-    starts = [qpow(ctx, qv, e) for e in offsets]
-    qp = starts[0] * starts[1]  # q^p = q^a q^(p-a)
-
-    def h(m, qm):
-        return m * qm / (qv * (1 - qm))  # m q^(m-1)/(1-q^m) without a root
-
-    def terms():
-        qpn = ctx.mpf(1)  # (q^p)^n
-        for n in itertools.count():
-            ha, hpa, hb, hpb = (h(p * n + e, qe * qpn) for e, qe in zip(offsets, starts))
-            yield ha + hpa - hb - hpb
-            qpn = qpn * qp
-
-    log_deriv = c_exp / qv - _settle(ctx, prec.work_eps(ctx), terms())[0]
-    value = rq(params, qv, prec) * log_deriv
+    value = rq(params, qv, prec) * _log_derivative(ctx, a, b, p, qv)
 
     # Independent confirmation by central difference at raised precision.
     cd_prec = prec.bumped(prec.digits // 2 + 20)
@@ -266,6 +254,32 @@ def drq_dq(params: RQParams, q, prec: PrecisionSpec):
             f"analytic derivative {value} vs central difference {central}"
         )
     return value
+
+
+def _log_derivative(ctx, a, b, p, q):
+    """R'(q) / R(q) = (C - sum_{n>=0} (g(pn+a) + g(pn+p-a) - g(pn+b) -
+    g(pn+p-b))) / q, g(m) = m q^m / (1 - q^m), for mpf a, b in (0, p), q in
+    (0, 1), in fixed-point integers rounded once: C exactly, and each q^e
+    from a ln q at wp + 10 bits, then advancing by q^p per term."""
+    wp = ctx.prec + _FIXED_GUARD
+    one, lp = 1 << wp, wp + 10
+    log_q = mpf_log(q._mpf_, lp)
+    exps = [v._mpf_ for v in (a, ctx.fsub(p, a, exact=True), b, ctx.fsub(p, b, exact=True), p)]
+    *ms, p_fixed = [to_fixed(e, wp) for e in exps]
+    *powers, step = [to_fixed(mpf_exp(mpf_mul(e, log_q, lp), wp), wp) for e in exps]
+
+    def terms():
+        m, x = ms, powers
+        while True:
+            ga, gpa, gb, gpb = (mi * xi // (one - xi) for mi, xi in zip(m, x))
+            yield ga + gpa - gb - gpb
+            m, x = [mi + p_fixed for mi in m], [xi * step >> wp for xi in x]
+
+    total, _ = _settle(ctx, tail_eps(ctx, _from_fixed(ctx, step, wp)), terms(), wp=wp)
+    fa, fb, fp = (_fraction(v) for v in (a, b, p))
+    c = (fa - fb) * (fa + fb - fp) / (2 * fp)
+    diff = (c.numerator << wp) // c.denominator - total
+    return _from_fixed(ctx, (diff << wp) // to_fixed(q._mpf_, wp), wp)
 
 
 def drq_normalized(params: RQParams, q, prec: PrecisionSpec):

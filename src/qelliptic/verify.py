@@ -38,10 +38,14 @@ from typing import Callable, Iterator
 
 import mpmath
 
-from .numerics import DomainError, NumericsError, PrecisionSpec, UnknownSelector, _settle, cv, gamma
+from .numerics import (
+    _FIXED_GUARD, DomainError, NumericsError, PrecisionSpec, UnknownSelector, _from_fixed, _settle,
+    cv, gamma,
+)
 from .qfunctions import (
     INF,
     AgileParams,
+    _qpowers,
     agile,
     euler_f,
     hyperbolic_log_sum,
@@ -734,21 +738,19 @@ def _chk_rr_eq2324(prec, rng):
     for x in (ctx.mpf(1), ctx.mpf(2), ctx.pi):
         R = r1_cf(ctx.exp(-x), prec)
         yield abs(R - rq_theta(1, 2, 5, x, prec, route="expsum"))
-        s, _ = _settle(ctx, prec.work_eps(ctx), _cosh_sinh_terms(ctx, x))
-        yield abs(R - ctx.exp(-x / 5 + s))
+        yield abs(R - ctx.exp(-x / 5 + _cosh_sinh_sum(ctx, prec.work_eps(ctx), x)))
 
 
-def _cosh_sinh_terms(ctx, x):
-    """(cosh(nx/2) - cosh(3nx/2)) / (n sinh(5nx/2)) for n >= 1, written in
-    E = e^(x/2) as (E^n + E^-n - E^3n - E^-3n) / (n (E^5n - E^-5n)); each
-    power advances by one multiplication per term."""
-    e = ctx.exp(x / 2)
-    steps = (e, 1 / e, e**3, e**-3, e**5, e**-5)
-    powers = steps
-    for n in itertools.count(1):
-        e1, e_1, e3, e_3, e5, e_5 = powers
-        yield (e1 + e_1 - e3 - e_3) / (n * (e5 - e_5))
-        powers = tuple(a * b for a, b in zip(powers, steps))
+def _cosh_sinh_sum(ctx, eps, x):
+    """sum_{n>=1} (cosh(nx/2) - cosh(3nx/2)) / (n sinh(5nx/2)) for x > 0.
+    Divided by E^5n, E = e^(x/2), a term is (u^2n + u^3n - u^n - u^4n) /
+    (n (1 - u^5n)) with u = e^(-x) < 1, whose powers come from a table in
+    fixed-point integers; the sum is rounded once."""
+    wp = ctx.prec + _FIXED_GUARD
+    one, u = 1 << wp, _qpowers(ctx, ctx.exp(-x), wp)
+    terms = ((u(2 * n) + u(3 * n) - u(n) - u(4 * n) << wp) // (n * (one - u(5 * n)))
+             for n in itertools.count(1))
+    return _from_fixed(ctx, _settle(ctx, eps, terms, wp=wp)[0], wp)
 
 
 @check(

@@ -241,3 +241,17 @@ def test_thm6_suite_checks_at_50_digits():
     assert outcomes["thm6.eq65"].status == "pass"
     assert outcomes["thm6.eq63"].status == "pass"
     assert outcomes["thm6.eq62-printed"].status == "discrepancy"
+
+
+@pytest.mark.parametrize("digits", [30, 200])
+def test_phi21_takes_zero_imaginary_parts_on_the_real_route(digits):
+    # an mpc with zero imaginary part counts as real, as in cfrac: the same
+    # value as the real call, as an mpf, from the fixed-point route
+    prec = PrecisionSpec(digits)
+    ctx = prec.context()
+    for args in ((Fraction(1, 3), Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), Fraction(999, 1000)),
+                 (2, Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), Fraction(1, 3))):
+        real = phi21(Phi21Params(*args), prec)
+        mixed = Phi21Params(*(ctx.mpc(cv(ctx, v), 0) if i % 2 else v for i, v in enumerate(args)))
+        value = phi21(mixed, prec)
+        assert value == real and isinstance(value, ctx.mpf)

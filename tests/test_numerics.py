@@ -228,6 +228,54 @@ def test_settle_fixed_nonconvergence():
         _settle(ctx, p.work_eps(ctx), itertools.repeat(1 << wp), max_terms=50, wp=wp)
 
 
+def test_settle_fixed_product_keeps_relative_digits_when_tiny():
+    # prod_{m>=0} (1 - (3/2) q^m) at q = 99/100 passes 1e-103 on the way;
+    # the renormalized integer product stops where the mpf one does and
+    # lands within 2 ulps of the exact product of the same integer factors
+    p = PrecisionSpec(40)
+    ctx, hi = p.context(), PrecisionSpec(120).context()
+    wp = ctx.prec + _FIXED_GUARD
+    one, q = 1 << wp, to_fixed(cv(ctx, Fraction(99, 100))._mpf_, wp)
+    factors, qm = [], one
+    while qm >> (wp - ctx.prec - 20):
+        factors.append(one - (3 * qm >> 1))
+        qm = qm * q >> wp
+    eps = p.work_eps(ctx)
+    seen, seen_mpf = [], []
+    value = _settle(ctx, eps, (seen.append(f) or f for f in factors), product=True, wp=wp)
+    mpf_factors = (seen_mpf.append(f) or _from_fixed(ctx, f, wp) for f in factors)
+    mpf_value = _settle(ctx, eps, mpf_factors, product=True)
+    assert len(seen) == len(seen_mpf) < len(factors)
+    exact = math.prod(hi.ldexp(f, -wp) for f in seen)  # to about 2^-400
+    assert abs(exact) < hi.mpf(10) ** -100
+    assert abs(value - exact) <= abs(exact) * 2 ** (1 - ctx.prec)
+    assert abs(value - mpf_value) <= abs(value) * 2 ** (12 - ctx.prec)
+
+
+def test_settle_fixed_product_pairs_zero_and_budget():
+    p = PrecisionSpec(40)
+    ctx = p.context()
+    eps = p.work_eps(ctx)
+    wp = ctx.prec + _FIXED_GUARD
+    one = 1 << wp
+    # (1 + i/2)(1 - i/2) = 5/4, then factors of exactly 1
+    pairs = [(one, one >> 1), (one, -(one >> 1))] + [(one, 0)] * 3
+    value = _settle(ctx, eps, iter(pairs), product=True, wp=wp)
+    assert value == ctx.mpf(5) / 4 and isinstance(value, ctx.mpf)
+    value = _settle(ctx, eps, iter([(one, one >> 1), one, one, one]), product=True, wp=wp)
+    assert value == ctx.mpc(1, 0.5)
+    assert _settle(ctx, eps, iter([one >> 1, 0, one]), product=True, wp=wp) == 0
+    with pytest.raises(NonConvergence):
+        _settle(ctx, eps, itertools.repeat(2 * one), product=True, max_terms=50, wp=wp)
+
+
+def test_work_eps_is_computed_once_per_context():
+    p = PrecisionSpec(40)
+    ctx = p.context()
+    assert p.work_eps(ctx) is p.work_eps(ctx) is PrecisionSpec(35, 20).work_eps(ctx)
+    assert p.work_eps(ctx) == ctx.mpf(10) ** (-(p.workdps - 2))
+
+
 def test_settle_fixed_isolated_zeros_do_not_stop():
     # two zeros in a row do not settle the sum, three do
     p = PrecisionSpec(50)

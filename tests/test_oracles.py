@@ -26,7 +26,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qelliptic import cfrac, qfunctions
+from qelliptic import cfrac, hyperq, qfunctions
 from qelliptic.algrec import PSLQ_MAXSTEPS, _lll_reduce, find_minpoly
 from qelliptic.cfrac import (
     ContinuedFraction,
@@ -283,14 +283,19 @@ def test_phi21_matches_qhyper(digits, q, a, b, c, z):
     q=q_st, negative=st.booleans(), a=phi21_param_st, b=phi21_param_st, c=phi21_param_st, z=unit_st
 )
 def test_phi21_real_and_complex_routes_agree(digits, q, negative, a, b, c, z):
-    # real input sums in fixed point, mpc input in ctx's numbers
+    # real input sums in fixed point, mpc input in ctx's numbers; an mpc
+    # with zero imaginary part counts as real, so the mpc route is taken
+    # here with cv_real turned into plain cv
     q = -q if negative else q
     assume(_off_the_poles(c, q))
     prec = PrecisionSpec(digits)
     ctx = prec.context()
     real = phi21(Phi21Params(a, b, c, q, z), prec)
     params = Phi21Params(*(ctx.mpc(cv(ctx, x), 0) for x in (a, b, c, q, z)))
-    complex_ = phi21(params, prec)
+    assert phi21(params, prec) == real
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hyperq, "cv_real", cv)
+        complex_ = phi21(params, prec)
     assert isinstance(real, ctx.mpf) and isinstance(complex_, ctx.mpc)
     assert _agree_relative(ctx, complex_, real, digits)
 
@@ -337,7 +342,11 @@ def test_pochhammer_real_and_complex_routes_agree(digits, a, q):
     prec = PrecisionSpec(digits)
     ctx = prec.context()
     real = pochhammer(a, q, INF, prec)
-    complex_ = pochhammer(ctx.mpc(cv(ctx, a), 0), ctx.mpc(cv(ctx, q), 0), INF, prec)
+    args = (ctx.mpc(cv(ctx, a), 0), ctx.mpc(cv(ctx, q), 0), INF, prec)
+    assert pochhammer(*args) == real  # zero imaginary parts count as real
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qfunctions, "cv_real", cv)
+        complex_ = pochhammer(*args)
     assert isinstance(real, ctx.mpf) and isinstance(complex_, ctx.mpc)
     assert _agree_relative(ctx, complex_, real, digits)
 

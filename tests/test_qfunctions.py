@@ -13,6 +13,7 @@ from qelliptic.numerics import DomainError, NonConvergence, PrecisionSpec, cv
 from qelliptic.qfunctions import (
     INF,
     AgileParams,
+    _theta_guard,
     agile,
     euler_f,
     hyperbolic_log_sum,
@@ -143,6 +144,27 @@ def test_theta_growth_guard():
     z_bad = ctx.mpc(0, 10)  # |q| e^(2*10) >> 1
     with pytest.raises(NonConvergence):
         theta3(z_bad, Fraction(3, 10), P60)
+
+
+@pytest.mark.parametrize("digits", [30, 200])
+def test_theta_growth_guard_boundary(digits):
+    # the guard reads L from a 53-bit ln|q| and runs the working-precision
+    # test only near the boundary; it must raise exactly where that test
+    # alone says |q| e^(2|Im z|) >= 1, a few ulps either side included
+    prec = PrecisionSpec(digits)
+    ctx = prec.context()
+    for q in (Fraction(3, 10), Fraction(-1, 2), Fraction(1, 10**100), 1 - Fraction(1, 10**30)):
+        qa = abs(cv(ctx, q))
+        edge = -ctx.log(qa) / 2
+        for rel in (0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9):
+            for ulps in range(-4, 5):
+                t = edge * (1 + rel) + ulps * ctx.ldexp(edge, -ctx.prec)
+                for z in (ctx.mpc(cv(ctx, Fraction(1, 3)), t), ctx.mpc(0, -t)):
+                    if qa * ctx.exp(2 * t) >= 1:
+                        with pytest.raises(NonConvergence):
+                            _theta_guard(ctx, z, q)
+                    else:
+                        assert _theta_guard(ctx, z, q)[2] == pytest.approx(float(2 * edge))
 
 
 def test_theta_sum_S_values():
@@ -308,3 +330,43 @@ def test_real_bilateral_sums_are_correctly_rounded(digits):
             ref = call(hi)
             assert ref != 0
             assert abs(call(prec) - ref) <= abs(ref) * 2 ** (1 - ctx.prec)
+
+
+@pytest.mark.parametrize("digits", [30, 60, 200])
+def test_integer_products_and_sums_are_correctly_rounded(digits):
+    # theta4_product at real and complex z, pochhammer at real |a| >= 1 and
+    # hyperbolic_log_sum, in fixed-point integers, against the same call at
+    # 2 digits + 30 on the same rounded inputs
+    prec, hi = PrecisionSpec(digits), PrecisionSpec(2 * digits + 30)
+    ctx = prec.context()
+
+    def c(re, im):
+        return ctx.mpc(cv(ctx, re), cv(ctx, im))
+
+    calls = []
+    for q in (cv(ctx, Fraction(1, 5)), cv(ctx, Fraction(-3, 10)), cv(ctx, Fraction(9, 10))):
+        L = -ctx.log(abs(q))  # |Im z| < L / 2 by the growth guard
+        for z in (0, cv(ctx, Fraction(3, 10)), c(Fraction(1, 10), L / 5), c(7, -3 * L / 8)):
+            calls.append(partial(theta4_product, z, q))
+        for a in (Fraction(11, 10), Fraction(3, 2), 5, -3, Fraction(-7, 2), 1000):
+            calls.append(partial(pochhammer, cv(ctx, a), q, INF))
+    for t, a in ((0, 2), (Fraction(1, 2), 1), (1, 3), (Fraction(-3, 10), Fraction(1, 2)), (1, 40)):
+        calls.append(partial(hyperbolic_log_sum, cv(ctx, t), cv(ctx, a)))
+    for call in calls:
+        ref = call(hi)
+        assert ref != 0
+        assert abs(call(prec) - ref) <= abs(ref) * 2 ** (1 - ctx.prec)
+
+
+@pytest.mark.parametrize("digits", [30, 200])
+def test_integer_products_keep_relative_digits_when_tiny(digits):
+    # partial products fall to 1e-105 and -3e-103 at q = 99/100: the integer
+    # product carries a binary exponent, so the relative error stays within
+    # 2 ulps of the same call at 2 digits + 30
+    prec, hi = PrecisionSpec(digits), PrecisionSpec(2 * digits + 30)
+    ctx = prec.context()
+    q = cv(ctx, Fraction(99, 100))
+    for call in (partial(theta4_product, 0, q), partial(pochhammer, cv(ctx, 1.5), q, INF)):
+        ref = call(hi)
+        assert 0 < abs(ref) < 1e-100
+        assert abs(call(prec) - ref) <= abs(ref) * 2 ** (1 - ctx.prec)

@@ -9,6 +9,7 @@ from qelliptic.numerics import DomainError, PrecisionSpec, cv
 from qelliptic.rquantity import (
     Chi2Character,
     RQParams,
+    _log_derivative,
     drq_dq,
     drq_normalized,
     rq,
@@ -168,3 +169,21 @@ def test_rq_at_q_zero():
         rq(RQParams(2, 1, 5), 0, PrecisionSpec(30))
     # and +1/5 for (1,2,5): R vanishes
     assert rq(RQParams(1, 2, 5), 0, PrecisionSpec(30)) == 0
+
+
+@pytest.mark.parametrize("digits", [30, 60, 200])
+def test_character_product_and_log_derivative_are_correctly_rounded(digits):
+    # rq_charprod and drq_dq's R'/R in fixed-point integers, against the
+    # same call at 2 digits + 30 on the same rounded inputs
+    prec, hi = PrecisionSpec(digits), PrecisionSpec(2 * digits + 30)
+    ctx = prec.context()
+    nomes = (ctx.exp(-ctx.pi), cv(ctx, Fraction(1, 5)), cv(ctx, Fraction(1, 2)))
+    for q in nomes + (cv(ctx, Fraction(-1, 2)), cv(ctx, Fraction(9, 10))):
+        for a, b, p in ((1, 2, 5), (1, 5, 12), (1, 3, 4), (2, 3, 7)):
+            ref = rq_charprod(a, b, p, q, hi)
+            assert abs(rq_charprod(a, b, p, q, prec) - ref) <= abs(ref) * 2 ** (1 - ctx.prec)
+    for q in nomes[:2]:  # nearer q = 1, C and the sum cancel to R'/R
+        for args in ((1, 2, 5), (1, 3, 8), (Fraction(1, 3), Fraction(5, 2), 3)):
+            a, b, p = (cv(ctx, v) for v in args)
+            ref = _log_derivative(hi.context(), a, b, p, q)
+            assert abs(_log_derivative(ctx, a, b, p, q) - ref) <= abs(ref) * 2 ** (1 - ctx.prec)

@@ -3,11 +3,13 @@
 import dataclasses
 import inspect
 import json
+import sys
 
 import mpmath
 import pytest
 
 import qelliptic.verify
+from qelliptic import cfrac, hyperq, qfunctions, rquantity
 from qelliptic.numerics import NonConvergence, PrecisionSpec, UnknownSelector
 from qelliptic.verify import (
     DISCREPANCY_ALLOWED,
@@ -252,3 +254,49 @@ def test_no_documented_wrong_reading_passes_at_16_to_24_digits():
         for check in readings:
             outcome = _run_one(check, digits, 42, prec)
             assert outcome.status != "pass", (check.id, digits, outcome.max_abs_error)
+
+
+# Real-input series and products that _settle still takes in ctx's numbers,
+# keyed by a function on the call's stack, with the reason each stays there.
+MPF_SETTLE_ALLOWED = {
+    # in integers, thm1.app's residual at 60 digits went from 7.4e-68 to
+    # 1.5e-64: its two routes shared their rounding in mpf numbers
+    "m_series": "the M series of thm1.app",
+    # verify's own readings of printed formulas, not library kernels
+    "_chk_theta_def_printed": "the printed theta series of theta.def-printed",
+    "_chk_deriv_eq53_printed": "the printed fraction of deriv.eq53-printed, by eval_cf",
+    "_agile_deriv_normalized": "the log-derivative series of the agile derivative",
+}
+
+
+def test_real_input_series_and_products_run_in_integers(monkeypatch):
+    # a real mpf item reaching _settle without wp took the mpf path
+    offenders = {}
+
+    def recording(settle):
+        def wrapped(ctx, eps, items, **kwargs):
+            if kwargs.get("wp") is None:
+                frame, stack = sys._getframe(1), []
+                while frame is not None:
+                    stack.append(frame.f_code.co_name)
+                    frame = frame.f_back
+                items = _noting_real_items(ctx, items, stack, offenders)
+            return settle(ctx, eps, items, **kwargs)
+
+        return wrapped
+
+    for module in (cfrac, hyperq, qfunctions, rquantity, qelliptic.verify):
+        monkeypatch.setattr(module, "_settle", recording(module._settle))
+    report = run_suite("all", 40)
+    assert all(c.status in ("pass", "discrepancy", "skip") for c in report.checks)
+    # m_series and two of the readings run at 40 digits; the agile
+    # derivative only from RECOGNITION_MIN_DIGITS
+    assert len(offenders) >= 3
+    assert {caller for caller, stack in offenders.items() if not MPF_SETTLE_ALLOWED.keys() & stack} == set()
+
+
+def _noting_real_items(ctx, items, stack, offenders):
+    for x in items:
+        if isinstance(x, ctx.mpf):
+            offenders.setdefault(stack[0], set()).update(stack)
+        yield x
