@@ -292,7 +292,8 @@ def test_real_input_series_and_products_run_in_integers(monkeypatch):
     # m_series and two of the readings run at 40 digits; the agile
     # derivative only from RECOGNITION_MIN_DIGITS
     assert len(offenders) >= 3
-    assert {caller for caller, stack in offenders.items() if not MPF_SETTLE_ALLOWED.keys() & stack} == set()
+    unexplained = {caller for caller, stack in offenders.items() if not MPF_SETTLE_ALLOWED.keys() & stack}
+    assert unexplained == set()
 
 
 def _noting_real_items(ctx, items, stack, offenders):
