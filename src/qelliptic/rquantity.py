@@ -262,8 +262,7 @@ def _log_derivative(ctx, a, b, p, q):
     (0, 1), in fixed-point integers rounded once: C exactly, and each q^e
     from a ln q at wp + 10 bits, then advancing by q^p per term."""
     wp = ctx.prec + _FIXED_GUARD
-    one, lp = 1 << wp, wp + 10
-    log_q = mpf_log(q._mpf_, lp)
+    one, lp, log_q = 1 << wp, wp + 10, mpf_log(q._mpf_, wp + 10)
     exps = [v._mpf_ for v in (a, ctx.fsub(p, a, exact=True), b, ctx.fsub(p, b, exact=True), p)]
     *ms, p_fixed = [to_fixed(e, wp) for e in exps]
     *powers, step = [to_fixed(mpf_exp(mpf_mul(e, log_q, lp), wp), wp) for e in exps]

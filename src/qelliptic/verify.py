@@ -37,10 +37,11 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 import mpmath
+from mpmath.libmp import mpf_exp, mpf_neg
 
 from .numerics import (
     _FIXED_GUARD, DomainError, NumericsError, PrecisionSpec, UnknownSelector, _from_fixed, _settle,
-    cv, gamma,
+    cv, gamma, tail_eps,
 )
 from .qfunctions import (
     INF,
@@ -738,19 +739,20 @@ def _chk_rr_eq2324(prec, rng):
     for x in (ctx.mpf(1), ctx.mpf(2), ctx.pi):
         R = r1_cf(ctx.exp(-x), prec)
         yield abs(R - rq_theta(1, 2, 5, x, prec, route="expsum"))
-        yield abs(R - ctx.exp(-x / 5 + _cosh_sinh_sum(ctx, prec.work_eps(ctx), x)))
+        yield abs(R - ctx.exp(-x / 5 + _cosh_sinh_sum(ctx, x)))
 
 
-def _cosh_sinh_sum(ctx, eps, x):
+def _cosh_sinh_sum(ctx, x):
     """sum_{n>=1} (cosh(nx/2) - cosh(3nx/2)) / (n sinh(5nx/2)) for x > 0.
     Divided by E^5n, E = e^(x/2), a term is (u^2n + u^3n - u^n - u^4n) /
     (n (1 - u^5n)) with u = e^(-x) < 1, whose powers come from a table in
     fixed-point integers; the sum is rounded once."""
     wp = ctx.prec + _FIXED_GUARD
-    one, u = 1 << wp, _qpowers(ctx, ctx.exp(-x), wp)
-    terms = ((u(2 * n) + u(3 * n) - u(n) - u(4 * n) << wp) // (n * (one - u(5 * n)))
-             for n in itertools.count(1))
-    return _from_fixed(ctx, _settle(ctx, eps, terms, wp=wp)[0], wp)
+    u = ctx.make_mpf(mpf_exp(mpf_neg(x._mpf_), wp))  # exact to wp bits
+    one, power = 1 << wp, _qpowers(ctx, u, wp)
+    terms = ((power(2 * n) + power(3 * n) - power(n) - power(4 * n) << wp)
+             // (n * (one - power(5 * n))) for n in itertools.count(1))
+    return _from_fixed(ctx, _settle(ctx, tail_eps(ctx, u), terms, wp=wp)[0], wp)
 
 
 @check(

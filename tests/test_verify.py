@@ -301,3 +301,14 @@ def _noting_real_items(ctx, items, stack, offenders):
         if isinstance(x, ctx.mpf):
             offenders.setdefault(stack[0], set()).update(stack)
         yield x
+
+
+@pytest.mark.parametrize("digits", [30, 60, 200])
+def test_cosh_sinh_sum_is_correctly_rounded(digits):
+    # rr.eq2324's cosh/sinh series in fixed-point integers at the check's x,
+    # against the same call at 2 digits + 30 on the same rounded x
+    prec, hi = PrecisionSpec(digits), PrecisionSpec(2 * digits + 30)
+    ctx = prec.context()
+    for x in (ctx.mpf(1), ctx.mpf(2), ctx.pi):
+        ref = qelliptic.verify._cosh_sinh_sum(hi.context(), x)
+        assert abs(qelliptic.verify._cosh_sinh_sum(ctx, x) - ref) <= abs(ref) * 2 ** (1 - ctx.prec)
