@@ -5,8 +5,9 @@ One PSLQ search (Ferguson, Bailey and Arno, Math. Comp. 68, 1999) looks for
 an integer relation among (1, x, x^2, ..., x^d) at each degree d that
 ``find_minpoly`` tries.  The search is a local transcription of mpmath
 1.3.0's ``pslq`` that skips work whose result is unread or known exactly
-(see ``_lll_reduce``); it takes ``pslq``'s steps, the tests use ``pslq`` as
-its oracle, and it stops a failed search sooner, at a norm bound.  A
+(see ``_lll_reduce``); it takes the steps ``pslq`` takes with exact integer
+square roots, as on mpmath's gmpy backend, the tests use ``pslq`` as its
+oracle, and it stops a failed search sooner, at a norm bound.  A
 relation is normalized to content 1 with positive leading coefficient,
 ascending powers, and accepted only when it is square-free and its Horner
 residual at x is below the accept tolerance.
@@ -31,8 +32,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import expm1, gcd, hypot, isqrt, ldexp, pi, prod
 from typing import Callable, Sequence
-
-from mpmath.libmp import sqrt_fixed
 
 from .numerics import DomainError, InsufficientPrecision, PrecisionSpec, cv
 
@@ -117,7 +116,7 @@ _SCREEN_BITS = 960
 def _pivot_weights(n: int, prec: int) -> tuple:
     """The ``weights`` and ``floor`` that ``_pivot`` takes for an n-entry
     search at prec bits."""
-    g = sqrt_fixed((4 << prec) // 3, prec)
+    g = isqrt((4 << prec) // 3 << prec)
     shift = max(0, prec - _SCREEN_BITS)
     weights = []
     for i in range(n - 1):
@@ -139,11 +138,18 @@ def _round_div(h: int, p: int) -> int:
     return T + (2 * abs(r) >= abs(p))
 
 
-def _pivot(H, weights, prec: int, floor: float) -> int:
+def _estimates(H, weights, prec: int, rows) -> list:
+    """``_pivot``'s float screen for the given rows: w_i |H_ii >> shift|."""
+    shift = max(0, prec - _SCREEN_BITS)
+    return [weights[i][1] * abs(float(H[i][i] >> shift)) for i in rows]
+
+
+def _pivot(H, weights, prec: int, floor: float, est=None) -> int:
     """PSLQ's row choice: the first i with the largest g^(i+1) |H_ii| >>
     prec*i, over ``weights[i] = (g^(i+1), w_i)`` with w_i the float
     g^(i+1) / 2^(prec*(i+2) - shift) and shift = max(0, prec -
-    ``_SCREEN_BITS``).
+    ``_SCREEN_BITS``).  ``est``, when given, is the list of the screen's
+    estimates for every row, as ``_estimates`` computes them from H.
 
     The floats w_i |H_ii >> shift|, about g^(i+1) |H_ii| / 2^(2 prec),
     screen the rows.  PSLQ's diagonal never grows past its start, at most 1,
@@ -155,8 +161,8 @@ def _pivot(H, weights, prec: int, floor: float) -> int:
     ``floor``, the floor of either shift may weigh, and every row is
     compared exactly.
     """
-    shift = max(0, prec - _SCREEN_BITS)
-    est = [w * abs(float(H[i][i] >> shift)) for i, (_, w) in enumerate(weights)]
+    if est is None:
+        est = _estimates(H, weights, prec, range(len(weights)))
     rows = range(len(est))
     top = max(est)
     if top >= floor:
@@ -183,12 +189,17 @@ def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
     steps are those of ``ctx.pslq(xs, tol=tol, maxcoeff=maxcoeff,
     maxsteps=PSLQ_MAXSTEPS)``, and the tests hold its result to pslq's.  The
     ``H``, ``y`` and ``s`` arithmetic and every exit but the stop test are
-    mpmath's, bit for bit.  Dropped
+    mpmath's, bit for bit, with its square roots ``sqrt_fixed(x, prec)``
+    taken exactly as ``isqrt(x << prec)``: that is ``sqrt_fixed`` on
+    mpmath's gmpy backend, while its pure-Python one is 1 ulp low on about
+    0.1% of inputs.  Dropped
     is work that is never read or whose result is known exactly: the matrix
     A; the 2^prec scaling of B, whose multipliers are integers, so B holds
     plain integers; tuple-keyed dicts (``H`` is a list of rows and ``B`` a
     list of columns, so a swap exchanges two references); and reductions
-    whose multiplier rounds to 0.  Two shortcuts reach mpmath's integers
+    whose multiplier rounds to 0.  A step changes H's diagonal only at rows
+    m and m + 1, so |H_jj| and the row choice's float estimates are kept in
+    two lists and refreshed there.  Two shortcuts reach mpmath's integers
     with less big-integer work:
 
     - the row choice screens the weights g^(i+1) |H_ii| in floats and
@@ -223,7 +234,7 @@ def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
     s, t = [0] * n, 0
     for k in range(n - 1, -1, -1):
         t += x[k] ** 2 >> prec
-        s[k] = sqrt_fixed(t, prec)
+        s[k] = isqrt(t << prec)
     y = [(v << prec) // s[0] for v in x]
     s = [(v << prec) // s[0] for v in s]
     # mpmath's H is n x n, but its last column is never written: it stays 0
@@ -235,6 +246,8 @@ def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
             if s[j] * s[j + 1]:
                 H[i][j] = ((-y[i] * y[j]) << prec) // (s[j] * s[j + 1])
     B = [[int(i == j) for j in range(n)] for i in range(n)]
+    diag = [abs(H[j][j]) for j in range(n - 1)]
+    est = _estimates(H, weights, prec, range(n - 1))
 
     def reduce_row(i, top, skip_zero):
         # size-reduce row i of H against rows top..0; a zero pivot skips
@@ -242,15 +255,14 @@ def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
         # loop in the main iteration
         Hi, Bi = H[i], B[i]
         for j in range(top, -1, -1):
-            Hj = H[j]
-            p = Hj[j]
-            if not p:
+            if not diag[j]:
                 if skip_zero:
                     continue
                 break
-            if 2 * abs(Hi[j]) < abs(p):
+            if 2 * abs(Hi[j]) < diag[j]:
                 continue  # rounds to T = 0, which changes nothing
-            T = _round_div(Hi[j], p)
+            Hj = H[j]
+            T = _round_div(Hi[j], Hj[j])
             y[j] += T * y[i]
             for k in range(j + 1):
                 Hi[k] -= T * Hj[k]
@@ -261,13 +273,13 @@ def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
     for i in range(1, n):
         reduce_row(i, i - 1, True)
     for _ in range(PSLQ_MAXSTEPS):
-        m = _pivot(H, weights, prec, floor)
+        m = _pivot(H, weights, prec, floor, est)
         y[m], y[m + 1] = y[m + 1], y[m]
         H[m], H[m + 1] = H[m + 1], H[m]
         B[m], B[m + 1] = B[m + 1], B[m]
         if m <= n - 3:
             a, b = H[m][m], H[m][m + 1]
-            t0 = sqrt_fixed((a * a + b * b) >> prec, prec)
+            t0 = isqrt((a * a + b * b) >> prec << prec)
             if not t0:
                 break
             t1, t2 = (a << prec) // t0, (b << prec) // t0
@@ -275,12 +287,15 @@ def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
                 t3, t4 = Hi[m], Hi[m + 1]
                 Hi[m] = (t1 * t3 + t2 * t4) >> prec
                 Hi[m + 1] = (-t2 * t3 + t1 * t4) >> prec
+        rows = range(m, min(m + 2, n - 1))
+        diag[m : m + 2] = [abs(H[j][j]) for j in rows]
+        est[m : m + 2] = _estimates(H, weights, prec, rows)
         for i in range(m + 1, n):
             reduce_row(i, min(i - 1, m + 1), False)
         for yi, column in zip(y, B):
             if abs(yi) < tol and max(abs(c) for c in column) < maxcoeff:
                 return list(column)
-        if max(abs(H[j][j]) for j in range(n - 1)) <= bound:
+        if max(diag) <= bound:
             break  # every relation has norm >= 2^prec / max|H_jj| > maxcoeff sqrt(n)
     return None
 
@@ -436,9 +451,11 @@ def _exact_quotient(p, a):
 def _factor(coeffs):
     """The root-subset irreducibility test (Cohen, *A Course in
     Computational Algebraic Number Theory*, GTM 138, section 3.5) for a
-    normalized square-free P with P(0) != 0: ``[P]`` when P is proved
-    irreducible over Z, ``[A, P / A]`` for a factor A it finds, or None when
-    it cannot tell.
+    normalized P with P(0) != 0: ``[P]`` when P is proved irreducible over
+    Z, ``[A, P / A]`` for a factor A it finds, or None when it cannot tell.
+    Any result also proves P square-free: its e inclusion disks are
+    disjoint and each holds exactly one root.  A repeated root leaves the
+    question open, because the disks around it cannot be shown disjoint.
 
     A factor A of P over Z is lc(A) prod_{r in S} (t - r) over a subset S of
     P's roots, |S| <= e/2 for one of A and P/A, and lc(A) divides lc(P), so
@@ -562,17 +579,20 @@ def find_minpoly(
                     relation = relation[1:]  # x != 0: divided by t, still one
                 cs = _normalize(relation)
                 residual = verify_root(cs, xv, prec)
-                if residual < accept_tol and _is_squarefree(cs):
+                # a result of _factor proves cs square-free; the gcd runs
+                # only where it cannot tell
+                if residual < accept_tol and ((factors := _factor(cs)) or _is_squarefree(cs)):
                     best = cs, residual
                     # a factor of a square-free P is square-free; the one
                     # that vanishes at x replaces P when it passes the rest
-                    while (factors := _factor(cs)) and len(factors) == 2:
+                    while factors and len(factors) == 2:
                         res, f = min((verify_root(g, xv, prec), g) for g in factors)
                         if res >= accept_tol or max(map(abs, f)) > height_bound:
                             factors = None
                             break
                         cs, residual = f, res
                         best = cs, residual
+                        factors = _factor(cs)
                     if factors:
                         break  # cs is irreducible: no relation of lower degree
                 d = len(cs) - 2

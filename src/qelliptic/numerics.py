@@ -38,14 +38,14 @@ keeps its relative digits.  An mpc with zero imaginary part counts as real
 A series whose terms cancel loses digits that no stopping rule sees:
 ``_settle`` returns each series total with the digits its items lost, and
 ``_resummed``, the one re-sum rule, sums again with more digits until the
-loss fits in half the guard digits.  Euler's series, ``phi21`` (capped:
-it can be exactly zero), ``m_series``, and the theta and ``agile`` Gaussian
-sums (by a bound known before their first term) use it; plain ``_settle``
-serves ``hyperbolic_log_sum`` (positive terms), ``rq_theta``'s exp sum
+loss fits in half the guard digits.  Euler's series, ``phi21`` and
+``drq_dq``'s log-derivative (capped: they can be exactly zero),
+``m_series``, and the theta and ``agile`` Gaussian sums (by a bound known
+before their first term) use it; plain ``_settle`` serves
+``hyperbolic_log_sum`` (positive terms), ``rq_theta``'s exp sum
 (exponentiated, so only its absolute error counts), ``eval_cf``'s
 approximant increments (a backward pass from twice the depth cross-checks
-them), ``drq_dq`` (a central difference cross-checks it) and ``verify``'s
-readings.
+them) and ``verify``'s readings.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ tau quantities built on the bilateral sum psi*, and the q-derivative of R.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from .numerics import (
     DomainError,
     PrecisionSpec,
     _from_fixed,
+    _resummed,
     _settle,
     cv,
     cv_real,
@@ -220,7 +222,10 @@ def drq_dq(params: RQParams, q, prec: PrecisionSpec):
         R'(q) = R(q) [ C/q - sum_{n>=0} (h(pn+a) + h(pn+p-a)
                                          - h(pn+b) - h(pn+p-b)) ],
 
-    the bracket by ``_log_derivative``.
+    the bracket by ``_log_derivative``.  Where C/q and the sum cancel past
+    half the guard digits, ``numerics._resummed`` sums the bracket again
+    with more digits, at most prec.workdps more: it is exactly zero at
+    b = p - a, where every term of the sum and C vanish.
 
     Cross-checked against a central difference with step 10^(-digits/2)
     computed at raised working precision; disagreement beyond
@@ -238,7 +243,8 @@ def drq_dq(params: RQParams, q, prec: PrecisionSpec):
     if not (0 < a < p and 0 < b < p):
         raise DomainError("derivative route needs a, b in (0, p)")
 
-    value = rq(params, qv, prec) * _log_derivative(ctx, a, b, p, qv)
+    bracket = _resummed(prec, lambda pr: _log_derivative(pr.context(), a, b, p, qv), cap=prec.workdps)
+    value = rq(params, qv, prec) * bracket
 
     # Independent confirmation by central difference at raised precision.
     cd_prec = prec.bumped(prec.digits // 2 + 20)
@@ -260,7 +266,9 @@ def _log_derivative(ctx, a, b, p, q):
     """R'(q) / R(q) = (C - sum_{n>=0} (g(pn+a) + g(pn+p-a) - g(pn+b) -
     g(pn+p-b))) / q, g(m) = m q^m / (1 - q^m), for mpf a, b in (0, p), q in
     (0, 1), in fixed-point integers rounded once: C exactly, and each q^e
-    from a ln q at wp + 10 bits, then advancing by q^p per term."""
+    from a ln q at wp + 10 bits, then advancing by q^p per term.  Returns
+    it with the digits C and the sum cancel, counted from the larger of |C|
+    and the sum's largest term."""
     wp = ctx.prec + _FIXED_GUARD
     one, lp, log_q = 1 << wp, wp + 10, mpf_log(q._mpf_, wp + 10)
     exps = [v._mpf_ for v in (a, ctx.fsub(p, a, exact=True), b, ctx.fsub(p, b, exact=True), p)]
@@ -274,11 +282,17 @@ def _log_derivative(ctx, a, b, p, q):
             yield ga + gpa - gb - gpb
             m, x = [mi + p_fixed for mi in m], [xi * step >> wp for xi in x]
 
-    total, _ = _settle(ctx, tail_eps(ctx, _from_fixed(ctx, step, wp)), terms(), wp=wp)
+    total, lost = _settle(ctx, tail_eps(ctx, _from_fixed(ctx, step, wp)), terms(), wp=wp)
     fa, fb, fp = (_fraction(v) for v in (a, b, p))
     c = (fa - fb) * (fa + fb - fp) / (2 * fp)
-    diff = (c.numerator << wp) // c.denominator - total
-    return _from_fixed(ctx, (diff << wp) // to_fixed(q._mpf_, wp), wp)
+    c = (c.numerator << wp) // c.denominator
+    diff = c - total
+    if not diff:
+        return ctx.zero, math.inf
+    # _settle counts its loss from the sum's largest term, 10^lost |total|
+    peak = lost + math.log10(abs(total)) if total else 0.0
+    lost = max(peak, math.log10(abs(c) or 1)) - math.log10(abs(diff))
+    return _from_fixed(ctx, (diff << wp) // to_fixed(q._mpf_, wp), wp), lost
 
 
 def drq_normalized(params: RQParams, q, prec: PrecisionSpec):

@@ -1,6 +1,7 @@
 """Integer-relation recognition of minimal polynomials."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,43 @@ def test_failed_search_stops_at_the_norm_bound(monkeypatch, degree, mpmath_steps
     assert (2 ** (ctx.prec + 60) / diag) ** 2 > (degree + 1) * maxcoeff**2
 
 
+@pytest.mark.parametrize(
+    "x, degree, found",
+    [
+        ("k_5", 8, True),  # a pool octic: a relation
+        ("random", 8, False),  # no relation: the stop test ends it
+        (-1, 3, True),  # a zero diagonal entry, as in
+        ("1e-50", 2, False),  # test_local_pslq_precision_exhausted_exit
+    ],
+)
+def test_search_keeps_its_diagonal_lists_current(monkeypatch, x, degree, found):
+    # a step refreshes |H_jj| and _pivot's estimates only at rows m and
+    # m + 1; at every step they must equal a fresh computation from H
+    ctx = PrecisionSpec(120).context()
+    if x == "k_5":
+        x = qelliptic.singular_modulus(5, PrecisionSpec(120))
+    elif x == "random":
+        x = ctx.mpf(random.Random(1).getrandbits(400)) / 2**400
+    seen = []
+
+    def check(H, weights, prec, est, diag):
+        shift = max(0, prec - qelliptic.algrec._SCREEN_BITS)
+        assert est == [w * abs(float(H[i][i] >> shift)) for i, (_, w) in enumerate(weights)]
+        assert diag == [abs(H[j][j]) for j in range(len(H) - 1)]
+
+    def pivot(H, weights, prec, floor, est):
+        state = H, weights, prec, est, sys._getframe(1).f_locals["diag"]
+        check(*state)
+        seen.append(state)
+        return _pivot(H, weights, prec, floor, est)
+
+    monkeypatch.setattr(qelliptic.algrec, "_pivot", pivot)
+    xs = [ctx.mpf(x) ** i for i in range(degree + 1)]
+    relation = qelliptic.algrec._lll_reduce(ctx, xs, ctx.mpf(10) ** -105, 10**8 + 1)
+    assert (relation is not None) == found
+    check(*seen[-1])  # the lists as the last step left them
+
+
 def test_octic_is_proved_irreducible_without_a_search_below_it(searched):
     prec = PrecisionSpec(120)
     res = find_minpoly(prec.context().root(2, 8), 8, prec=prec)
@@ -254,6 +292,16 @@ def test_factor_splits_products(a, b):
 
 def test_factor_leaves_degrees_past_the_subset_budget_open():
     assert _factor((-2,) + (0,) * 12 + (1,)) is None
+
+
+@pytest.mark.parametrize(
+    "poly", [(1, -6, 9), (1, 2, 1), _mul(K3_POLY, K3_POLY), _mul(_mul(K6_POLY, K6_POLY), (-2, 0, 3))]
+)
+def test_factor_leaves_repeated_roots_open(poly):
+    # find_minpoly runs the square-free gcd only where _factor returns None:
+    # any result of _factor proves P square-free
+    assert _factor(poly) is None
+    assert not _is_squarefree(poly)
 
 
 def test_precision_precondition():

@@ -20,6 +20,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
@@ -813,6 +814,28 @@ def test_local_pslq_matches_mpmath_pslq(degree, digits, spec):
     assert relation == ctx.pslq(xs, tol=tol, maxcoeff=maxcoeff, maxsteps=PSLQ_MAXSTEPS)
     if spec[0] == "random":
         assert relation is None
+
+
+def _exact_sqrt_fixed(x, prec):
+    """mpmath's ``sqrt_fixed`` as its gmpy backend binds it: exact."""
+    return math.isqrt(x << prec)
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(digits=st.integers(80, 200), spec=search_x_st)
+def test_local_pslq_matches_mpmath_pslq_with_exact_square_roots(degree, digits, spec):
+    # the search takes exact square roots, isqrt(x << prec), which is what
+    # mpmath's sqrt_fixed is on its gmpy backend; its pure-Python one is 1
+    # ulp low on about 0.1% of inputs
+    ctx = PrecisionSpec(digits).context()
+    x = _search_x(ctx, *spec)
+    assume(x != 0)  # as 27^(1/3) - 3: both searches reject a zero entry
+    xs = [x**i for i in range(degree + 1)]
+    tol, maxcoeff = ctx.mpf(10) ** (15 - digits), 10**8 + 1
+    with mock.patch.object(mpmath.identification, "sqrt_fixed", _exact_sqrt_fixed):
+        expected = ctx.pslq(xs, tol=tol, maxcoeff=maxcoeff, maxsteps=PSLQ_MAXSTEPS)
+    assert _lll_reduce(ctx, xs, tol, maxcoeff) == expected
 
 
 @pytest.mark.parametrize("digits", [320, 400])

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import qelliptic.rquantity
 from qelliptic.numerics import DomainError, PrecisionSpec, cv
 from qelliptic.rquantity import (
     Chi2Character,
@@ -185,5 +186,39 @@ def test_character_product_and_log_derivative_are_correctly_rounded(digits):
     for q in nomes[:2]:  # nearer q = 1, C and the sum cancel to R'/R
         for args in ((1, 2, 5), (1, 3, 8), (Fraction(1, 3), Fraction(5, 2), 3)):
             a, b, p = (cv(ctx, v) for v in args)
-            ref = _log_derivative(hi.context(), a, b, p, q)
-            assert abs(_log_derivative(ctx, a, b, p, q) - ref) <= abs(ref) * 2 ** (1 - ctx.prec)
+            ref = _log_derivative(hi.context(), a, b, p, q)[0]
+            assert abs(_log_derivative(ctx, a, b, p, q)[0] - ref) <= abs(ref) * 2 ** (1 - ctx.prec)
+
+
+@pytest.mark.parametrize("digits", [30, 60, 200])
+def test_drq_keeps_relative_digits_where_the_bracket_cancels(digits):
+    # at (1, 2, 5) and q = 9/10, R' = 3.1e-30 next to R = 0.59: C/q and the
+    # sum cancel by about 29 digits, which the bracket's re-sum restores
+    prec, hi = PrecisionSpec(digits), PrecisionSpec(2 * digits + 30)
+    tol = hi.context().mpf(10) ** -(digits + prec.guard / 2)
+    for args, q in (((1, 2, 5), Fraction(9, 10)), ((1, 3, 8), Fraction(9, 10)), ((1, 2, 4), Fraction(1, 5))):
+        ref = drq_dq(RQParams(*args), q, hi)
+        assert abs(drq_dq(RQParams(*args), q, prec) - ref) <= abs(ref) * tol
+    # b = p - a: every term of the sum and C vanish, and the cap ends the re-sum
+    assert drq_dq(RQParams(1, 4, 5), Fraction(1, 3), prec) == 0
+
+
+def test_drq_sums_once_at_the_suites_nome(monkeypatch):
+    # the suite and the recognition pool call drq_dq at q = e^-pi, at 40-200
+    # digits and, for recompute, 30 digits more; the bracket loses under 2
+    # digits there, so it is summed once
+    calls = []
+    log_derivative = qelliptic.rquantity._log_derivative
+
+    def counting(*args):
+        calls.append(1)
+        return log_derivative(*args)
+
+    monkeypatch.setattr(qelliptic.rquantity, "_log_derivative", counting)
+    for digits in (40, 60, 120, 150, 200, 230):
+        prec = PrecisionSpec(digits)
+        ctx = prec.context()
+        for args in ((1, 2, 4), (1, 2, 5), (1, 3, 6), (1, 3, 8)):
+            calls.clear()
+            drq_dq(RQParams(*args), ctx.exp(-ctx.pi), prec)
+            assert len(calls) == 1
