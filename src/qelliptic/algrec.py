@@ -138,18 +138,12 @@ def _round_div(h: int, p: int) -> int:
     return T + (2 * abs(r) >= abs(p))
 
 
-def _estimates(H, weights, prec: int, rows) -> list:
-    """``_pivot``'s float screen for the given rows: w_i |H_ii >> shift|."""
-    shift = max(0, prec - _SCREEN_BITS)
-    return [weights[i][1] * abs(float(H[i][i] >> shift)) for i in rows]
-
-
 def _pivot(H, weights, prec: int, floor: float, est=None) -> int:
     """PSLQ's row choice: the first i with the largest g^(i+1) |H_ii| >>
     prec*i, over ``weights[i] = (g^(i+1), w_i)`` with w_i the float
     g^(i+1) / 2^(prec*(i+2) - shift) and shift = max(0, prec -
     ``_SCREEN_BITS``).  ``est``, when given, is the list of the screen's
-    estimates for every row, as ``_estimates`` computes them from H.
+    estimates w_i |H_ii >> shift| for every row.
 
     The floats w_i |H_ii >> shift|, about g^(i+1) |H_ii| / 2^(2 prec),
     screen the rows.  PSLQ's diagonal never grows past its start, at most 1,
@@ -162,7 +156,8 @@ def _pivot(H, weights, prec: int, floor: float, est=None) -> int:
     compared exactly.
     """
     if est is None:
-        est = _estimates(H, weights, prec, range(len(weights)))
+        shift = max(0, prec - _SCREEN_BITS)
+        est = [w * abs(float(H[i][i] >> shift)) for i, (_, w) in enumerate(weights)]
     rows = range(len(est))
     top = max(est)
     if top >= floor:
@@ -246,8 +241,15 @@ def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
             if s[j] * s[j + 1]:
                 H[i][j] = ((-y[i] * y[j]) << prec) // (s[j] * s[j + 1])
     B = [[int(i == j) for j in range(n)] for i in range(n)]
-    diag = [abs(H[j][j]) for j in range(n - 1)]
-    est = _estimates(H, weights, prec, range(n - 1))
+    diag, est, shift = [0] * (n - 1), [0.0] * (n - 1), max(0, prec - _SCREEN_BITS)
+
+    def refresh(rows):
+        for j in rows:
+            h = H[j][j]
+            diag[j] = abs(h)
+            est[j] = weights[j][1] * abs(float(h >> shift))
+
+    refresh(range(n - 1))
 
     def reduce_row(i, top, skip_zero):
         # size-reduce row i of H against rows top..0; a zero pivot skips
@@ -287,9 +289,7 @@ def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
                 t3, t4 = Hi[m], Hi[m + 1]
                 Hi[m] = (t1 * t3 + t2 * t4) >> prec
                 Hi[m + 1] = (-t2 * t3 + t1 * t4) >> prec
-        rows = range(m, min(m + 2, n - 1))
-        diag[m : m + 2] = [abs(H[j][j]) for j in rows]
-        est[m : m + 2] = _estimates(H, weights, prec, rows)
+        refresh(range(m, min(m + 2, n - 1)))
         for i in range(m + 1, n):
             reduce_row(i, min(i - 1, m + 1), False)
         for yi, column in zip(y, B):
