@@ -3,14 +3,16 @@ annihilating a high-precision real number.
 
 One PSLQ search (Ferguson, Bailey and Arno, Math. Comp. 68, 1999) looks for
 an integer relation among (1, x, x^2, ..., x^d) at each degree d that
-``find_minpoly`` tries.  The search is a local transcription of mpmath
-1.3.0's ``pslq`` that skips work whose result is unread or known exactly
-(see ``_lll_reduce``); it takes the steps ``pslq`` takes with exact integer
-square roots, as on mpmath's gmpy backend, the tests use ``pslq`` as its
-oracle, and it stops a failed search sooner, at a norm bound.  A
-relation is normalized to content 1 with positive leading coefficient,
-ascending powers, and accepted only when it is square-free and its Horner
-residual at x is below the accept tolerance.
+``find_minpoly`` tries, at the 10 d + 40 digits that degree needs rather
+than the caller's full precision, with a tolerance scaled to match.  The
+search is a local transcription of mpmath 1.3.0's ``pslq`` that skips work
+whose result is unread or known exactly (see ``_lll_reduce``); it takes the
+steps ``pslq`` takes with exact integer square roots, as on mpmath's gmpy
+backend, the tests use ``pslq`` as its oracle, and it stops a failed search
+sooner, at a norm bound.  A relation is normalized to content 1 with
+positive leading coefficient, ascending powers, and accepted only when it
+is square-free and its Horner residual at x, at the caller's full
+precision, is below the accept tolerance.
 
 The degree of an accepted relation is settled by proving it irreducible
 (``_factor``: Durand-Kerner roots in floats, inclusion disks, and a screen
@@ -30,7 +32,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import expm1, gcd, hypot, isqrt, ldexp, pi, prod
+from math import ceil, expm1, gcd, hypot, isqrt, ldexp, log10, pi, prod
 from typing import Callable, Sequence
 
 from .numerics import DomainError, InsufficientPrecision, PrecisionSpec, cv
@@ -174,9 +176,9 @@ def _pivot(H, weights, prec: int, floor: float, est=None) -> int:
 
 
 def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
-    """One PSLQ search over ``xs = [1, x, ..., x^d]`` at the caller's
-    context: the first relation c it meets with max|c| < maxcoeff and
-    |sum c_i x^i| below `tol` relative to |xs|, or None.
+    """One PSLQ search over ``xs = [1, x, ..., x^d]``, rounded into the
+    caller's context ``ctx``: the first relation c it meets with max|c| <
+    maxcoeff and |sum c_i x^i| below `tol` relative to |xs|, or None.
 
     A transcription of mpmath 1.3.0's ``identification.pslq`` (Bailey's
     pseudocode in fixed point at ``ctx.prec + 60`` bits).  For the inputs
@@ -241,40 +243,39 @@ def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
             if s[j] * s[j + 1]:
                 H[i][j] = ((-y[i] * y[j]) << prec) // (s[j] * s[j + 1])
     B = [[int(i == j) for j in range(n)] for i in range(n)]
-    diag, est, shift = [0] * (n - 1), [0.0] * (n - 1), max(0, prec - _SCREEN_BITS)
-
-    def refresh(rows):
-        for j in rows:
-            h = H[j][j]
-            diag[j] = abs(h)
-            est[j] = weights[j][1] * abs(float(h >> shift))
-
-    refresh(range(n - 1))
-
-    def reduce_row(i, top, skip_zero):
-        # size-reduce row i of H against rows top..0; a zero pivot skips
-        # one row at set-up and, as mpmath's ZeroDivisionError, ends the
-        # loop in the main iteration
-        Hi, Bi = H[i], B[i]
-        for j in range(top, -1, -1):
-            if not diag[j]:
-                if skip_zero:
+    shift = max(0, prec - _SCREEN_BITS)
+    diag = [abs(H[j][j]) for j in range(n - 1)]
+    est = [w * abs(float(H[j][j] >> shift)) for j, (_, w) in enumerate(weights)]
+    # a step size-reduces rows lo..n-1 against rows top..0; the set-up pass
+    # (step 0) reduces every row against every row above it
+    lo, top = 1, n
+    for step in range(PSLQ_MAXSTEPS + 1):
+        for i in range(lo, n):
+            Hi, Bi = H[i], B[i]
+            for j in range(min(i - 1, top), -1, -1):
+                if not diag[j]:
+                    # a zero pivot skips the row at set-up and, as mpmath's
+                    # ZeroDivisionError, ends the row's reduction in a step
+                    if step:
+                        break
                     continue
+                if 2 * abs(Hi[j]) < diag[j]:
+                    continue  # rounds to T = 0, which changes nothing
+                Hj = H[j]
+                T = _round_div(Hi[j], Hj[j])
+                y[j] += T * y[i]
+                for k in range(j + 1):
+                    Hi[k] -= T * Hj[k]
+                Bj = B[j]
+                for k in range(n):
+                    Bj[k] += T * Bi[k]
+        if step:
+            for yi, column in zip(y, B):
+                if abs(yi) < tol and max(abs(c) for c in column) < maxcoeff:
+                    return list(column)
+            # every relation has norm >= 2^prec / max|H_jj| > maxcoeff sqrt(n)
+            if max(diag) <= bound or step == PSLQ_MAXSTEPS:
                 break
-            if 2 * abs(Hi[j]) < diag[j]:
-                continue  # rounds to T = 0, which changes nothing
-            Hj = H[j]
-            T = _round_div(Hi[j], Hj[j])
-            y[j] += T * y[i]
-            for k in range(j + 1):
-                Hi[k] -= T * Hj[k]
-            Bj = B[j]
-            for k in range(n):
-                Bj[k] += T * Bi[k]
-
-    for i in range(1, n):
-        reduce_row(i, i - 1, True)
-    for _ in range(PSLQ_MAXSTEPS):
         m = _pivot(H, weights, prec, floor, est)
         y[m], y[m + 1] = y[m + 1], y[m]
         H[m], H[m + 1] = H[m + 1], H[m]
@@ -289,14 +290,12 @@ def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
                 t3, t4 = Hi[m], Hi[m + 1]
                 Hi[m] = (t1 * t3 + t2 * t4) >> prec
                 Hi[m + 1] = (-t2 * t3 + t1 * t4) >> prec
-        refresh(range(m, min(m + 2, n - 1)))
-        for i in range(m + 1, n):
-            reduce_row(i, min(i - 1, m + 1), False)
-        for yi, column in zip(y, B):
-            if abs(yi) < tol and max(abs(c) for c in column) < maxcoeff:
-                return list(column)
-        if max(diag) <= bound:
-            break  # every relation has norm >= 2^prec / max|H_jj| > maxcoeff sqrt(n)
+        # only rows m and m + 1 of the diagonal changed
+        for j in range(m, min(m + 2, n - 1)):
+            h = H[j][j]
+            diag[j] = abs(h)
+            est[j] = weights[j][1] * abs(float(h >> shift))
+        lo, top = m + 1, m + 1
     return None
 
 
@@ -519,6 +518,13 @@ def find_minpoly(
     near-relations by many orders of magnitude.  An |x| below the accept
     tolerance 10^-(digits-15) is recognized as the root of t.
 
+    The precondition is also the search precision: degree d is searched at
+    10 d + 40 digits, with the tolerance 10^-(10 d + 25) that the accept
+    rule gives at those digits.  Only a tiny x raises it, until the search's
+    smallest power is 10 times its tolerance (at most prec.workdps digits).
+    A relation's residual is still checked at the full precision against
+    the accept tolerance.
+
     The lowest degree with an accepted candidate wins.  A search that fails
     at degree d rules out every degree <= d: a lower-degree relation is a
     degree-d one with zero top coefficients, and PSLQ gives up only once
@@ -571,7 +577,13 @@ def find_minpoly(
         best, failed, probe, d, searched = None, 0, 1, 1, set()
         while True:
             searched.add(d)
-            relation = _lll_reduce(ctx, xs[: d + 1], accept_tol, height_bound + 1)
+            # the smallest power, x^d or 1, at least 10 times the search's
+            # tolerance: PSLQ gives up on one below tolerance / 100.  At the
+            # working digits every power kept above clears that exit
+            dps = max(10 * d + 40, 16 + ceil((1 - ctx.mag(xs[d])) * log10(2)))
+            sctx = PrecisionSpec(min(dps, prec.workdps), 0).context()
+            search_tol = sctx.mpf(10) ** (15 - sctx.dps)
+            relation = _lll_reduce(sctx, xs[: d + 1], search_tol, height_bound + 1)
             if relation is None:
                 failed = d
             else:

@@ -4,7 +4,8 @@ with its q-binomial product twin, and the Gauss product evaluation.
 ``phi21`` hands ``numerics._settle`` the q-shifted differences of its terms
 (see ``_phi21_sum``), which fall like (z q^K)^n where the terms fall like
 z^n.  A geometric series stopped by ``_settle`` keeps up to eps r/(1 - r)
-of its tail at ratio r, so the differences are also more accurate.  At
+of its tail at ratio r, so the differences are also more accurate, and
+their stop is scaled by 1 - r to keep that tail below eps.  At
 real a, b, c, q and z (an mpc with zero imaginary part counts as real) they
 are fixed-point integers, which ``_settle(..., wp=wp)`` adds as integers,
 and the total is rounded once; complex input runs the loop in mpc numbers.  Both routes raise DomainError at a
@@ -64,8 +65,9 @@ def _phi21_sum(params: Phi21Params, prec: PrecisionSpec):
     like (z q^K)^n: each factor cancels the (z q^k)^n part of the terms t_n.
     They carry g more bits, 2^g >= prod_k 1 / (1 - |z q^k|), so dividing by
     the product loses nothing, and the loss reading leaves it out; ``_settle``
-    stops at eps 2^-g, since the total it reads is the series times the
-    product.
+    stops at eps 2^-g (1 - r), r = |z q^K|, since the total it reads is the
+    series times the product and a stop at eps leaves a tail of up to eps
+    r / (1 - r).
     """
     ctx = prec.context()
     values = tuple(cv_real(ctx, v) for v in (params.a, params.b, params.c, params.q, params.z))
@@ -93,7 +95,8 @@ def _phi21_sum(params: Phi21Params, prec: PrecisionSpec):
         a, b, c, q, z = (to_fixed(v._mpf_, wp) for v in values)
     terms = _phi21_terms(a, b, c, q, z, one, mul, div, tiny)
     lams = list(itertools.accumulate([z] + [q] * (_SHIFTS - 1), mul))  # z q^k
-    eps = ctx.ldexp(prec.work_eps(ctx), -g)
+    # stop at eps (1 - r), 1 - r = 1 - |z q^K| as above
+    eps = ctx.ldexp(prec.work_eps(ctx), -g) * (gap + zf * (1 - qf**_SHIFTS))
     total, lost = _settle(work, eps, _differenced(terms, lams, mul), wp=wp)
     divisor = math.prod(one - lam for lam in lams)  # one**K times the product
     if wp is None:  # unary + rounds; mag(x) >= log2 |x|, where a float can underflow

@@ -112,18 +112,28 @@ def test_one_search_per_degree_tried(monkeypatch):
     assert len(calls) == 2
 
 
+class Searches(list):
+    """The degrees find_minpoly searches, in order, with each search's
+    working digits in ``dps`` and its tolerance in ``tols``."""
+
+    def __init__(self):
+        super().__init__()
+        self.dps, self.tols = [], []
+
+
 @pytest.fixture
 def searched(monkeypatch):
-    """The degrees find_minpoly searches, in order."""
-    degrees = []
+    searches = Searches()
     search = qelliptic.algrec._lll_reduce
 
-    def counting(ctx, xs, *args, **kwargs):
-        degrees.append(len(xs) - 1)
-        return search(ctx, xs, *args, **kwargs)
+    def counting(ctx, xs, tol, *args, **kwargs):
+        searches.append(len(xs) - 1)
+        searches.dps.append(ctx.dps)
+        searches.tols.append(tol)
+        return search(ctx, xs, tol, *args, **kwargs)
 
     monkeypatch.setattr(qelliptic.algrec, "_lll_reduce", counting)
-    return degrees
+    return searches
 
 
 def test_no_relation_costs_the_galloping_probes_only(searched):
@@ -131,6 +141,31 @@ def test_no_relation_costs_the_galloping_probes_only(searched):
     prec = PrecisionSpec(120)
     assert find_minpoly(prec.context().pi, 8, prec=prec) is NOT_FOUND
     assert searched == [1, 2, 4, 8]
+
+
+def test_each_degree_is_searched_at_the_digits_it_needs(searched):
+    # degree d at the 10 d + 40 digits of the precondition, not the 135
+    # working digits, with the accept rule's tolerance at those digits
+    prec = PrecisionSpec(120)
+    assert find_minpoly(prec.context().pi, 8, prec=prec) is NOT_FOUND
+    assert searched == [1, 2, 4, 8]
+    assert searched.dps == [50, 60, 80, 120]
+    for dps, tol in zip(searched.dps, searched.tols):
+        assert tol == PrecisionSpec(dps, 0).context().mpf(10) ** (15 - dps)
+
+
+@pytest.mark.parametrize("exponent, top", [(40, 2), (70, 1)])
+def test_tiny_powers_raise_the_search_precision(searched, exponent, top):
+    # 10^-70 is 0 in fixed point at the 50 digits of a degree-1 search, and
+    # 10^-40 below its tolerance / 100; each search takes the digits that
+    # put its smallest power 10 times above its tolerance
+    prec = PrecisionSpec(120)
+    x = prec.context().mpf(10) ** -exponent
+    assert find_minpoly(x, 8, prec=prec) is NOT_FOUND
+    assert searched == [1, 2][:top]
+    for degree, dps, tol in zip(searched, searched.dps, searched.tols):
+        assert 10 * degree + 40 < dps < prec.workdps
+        assert x**degree >= 10 * tol
 
 
 @pytest.mark.parametrize("degree, mpmath_steps", [(4, 286), (8, 1233)])

@@ -801,15 +801,26 @@ def _search_x(ctx, kind, *args):
     return ctx.mpf(bits - 2**699) / 2**698
 
 
+def _both_reject_a_zero_entry(ctx, xs, tol, maxcoeff):
+    with pytest.raises(ValueError, match="nonzero"):
+        _lll_reduce(ctx, xs, tol, maxcoeff)
+    with pytest.raises(ValueError, match="nonzero"):
+        ctx.pslq(xs, tol=tol, maxcoeff=maxcoeff, maxsteps=PSLQ_MAXSTEPS)
+
+
 @pytest.mark.parametrize("degree", range(1, 9))
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(digits=st.integers(80, 200), spec=search_x_st)
+@example(digits=100, spec=("radical", 27, 3, -3))  # x = 27^(1/3) - 3 = 0
 def test_local_pslq_matches_mpmath_pslq(degree, digits, spec):
     # the search find_minpoly runs returns exactly what mpmath's pslq does
     ctx = PrecisionSpec(digits).context()
     x = _search_x(ctx, *spec)
     xs = [x**i for i in range(degree + 1)]
     tol, maxcoeff = ctx.mpf(10) ** (15 - digits), 10**8 + 1
+    if x == 0:
+        _both_reject_a_zero_entry(ctx, xs, tol, maxcoeff)
+        return
     relation = _lll_reduce(ctx, xs, tol, maxcoeff)
     assert relation == ctx.pslq(xs, tol=tol, maxcoeff=maxcoeff, maxsteps=PSLQ_MAXSTEPS)
     if spec[0] == "random":
@@ -824,15 +835,18 @@ def _exact_sqrt_fixed(x, prec):
 @pytest.mark.parametrize("degree", range(1, 9))
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(digits=st.integers(80, 200), spec=search_x_st)
+@example(digits=100, spec=("radical", 27, 3, -3))
 def test_local_pslq_matches_mpmath_pslq_with_exact_square_roots(degree, digits, spec):
     # the search takes exact square roots, isqrt(x << prec), which is what
     # mpmath's sqrt_fixed is on its gmpy backend; its pure-Python one is 1
     # ulp low on about 0.1% of inputs
     ctx = PrecisionSpec(digits).context()
     x = _search_x(ctx, *spec)
-    assume(x != 0)  # as 27^(1/3) - 3: both searches reject a zero entry
     xs = [x**i for i in range(degree + 1)]
     tol, maxcoeff = ctx.mpf(10) ** (15 - digits), 10**8 + 1
+    if x == 0:
+        _both_reject_a_zero_entry(ctx, xs, tol, maxcoeff)
+        return
     with mock.patch.object(mpmath.identification, "sqrt_fixed", _exact_sqrt_fixed):
         expected = ctx.pslq(xs, tol=tol, maxcoeff=maxcoeff, maxsteps=PSLQ_MAXSTEPS)
     assert _lll_reduce(ctx, xs, tol, maxcoeff) == expected
@@ -865,8 +879,10 @@ def test_local_pslq_precision_exhausted_exit(x, degree, expected):
     assert ctx.pslq(xs, tol=tol, maxcoeff=maxcoeff, maxsteps=PSLQ_MAXSTEPS) == expected
 
 
-@pytest.mark.parametrize("degree, search", [(e, e) for e in range(1, 9)] + [(3, 4), (7, 8)])
-def test_local_pslq_finds_relations_at_the_height_bound(degree, search):
+_AT_THE_HEIGHT_BOUND = [(e, e) for e in range(1, 9)] + [(3, 4), (7, 8)]
+
+
+def _relation_at_the_height_bound(degree, search, guard):
     # the norm bound that stops a search holds for exact relations of the
     # fixed-point vector; an algebraic x's relation only nearly vanishes
     # there, so one with every coefficient within 3 of the height bound
@@ -874,7 +890,7 @@ def test_local_pslq_finds_relations_at_the_height_bound(degree, search):
     # as pslq finds it (over 400 such roots, max|H_jj| was at least 1.39
     # times the stop's bound when the relation turned up)
     digits = 10 * search + 40
-    ctx, rng = PrecisionSpec(digits).context(), random.Random(degree)
+    ctx, rng = PrecisionSpec(digits, guard).context(), random.Random(degree)
     tol, maxcoeff, relation = ctx.mpf(10) ** (15 - digits), 10**8 + 1, [0]
     while max(map(abs, relation)) < 10**8 - 3:
         cs = [rng.choice([-1, 1]) * (10**8 - rng.randint(0, 3)) for _ in range(degree + 1)]
@@ -885,6 +901,17 @@ def test_local_pslq_finds_relations_at_the_height_bound(degree, search):
             if max(map(abs, relation)) >= 10**8 - 3:
                 break
     assert _lll_reduce(ctx, xs, tol, maxcoeff) == relation
+
+
+@pytest.mark.parametrize("degree, search", _AT_THE_HEIGHT_BOUND)
+def test_local_pslq_finds_relations_at_the_height_bound(degree, search):
+    _relation_at_the_height_bound(degree, search, None)
+
+
+@pytest.mark.parametrize("degree, search", _AT_THE_HEIGHT_BOUND)
+def test_local_pslq_finds_relations_at_the_height_bound_without_guard_digits(degree, search):
+    # exactly the 10 search + 40 digits find_minpoly searches that degree at
+    _relation_at_the_height_bound(degree, search, 0)
 
 
 def _findpoly(x, max_degree, prec):

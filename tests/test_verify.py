@@ -160,6 +160,22 @@ def test_recognition_checks_skip_below_min_digits():
         assert c.samples == 0
 
 
+@pytest.mark.parametrize(
+    "check_id, status, max_abs_error",
+    [
+        ("obs1.algebraic", "pass", "1.91e-125"),
+        ("obs1.deg8-printed", "discrepancy", "1.0"),
+        ("deriv.eq54", "pass", "1.93e-134"),
+        ("deriv.eq56", "pass", "1.0e-135"),
+    ],
+)
+def test_recognition_checks_at_120_digits(check_id, status, max_abs_error):
+    # the four checks that call find_minpoly skip below their min_digits,
+    # so the 60-digit runs never reach them
+    (outcome,) = run_suite(check_id, digits=120, seed=42).checks
+    assert (outcome.id, outcome.status, outcome.max_abs_error) == (check_id, status, max_abs_error)
+
+
 def test_text_report_format():
     rep = run_suite("lemma1", digits=40)
     text = rep.to_text()
