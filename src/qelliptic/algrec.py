@@ -253,13 +253,14 @@ def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
         for i in range(lo, n):
             Hi, Bi = H[i], B[i]
             for j in range(min(i - 1, top), -1, -1):
-                if not diag[j]:
+                dj = diag[j]
+                if not dj:
                     # a zero pivot skips the row at set-up and, as mpmath's
                     # ZeroDivisionError, ends the row's reduction in a step
                     if step:
                         break
                     continue
-                if 2 * abs(Hi[j]) < diag[j]:
+                if 2 * abs(Hi[j]) < dj:
                     continue  # rounds to T = 0, which changes nothing
                 Hj = H[j]
                 T = _round_div(Hi[j], Hj[j])
@@ -286,10 +287,11 @@ def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
             if not t0:
                 break
             t1, t2 = (a << prec) // t0, (b << prec) // t0
+            m1 = m + 1
             for Hi in H[m:]:
-                t3, t4 = Hi[m], Hi[m + 1]
+                t3, t4 = Hi[m], Hi[m1]
                 Hi[m] = (t1 * t3 + t2 * t4) >> prec
-                Hi[m + 1] = (-t2 * t3 + t1 * t4) >> prec
+                Hi[m1] = (t1 * t4 - t2 * t3) >> prec
         # only rows m and m + 1 of the diagonal changed
         for j in range(m, min(m + 2, n - 1)):
             h = H[j][j]
