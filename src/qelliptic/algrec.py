@@ -246,8 +246,8 @@ def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
     shift = max(0, prec - _SCREEN_BITS)
     diag = [abs(H[j][j]) for j in range(n - 1)]
     est = [w * abs(float(H[j][j] >> shift)) for j, (_, w) in enumerate(weights)]
-    # a step size-reduces rows lo..n-1 against rows top..0; the set-up pass
-    # (step 0) reduces every row against every row above it
+    # a step size-reduces each row i >= lo against rows min(i - 1, top)..0;
+    # the set-up pass (step 0) reduces every row against every row above it
     lo, top = 1, n
     for step in range(PSLQ_MAXSTEPS + 1):
         for i in range(lo, n):

@@ -137,14 +137,8 @@ def searched(monkeypatch):
 
 
 def test_no_relation_costs_the_galloping_probes_only(searched):
-    # a failed search at degree 8 rules out every lower degree
-    prec = PrecisionSpec(120)
-    assert find_minpoly(prec.context().pi, 8, prec=prec) is NOT_FOUND
-    assert searched == [1, 2, 4, 8]
-
-
-def test_each_degree_is_searched_at_the_digits_it_needs(searched):
-    # degree d at the 10 d + 40 digits of the precondition, not the 135
+    # a failed search at degree 8 rules out every lower degree.  Degree d
+    # is searched at the 10 d + 40 digits of the precondition, not the 135
     # working digits, with the accept rule's tolerance at those digits
     prec = PrecisionSpec(120)
     assert find_minpoly(prec.context().pi, 8, prec=prec) is NOT_FOUND
