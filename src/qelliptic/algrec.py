@@ -302,14 +302,10 @@ def _lll_reduce(ctx, xs: list, tol, maxcoeff: int):
 
 
 def _poly_mod(a: list, b: list) -> list:
-    """Remainder of a by b; ascending Fraction coefficients, b nonzero."""
+    """Remainder of a by b; ascending Fraction coefficients, b's leading
+    one nonzero (every remainder's is)."""
     a = a[:]
-    while a and a[-1] == 0:
-        a.pop()
     while len(a) >= len(b):
-        if a[-1] == 0:
-            a.pop()
-            continue
         f = a[-1] / b[-1]
         shift = len(a) - len(b)
         for i in range(len(b)):

@@ -34,6 +34,7 @@ from .numerics import (
     _settle,
     cv,
     cv_real,
+    memoized,
 )
 from .qfunctions import _qpowers, qpow
 
@@ -202,6 +203,7 @@ def _real_q(ctx, q):
     return q
 
 
+@memoized
 def rr_cf(q, prec: PrecisionSpec):
     """Rogers-Ramanujan fraction without prefactor:
     1/(1 + q/(1 + q^2/(1 + q^3/(1 + ...))))."""
@@ -219,6 +221,7 @@ def rr_cf(q, prec: PrecisionSpec):
     return eval_cf(cf, prec)
 
 
+@memoized
 def r1_cf(q, prec: PrecisionSpec):
     """q^(1/5) times the Rogers-Ramanujan fraction."""
     ctx = prec.context()
@@ -226,6 +229,7 @@ def r1_cf(q, prec: PrecisionSpec):
     return qpow(ctx, q, Fraction(1, 5)) * rr_cf(q, prec)
 
 
+@memoized
 def r2_cf(q, prec: PrecisionSpec):
     """q^(1/3)/(1 + (q+q^2)/(1 + (q^2+q^4)/(1 + (q^3+q^6)/(1 + ...))))."""
     ctx = prec.context()
@@ -244,6 +248,7 @@ def r2_cf(q, prec: PrecisionSpec):
     return qpow(ctx, q, Fraction(1, 3)) * eval_cf(cf, prec)
 
 
+@memoized
 def r3_cf(q, prec: PrecisionSpec):
     """q^(1/2)/((1+q) + q^2/((1+q^3) + q^4/((1+q^5) + ...))).
 
@@ -263,11 +268,13 @@ def r3_cf(q, prec: PrecisionSpec):
     return qpow(ctx, q, Fraction(1, 2)) * eval_cf(cf, prec)
 
 
+@memoized
 def h_cf(q, prec: PrecisionSpec):
     """The H fraction; identical in shape to r3_cf."""
     return r3_cf(q, prec)
 
 
+@memoized
 def m_series(c, q, prec: PrecisionSpec):
     """M(c, q) = sum_{n>=0} c^n q^(n(n+1)/2); converges for every c when
     |q| < 1 because the quadratic exponent eventually dominates.  Re-summed
@@ -293,6 +300,7 @@ def m_series(c, q, prec: PrecisionSpec):
     return _resummed(prec, summed)
 
 
+@memoized
 def m_cf(c, q, prec: PrecisionSpec):
     """The alternating-sign fraction for M(c, q):
 
@@ -325,6 +333,7 @@ def m_cf(c, q, prec: PrecisionSpec):
     return eval_cf(cf, prec)
 
 
+@memoized
 def p_cf(a, b, q, prec: PrecisionSpec):
     """Two-parameter fraction
 

@@ -17,6 +17,7 @@ from .numerics import (
     PrecisionSpec,
     VerificationError,
     cv,
+    memoized,
 )
 from .qfunctions import euler_f, weber_phi
 
@@ -49,6 +50,7 @@ def _as_fraction(r) -> Fraction:
     )
 
 
+@memoized
 def nome_from_r(r, prec: PrecisionSpec) -> Nome:
     """q = e^(-pi sqrt(r)) for exact rational r > 0."""
     r = _as_fraction(r)
@@ -59,6 +61,7 @@ def nome_from_r(r, prec: PrecisionSpec) -> Nome:
     return Nome(q=q, r=r)
 
 
+@memoized
 def K_of_k(k, prec: PrecisionSpec):
     """Complete elliptic integral K(k) = pi / (2 agm(1, sqrt(1 - k^2)))."""
     ctx = prec.context()
@@ -68,6 +71,7 @@ def K_of_k(k, prec: PrecisionSpec):
     return ctx.pi / (2 * ctx.agm(1, ctx.sqrt(1 - k * k)))
 
 
+@memoized
 def modulus_from_nome(q, prec: PrecisionSpec) -> Modulus:
     """Modulus and periods at a real nome q in (0, 1).
 
@@ -95,6 +99,7 @@ def modulus_from_nome(q, prec: PrecisionSpec) -> Modulus:
     return Modulus(k=k, k_prime=k_prime, K=K, K_prime=K_prime)
 
 
+@memoized
 def singular_modulus(r, prec: PrecisionSpec):
     """k_r: the modulus whose period ratio K'/K equals sqrt(r).
 
@@ -114,6 +119,7 @@ def singular_modulus(r, prec: PrecisionSpec):
     return mod.k
 
 
+@memoized
 def landen_descend(k11, prec: PrecisionSpec):
     """One descending Landen step from modulus k11 in (0, 1).
 
@@ -130,6 +136,7 @@ def landen_descend(k11, prec: PrecisionSpec):
     return k12, k21, k22
 
 
+@memoized
 def landen_chain(q, prec: PrecisionSpec):
     """(k11, k12, k21, k22) at a real nome q: k11 from modulus_from_nome,
     the rest from one Landen step.  Convenience used by several identities."""

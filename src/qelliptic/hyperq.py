@@ -8,9 +8,11 @@ of its tail at ratio r, so the differences are also more accurate, and
 their stop is scaled by 1 - r to keep that tail below eps.  At
 real a, b, c, q and z (an mpc with zero imaginary part counts as real) they
 are fixed-point integers, which ``_settle(..., wp=wp)`` adds as integers,
-and the total is rounded once; complex input runs the loop in mpc numbers.  Both routes raise DomainError at a
-pole: when |1 - c q^n| <= (n + 2) 2^(2 - prec), a few working ulps, since
-c q^n rounds near 1 rather than onto it.  A sum that cancels is summed
+and the total is rounded once; complex input runs the loop in mpc numbers.
+Both routes raise DomainError at a pole: when |1 - c q^n| <= (n + 2)
+2^(2 - prec), a few working ulps, since c q^n rounds near 1 rather than
+onto it.  Every n with |c q^n| >= 1/2 is checked before the sum, and the
+sum does not stop before the last of them.  A sum that cancels is summed
 again with more digits by ``numerics._resummed``.
 """
 
@@ -22,7 +24,16 @@ from dataclasses import dataclass
 
 from mpmath.libmp import to_fixed
 
-from .numerics import _FIXED_GUARD, DomainError, PrecisionSpec, _from_fixed, _resummed, _settle, cv_real
+from .numerics import (
+    _FIXED_GUARD,
+    DomainError,
+    PrecisionSpec,
+    _from_fixed,
+    _resummed,
+    _settle,
+    cv_real,
+    memoized,
+)
 from .qfunctions import INF, pochhammer
 
 # Levels K of q-shifted differences.  On eval-mix-like draws (pure-Python
@@ -42,6 +53,7 @@ class Phi21Params:
     z: object
 
 
+@memoized
 def phi21(params: Phi21Params, prec: PrecisionSpec):
     """2-phi-1(a, b; c; q, z) = sum_{n>=0} (a;q)_n (b;q)_n / ((c;q)_n (q;q)_n) z^n.
 
@@ -68,6 +80,19 @@ def _phi21_sum(params: Phi21Params, prec: PrecisionSpec):
     stops at eps 2^-g (1 - r), r = |z q^K|, since the total it reads is the
     series times the product and a stop at eps leaves a tail of up to eps
     r / (1 - r).
+
+    That tail bound needs every later term to follow from its predecessor
+    without a pole.  The ratio t_(n+1) / t_n carries 1 / (1 - c q^n), so a
+    c near q^(-n) makes t_(n+1) jump after any number of negligible terms
+    (Gasper and Rahman, *Basic Hypergeometric Series*, §1.2).  Let N be the
+    last n >= 0 with |c q^n| >= 1/2 (N = -1 if there is none; at complex c
+    or q the scan reads binary exponents and may go on while |c q^n| >=
+    1/4, which only adds items).  For n > N, |1 - c q^n| > 1/2, and d_n
+    holds only t_n and earlier terms, so a stop at d_M leaves a tail of
+    terms that follow without a pole once M >= N + 1: ``_settle`` takes at
+    least N + 2 items.  Only n <= N can be a pole, so those are checked
+    before the sum.  A |1 - c q^n| = 2^-m below 1/2 scales the rounding of
+    the terms before t_(n+1) by 2^m, so the terms carry m - 1 more bits.
     """
     ctx = prec.context()
     values = tuple(cv_real(ctx, v) for v in (params.a, params.b, params.c, params.q, params.z))
@@ -80,24 +105,31 @@ def _phi21_sum(params: Phi21Params, prec: PrecisionSpec):
     # mantissa and exponent, which no float underflow loses
     gap, zf, qf = 1 - abs(z), float(abs(z)), float(abs(q))
     logs = (math.log2(float(gap) + zf * (1 - qf**k)) for k in range(1, _SHIFTS))
-    g = math.ceil(-math.log2(gap.man) - gap.exp - sum(logs))
+    g = math.ceil(-_log2(gap) - sum(logs))
+    n, cqn, pole_bits, tiny = 0, c, 0, ctx.ldexp(1, 2 - ctx.prec)
+    # n <= N: mag(x) >= 0 holds at |x| >= 1/2, and at an mpf only there
+    while ctx.mag(cqn) >= 0:
+        distance = abs(1 - cqn)
+        if distance <= (n + 2) * tiny:
+            raise DomainError(f"lower parameter c = q^(-{n}) is a pole")
+        pole_bits = max(pole_bits, math.ceil(-_log2(distance)) - 1)
+        n, cqn = n + 1, cqn * q
     if any(isinstance(v, ctx.mpc) for v in values):
-        work = prec.bumped(math.ceil((_FIXED_GUARD + g) * math.log10(2))).context()
+        work = prec.bumped(math.ceil((_FIXED_GUARD + g + pole_bits) * math.log10(2))).context()
         wp, one, mul, div = None, 1, work.fmul, work.fdiv
         a, b, c, q, z = (work.convert(v) for v in values)  # exact: more bits
-        tiny = work.ldexp(1, 2 - ctx.prec)
     else:
         # a q^n, b q^n and c q^n stay within 2^-(ctx.prec + _FIXED_GUARD) of
         # their values however large a, b or c is.
-        wp = ctx.prec + _FIXED_GUARD + g + max(0, *(ctx.mag(v) for v in (a, b, c)))
-        work, one, tiny = ctx, 1 << wp, 1 << (wp + 2 - ctx.prec)
+        wp = ctx.prec + _FIXED_GUARD + g + pole_bits + max(0, *(ctx.mag(v) for v in (a, b, c)))
+        work, one = ctx, 1 << wp
         mul, div = lambda x, y: x * y >> wp, lambda x, y: (x << wp) // y
         a, b, c, q, z = (to_fixed(v._mpf_, wp) for v in values)
-    terms = _phi21_terms(a, b, c, q, z, one, mul, div, tiny)
+    terms = _phi21_terms(a, b, c, q, z, one, mul, div)
     lams = list(itertools.accumulate([z] + [q] * (_SHIFTS - 1), mul))  # z q^k
     # stop at eps (1 - r), 1 - r = 1 - |z q^K| as above
     eps = ctx.ldexp(prec.work_eps(ctx), -g) * (gap + zf * (1 - qf**_SHIFTS))
-    total, lost = _settle(work, eps, _differenced(terms, lams, mul), wp=wp)
+    total, lost = _settle(work, eps, _differenced(terms, lams, mul), wp=wp, least=n + 1)  # N + 2
     divisor = math.prod(one - lam for lam in lams)  # one**K times the product
     if wp is None:  # unary + rounds; mag(x) >= log2 |x|, where a float can underflow
         return +ctx.convert(total / divisor), lost + work.mag(divisor) * math.log10(2)
@@ -114,27 +146,33 @@ def _differenced(terms, lams, mul):
         yield t
 
 
-def _phi21_terms(a, b, c, q, z, one, mul, div, tiny):
+def _phi21_terms(a, b, c, q, z, one, mul, div):
     """The 2-phi-1 terms, t_(n+1) = t_n (1 - a q^n) (1 - b q^n) z / ((1 - c
     q^n)(1 - q^(n+1))), in numbers (one = 1) or fixed-point integers (one =
-    2^wp) with their mul and div; |1 - c q^n| <= (n + 2) tiny is a pole."""
+    2^wp) with their mul and div."""
     term = qn = one
-    for n in itertools.count():
+    while True:
         yield term
-        denom_c = one - mul(c, qn)
-        if abs(denom_c) <= (n + 2) * tiny:
-            raise DomainError(f"lower parameter c = q^(-{n}) is a pole")
         numer = mul(mul(term, z), mul(one - mul(a, qn), one - mul(b, qn)))
+        denom_c = one - mul(c, qn)
         qn = mul(qn, q)
         term = div(numer, mul(denom_c, one - qn))
 
 
+def _log2(x) -> float:
+    """log2 of an mpf x > 0 from its mantissa and exponent, which no float
+    overflow or underflow loses."""
+    return math.log2(x.man) + x.exp
+
+
+@memoized
 def psi_small(a, q, z, prec: PrecisionSpec):
     """psi(a, q, z) = sum_{n>=0} (a;q)_n / (q;q)_n z^n for |q| < 1, |z| < 1:
     the 2-phi-1 series with b = c = 0."""
     return phi21(Phi21Params(a, 0, 0, q, z), prec)
 
 
+@memoized
 def psi_small_product(a, q, z, prec: PrecisionSpec):
     """q-binomial product form (az; q)_inf / (z; q)_inf of psi(a, q, z).
 
@@ -151,6 +189,7 @@ def psi_small_product(a, q, z, prec: PrecisionSpec):
     return numer / denom
 
 
+@memoized
 def gauss_product(a, b, c, q, prec: PrecisionSpec):
     """Closed form of 2-phi-1(a, b; c; q, c/(ab)), the q-Gauss sum:
 

@@ -46,12 +46,34 @@ before their first term) use it; plain ``_settle`` serves
 (exponentiated, so only its absolute error counts), ``eval_cf``'s
 approximant increments (a backward pass from twice the depth cross-checks
 them) and ``verify``'s readings.
+
+One report computes each primitive value once.  ``verify.run_suite`` sets
+``_report_memo`` to a fresh dict for the length of one report, and the
+public functions of ``elliptic``, ``qfunctions``, ``cfrac``, ``rquantity``
+and ``hyperq`` that take a ``PrecisionSpec`` are ``memoized``: inside a
+report the second identical call returns the first one's value.  Outside
+one the variable is ``None`` and the decorator calls straight through, so
+library calls and ``qelliptic eval`` store nothing.  A key is the function,
+its arguments and their exact types, item by item inside tuples and field
+by field inside dataclasses: 1, 1.0, ``mpf(1)`` and ``Fraction(1)``
+compare equal but may take different routes (an integer exponent is
+multiplied out, a Fraction divided exactly), and each context has its own
+mpf class, so working precisions stay apart too.  An unhashable argument
+calls through, and an exception is not stored.  Every memoized function
+returns an immutable value: an mpf, an mpc, a tuple or a frozen
+dataclass.  Left out: ``qfunctions.qpow``, which takes a context and gained
+nothing when memoized alone; ``cfrac.eval_cf``, whose fraction of fresh
+callables never repeats, while a stored key would keep its power tables
+alive; ``algrec.find_minpoly``, whose inputs never repeat; and every
+private helper.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,6 +88,9 @@ _FIXED_GUARD = 30
 
 # Per-thread maps workdps -> MPContext and (workdps, prec) -> work_eps.
 _contexts = threading.local()
+
+# The values of one report, by typed call key; None outside a report.
+_report_memo: ContextVar[dict | None] = ContextVar("report_memo", default=None)
 
 
 class NumericsError(Exception):
@@ -152,6 +177,42 @@ class PrecisionSpec:
         return PrecisionSpec(self.digits + extra, self.guard)
 
 
+def _kinds(values) -> tuple:
+    """The exact types of values, with those of tuple items and dataclass
+    fields (but a PrecisionSpec, which holds validated ints)."""
+    kinds = []
+    for x in values:
+        kind = type(x)
+        if kind is tuple:
+            kind = (kind, _kinds(x))
+        elif kind is not PrecisionSpec and hasattr(x, "__dataclass_fields__"):
+            kind = (kind, _kinds([getattr(x, name) for name in x.__dataclass_fields__]))
+        kinds.append(kind)
+    return tuple(kinds)
+
+
+def memoized(fn):
+    """fn, computed once per typed call key while a report memo is set."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        memo = _report_memo.get()
+        if memo is None:
+            return fn(*args, **kwargs)
+        named = tuple(sorted(kwargs.items()))
+        key = (fn, args, named, _kinds(args), _kinds(value for _, value in named))
+        try:
+            return memo[key]
+        except KeyError:
+            pass
+        except TypeError:  # an unhashable argument
+            return fn(*args, **kwargs)
+        value = memo[key] = fn(*args, **kwargs)
+        return value
+
+    return wrapper
+
+
 def cv(ctx: MPContext, x):
     """Convert ints, floats, Fractions, strings, mpf/mpc into ctx numbers.
 
@@ -190,7 +251,14 @@ def _from_fixed(ctx, man: int, wp: int):
 
 
 def _settle(
-    ctx, eps, items, *, product: bool = False, max_terms: int = MAX_TERMS, wp: int | None = None
+    ctx,
+    eps,
+    items,
+    *,
+    product: bool = False,
+    max_terms: int = MAX_TERMS,
+    wp: int | None = None,
+    least: int = 0,
 ):
     """The one stopping rule for every series and infinite product here.
 
@@ -213,6 +281,11 @@ def _settle(
     the running product at wp bits with a binary exponent, so a small
     partial product keeps its relative digits, and returns it rounded once,
     an mpc when its imaginary part is not zero.
+
+    A series stops no sooner than after ``least`` items: three negligible
+    terms bound the tail only where the term ratio stays below 1 from
+    there on, and a source whose ratio can jump states the item from which
+    it cannot (``hyperq._phi21_sum``).
 
     A series returns its total and the digits its count items lost to
     cancellation, (peak - mag(total) + log2(count)) log10(2) with 2^peak
@@ -255,7 +328,7 @@ def _settle(
             total += t
             peak = max(peak, abs(t))
             small = small + 1 if abs(t) << wp <= eps_fixed * max(one, abs(total)) else 0
-            if small == 3:
+            if small >= 3 and count >= least:
                 break
             if count >= max_terms:
                 raise NonConvergence(f"series did not settle within {max_terms} terms")
@@ -284,7 +357,7 @@ def _settle(
                 and abs(x) <= eps * max(one, abs(total))
             )
         small = small + 1 if negligible else 0
-        if small == 3:
+        if small >= 3 and count >= least:
             break
         if count >= max_terms:
             kind = "product" if product else "series"

@@ -70,6 +70,7 @@ from .numerics import (
     cv,
     cv_real,
     gaussian_cutoff,
+    memoized,
     tail_eps,
 )
 
@@ -134,6 +135,7 @@ def _qpowers(ctx, q, wp: int | None = None):
     return power
 
 
+@memoized
 def pochhammer(a, q, n, prec: PrecisionSpec):
     """(a; q)_n = prod_{k=0}^{n-1} (1 - a q^k); n may be math.inf.
 
@@ -206,11 +208,13 @@ def _euler_series(prec: PrecisionSpec, a, q):
     return _from_fixed(ctx, total, wp), lost
 
 
+@memoized
 def euler_f(q, prec: PrecisionSpec):
     """(q; q)_inf, the Euler product (classically the symbol f(-q))."""
     return pochhammer(q, q, INF, prec)
 
 
+@memoized
 def weber_phi(q, prec: PrecisionSpec):
     """(-q; q)_inf (classically the symbol phi(-q))."""
     ctx = prec.context()
@@ -238,11 +242,13 @@ def _theta_guard(ctx, z, q):
     return z, q, L, float(t)
 
 
+@memoized
 def theta3(z, q, prec: PrecisionSpec):
     """theta_3(z, q) = 1 + 2 sum_{n>=1} q^(n^2) cos(2 n z)."""
     return _theta_series(prec, z, q, 1)
 
 
+@memoized
 def theta4(z, q, prec: PrecisionSpec):
     """theta_4(z, q) = 1 + 2 sum_{n>=1} (-1)^n q^(n^2) cos(2 n z)."""
     return _theta_series(prec, z, q, -1)
@@ -351,6 +357,7 @@ def _gaussian_fixed(ctx, s: int, L: float, a: float, parts):
     return ctx.mpc(total, _from_fixed(ctx, 2 * total_im, wp)) if total_im else total
 
 
+@memoized
 def theta4_product(z, q, prec: PrecisionSpec):
     """Triple-product form of theta_4:
 
@@ -384,6 +391,7 @@ def theta4_product(z, q, prec: PrecisionSpec):
     return ctx.mpc(total) if isinstance(z, ctx.mpc) else total
 
 
+@memoized
 def theta2(q, prec: PrecisionSpec):
     """theta_2(0, q) = 2 q^(1/4) sum_{n>=0} q^(n(n+1)) = q^(1/4) S_1, since
     n and -1-n give the same term of S_1 = sum_{n in Z} q^(n^2 + n)."""
@@ -392,6 +400,7 @@ def theta2(q, prec: PrecisionSpec):
     return qpow(ctx, q, Fraction(1, 4)) * _bilateral_halfsquare(ctx, 2, 2, q, signed=False)[0]
 
 
+@memoized
 def theta_sum_S(z, q, prec: PrecisionSpec):
     """S_z = sum over all integers n of q^(n^2 + z n); z may be complex."""
     ctx = prec.context()
@@ -458,6 +467,7 @@ def _bilateral_halfsquare(ctx, coeff_lin, p, q, signed: bool):
     return total, _gaussian_lost(ctx, total, L, a)
 
 
+@memoized
 def agile(params: AgileParams, q, prec: PrecisionSpec, route: str | None = None):
     """[a,p;q] = (q^(p-a); q^p)_inf * (q^a; q^p)_inf.
 
@@ -518,6 +528,7 @@ def _fraction(x) -> Fraction:
     return Fraction(*to_rational(x._mpf_)) if hasattr(x, "_mpf_") else Fraction(x)
 
 
+@memoized
 def psi_star(a, p, q, prec: PrecisionSpec, route: str = "sum"):
     """psi*(a, p; q) = sum_{n in Z} q^(p n^2/2 + (p-2a) n/2).
 
@@ -545,6 +556,7 @@ def psi_star(a, p, q, prec: PrecisionSpec, route: str = "sum"):
     raise DomainError(f"unknown route {route!r}")
 
 
+@memoized
 def hyperbolic_log_sum(t, a, prec: PrecisionSpec):
     """sum_{k>=1} cosh(2 t k) / (k sinh(pi a k)) for a > 0, |t| < pi a / 2.
 

@@ -23,6 +23,7 @@ from .numerics import (
     _settle,
     cv,
     cv_real,
+    memoized,
     tail_eps,
 )
 from .qfunctions import AgileParams, _fraction, _qpowers, agile, psi_star, qpow, theta3, theta4
@@ -81,6 +82,7 @@ class Chi2Character:
         return {m: self.exponent(m) for m in range(self.p)}
 
 
+@memoized
 def rq_star(params: RQParams, q, prec: PrecisionSpec, route: str | None = None):
     """R*(a,b,p;q) = [a,p;q] / [b,p;q]."""
     numer = agile(AgileParams(params.a, params.p), q, prec, route=route)
@@ -92,6 +94,7 @@ def rq_star(params: RQParams, q, prec: PrecisionSpec, route: str | None = None):
     return numer / denom
 
 
+@memoized
 def rq(params: RQParams, q, prec: PrecisionSpec):
     """R(a,b,p;q) = q^(-(a-b)/2 + (a^2-b^2)/(2p)) * R*(a,b,p;q)."""
     ctx = prec.context()
@@ -102,6 +105,7 @@ def rq(params: RQParams, q, prec: PrecisionSpec):
     return qpow(ctx, q, exponent) * rq_star(params, q, prec)
 
 
+@memoized
 def rq_theta(a, b, p, x, prec: PrecisionSpec, route: str = "theta"):
     """R(a,b,p;e^(-x)) for real p, x > 0 and a, b in (0, p), by theta
     quotient:
@@ -159,6 +163,7 @@ def rq_theta(a, b, p, x, prec: PrecisionSpec, route: str = "theta"):
     raise DomainError(f"unknown route {route!r}")
 
 
+@memoized
 def rq_charprod(a: int, b: int, p: int, q, prec: PrecisionSpec):
     """R*(a,b,p;q) as prod_{n>=1} (1-q^n)^(exponent(n)) over the character
     pattern of Chi2Character(a, b, p), one factor per n with a nonzero
@@ -189,6 +194,7 @@ def rq_charprod(a: int, b: int, p: int, q, prec: PrecisionSpec):
     return _settle(ctx, tail_eps(ctx, abs(q)), factors, product=True, wp=wp)
 
 
+@memoized
 def tau_star(a, p, q, prec: PrecisionSpec):
     """tau*(a,p;q) = sqrt(pi/K) * q^(a^2/(2p) - a/2 + p/8) * psi*(a,p;q),
     where K is the period integral attached to the nome q.  Since
@@ -208,11 +214,13 @@ def tau_star(a, p, q, prec: PrecisionSpec):
     return pref * qpow(ctx, qv, expo) * psi_star(a, p, qv, prec)
 
 
+@memoized
 def tau0(a, q, prec: PrecisionSpec):
     """tau0(a, q) = tau*(a, 1; q)."""
     return tau_star(a, 1, q, prec)
 
 
+@memoized
 def drq_dq(params: RQParams, q, prec: PrecisionSpec):
     """dR(a,b,p;q)/dq, analytically, for real a, b in (0, p), real q in (0,1).
 
@@ -295,6 +303,7 @@ def _log_derivative(ctx, a, b, p, q):
     return _from_fixed(ctx, (diff << wp) // to_fixed(q._mpf_, wp), wp), lost
 
 
+@memoized
 def drq_normalized(params: RQParams, q, prec: PrecisionSpec):
     """R'(a,b,p;q) * q pi^2 / K^2 with K the period integral at the nome q.
     Since K = (pi/2) theta3(0, q)^2, the factor pi^2 / K^2 is

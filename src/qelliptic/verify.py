@@ -40,8 +40,8 @@ import mpmath
 from mpmath.libmp import mpf_exp, mpf_neg
 
 from .numerics import (
-    _FIXED_GUARD, DomainError, NumericsError, PrecisionSpec, UnknownSelector, _from_fixed, _settle,
-    cv, gamma, tail_eps,
+    _FIXED_GUARD, DomainError, NumericsError, PrecisionSpec, UnknownSelector, _from_fixed,
+    _report_memo, _settle, cv, gamma, tail_eps,
 )
 from .qfunctions import (
     INF,
@@ -1640,6 +1640,12 @@ def run_suite(
     "lemma1.K").  Raises UnknownSelector when nothing matches.  The returned
     Report serializes byte-identically for identical inputs.
 
+    The checks share one memo of primitive values (see ``numerics``): each
+    distinct call of a public primitive is computed once per report, and
+    the memo is dropped when the report is done, also when a check raises.
+    So a check's ``seconds`` depends on the checks that ran before it; its
+    verdict, residual and samples do not.
+
     ``parallelism`` is accepted and ignored: checks always run one after
     another.  They are CPU-bound pure-Python mpmath code, so a thread pool
     gained nothing under the interpreter lock: on a 2-core machine (Python
@@ -1658,5 +1664,9 @@ def run_suite(
             f"selector {selector!r} matches no check; known prefixes: {known}"
         )
     prec = PrecisionSpec(digits)
-    outcomes = [_run_one(c, digits, seed, prec) for c in selected]
+    token = _report_memo.set({})
+    try:
+        outcomes = [_run_one(c, digits, seed, prec) for c in selected]
+    finally:
+        _report_memo.reset(token)
     return Report(suite=selector, digits=digits, seed=seed, checks=tuple(outcomes))

@@ -1,6 +1,8 @@
 """Precision plumbing: PrecisionSpec, conversion, series/product engines."""
 
 import ast
+import dataclasses
+import inspect
 import itertools
 import math
 import pathlib
@@ -24,11 +26,13 @@ from qelliptic.numerics import (
     UnknownSelector,
     VerificationError,
     _from_fixed,
+    _report_memo,
     _resummed,
     _settle,
     cv,
     gamma,
     gaussian_cutoff,
+    memoized,
 )
 
 
@@ -492,3 +496,104 @@ def test_gamma_half():
     assert abs(gamma(Fraction(1, 2), p) - ctx.sqrt(ctx.pi)) < p.target_eps(ctx)
     with pytest.raises(DomainError):
         gamma(0, p)
+
+
+# ---------------------------------------------------------------- report memo
+
+
+@pytest.fixture
+def report_memo():
+    """A report memo set for the test, as run_suite sets one."""
+    token = _report_memo.set({})
+    yield _report_memo.get()
+    _report_memo.reset(token)
+
+
+def _counted(fn=lambda *args, **kwargs: args):
+    """fn memoized, with the list of the calls that ran it."""
+    calls = []
+
+    def run(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    return memoized(run), calls
+
+
+def _counting_theta_series(monkeypatch):
+    """The list of the calls that sum a theta series from now on."""
+    calls, real = [], qelliptic.qfunctions._theta_series
+    monkeypatch.setattr(qelliptic.qfunctions, "_theta_series", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_memo_runs_an_equal_typed_call_once(report_memo, monkeypatch):
+    f, calls = _counted()
+    assert f(Fraction(1, 3), PrecisionSpec(40)) == f(Fraction(1, 3), PrecisionSpec(40))
+    assert f(2, route="a") == f(2, route="a")
+    assert len(calls) == 2 and len(report_memo) == 2
+    # a real primitive: the second theta3 call does not sum its series again
+    series = _counting_theta_series(monkeypatch)
+    values = [qelliptic.theta3(0, Fraction(1, 5), PrecisionSpec(40)) for _ in range(2)]
+    assert values[0] is values[1] and len(series) == 1
+
+
+@dataclasses.dataclass(frozen=True)
+class _Pair:
+    x: object
+    y: object
+
+
+def test_memo_keeps_equal_values_of_different_types_apart(report_memo):
+    f, calls = _counted()
+    low, high = PrecisionSpec(40).context(), PrecisionSpec(80).context()
+    ones = (1, 1.0, Fraction(1), low.mpf(1), high.mpf(1), (1,), (1.0,), _Pair(1, 2), _Pair(1.0, 2))
+    assert len(set(ones)) == 3  # (1,) == (1.0,) and the pairs are equal too
+    for one in ones * 2:
+        f(one)
+        f(x=one)
+    assert len(calls) == 2 * len(ones)
+
+
+def test_memo_stores_no_unhashable_argument_and_no_exception(report_memo):
+    f, calls = _counted()
+    f([1])
+    f([1])
+    f(_Pair([1], 2))
+    f(_Pair([1], 2))
+    assert len(calls) == 4 and not report_memo
+
+    def fail(x):
+        raise NonConvergence(f"forced {x}")
+
+    g, failed = _counted(fail)
+    for _ in range(2):
+        with pytest.raises(NonConvergence):
+            g(1)
+    assert len(failed) == 2 and not report_memo
+
+
+def test_nothing_is_memoized_outside_a_report(monkeypatch):
+    assert _report_memo.get() is None
+    f, calls = _counted()
+    f(1)
+    f(1)
+    assert len(calls) == 2
+    series = _counting_theta_series(monkeypatch)
+    for _ in range(2):
+        qelliptic.theta3(0, Fraction(1, 5), PrecisionSpec(40))
+    assert len(series) == 2
+
+
+def test_every_primitive_that_takes_a_precision_is_memoized():
+    # the rule is uniform: no list of memoized functions to keep current;
+    # eval_cf takes a fraction of fresh callables, which never repeats
+    kept_out = {qelliptic.cfrac.eval_cf}
+    for module in (qelliptic.elliptic, qelliptic.qfunctions, qelliptic.cfrac,
+                   qelliptic.rquantity, qelliptic.hyperq):
+        for name, f in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(f) or f.__module__ != module.__name__:
+                continue
+            takes_prec = any(p.annotation == "PrecisionSpec"
+                             for p in inspect.signature(f).parameters.values())
+            assert hasattr(f, "__wrapped__") == (takes_prec and f not in kept_out), name

@@ -10,7 +10,7 @@ import pytest
 
 import qelliptic.verify
 from qelliptic import cfrac, hyperq, qfunctions, rquantity
-from qelliptic.numerics import NonConvergence, PrecisionSpec, UnknownSelector
+from qelliptic.numerics import NonConvergence, PrecisionSpec, UnknownSelector, _report_memo
 from qelliptic.verify import (
     DISCREPANCY_ALLOWED,
     NORMATIVE,
@@ -97,6 +97,53 @@ def test_a_raising_check_is_an_error_not_an_abort(raising_lemma1_K):
             "samples": 0,
             "seconds": 0.0,
         }
+
+
+def _leaving(prec, rng):
+    raise RuntimeError("not a NumericsError: it leaves run_suite")
+    yield
+
+
+def test_run_suite_drops_its_memo(raising_lemma1_K):
+    assert _report_memo.get() is None
+    run_suite("lemma1", digits=40)
+    assert _report_memo.get() is None
+    raising_lemma1_K(_raising)
+    assert run_suite("lemma1", digits=40).counts["error"] == 1
+    assert _report_memo.get() is None
+    raising_lemma1_K(_leaving)
+    with pytest.raises(RuntimeError):
+        run_suite("lemma1", digits=40)
+    assert _report_memo.get() is None
+
+
+@pytest.mark.parametrize("digits", [40, 120])
+def test_every_value_a_pass_stores_is_hashable(digits, monkeypatch):
+    # memoized functions return mpf, mpc, tuples or frozen dataclasses,
+    # never a list, dict or set that a later caller could change
+    memos = []
+
+    def run_one(*args):
+        memos.append(_report_memo.get())
+        return _run_one(*args)
+
+    monkeypatch.setattr(qelliptic.verify, "_run_one", run_one)
+    run_suite("all", digits)
+    memo = memos[-1]
+    assert len(memo) > 900 and all(m is memo for m in memos)
+    for value in memo.values():
+        hash(value)
+
+
+def test_a_shared_memo_changes_no_outcome():
+    # each check alone, with a memo of its own, against the whole report
+    # (select by exact id: thm6.eq61 is a prefix of thm6.eq61-general)
+    shared = run_suite("all", 40).checks
+    for outcome in shared:
+        alone = [c for c in run_suite(outcome.id, 40).checks if c.id == outcome.id]
+        assert [(c.status, c.max_abs_error, c.samples) for c in alone] == [
+            (outcome.status, outcome.max_abs_error, outcome.samples)
+        ], outcome.id
 
 
 def test_tolerance_exponent_default_and_override():
