@@ -11,9 +11,10 @@ are fixed-point integers, which ``_settle(..., wp=wp)`` adds as integers,
 and the total is rounded once; complex input runs the loop in mpc numbers.
 Both routes raise DomainError at a pole: when |1 - c q^n| <= (n + 2)
 2^(2 - prec), a few working ulps, since c q^n rounds near 1 rather than
-onto it.  Every n with |c q^n| >= 1/2 is checked before the sum, and the
-sum does not stop before the last of them.  A sum that cancels is summed
-again with more digits by ``numerics._resummed``.
+onto it, unless a numerator factor 1 - a q^m or 1 - b q^m was exactly 0 at
+an m < n, which ends the series.  Only an n with |c q^n| >= 1/2 can be a
+pole, and the sum does not stop before the last such n.  A sum that
+cancels is summed again with more digits by ``numerics._resummed``.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ def phi21(params: Phi21Params, prec: PrecisionSpec):
     """2-phi-1(a, b; c; q, z) = sum_{n>=0} (a;q)_n (b;q)_n / ((c;q)_n (q;q)_n) z^n.
 
     Requires |q| < 1 and |z| < 1; c must avoid the poles q^(-n), and one
-    within a few working ulps of them raises DomainError.  ``_settle`` sums
+    within a few working ulps of them raises DomainError, unless a or b =
+    q^(-m), m < n, ends the series before it.  ``_settle`` sums
     the q-shifted differences of the terms, which end soon even for |z| near
     1.  A series that cancels past half the guard digits is summed again
     with more digits by ``numerics._resummed``, at most prec.workdps more,
@@ -90,9 +92,11 @@ def _phi21_sum(params: Phi21Params, prec: PrecisionSpec):
     1/4, which only adds items).  For n > N, |1 - c q^n| > 1/2, and d_n
     holds only t_n and earlier terms, so a stop at d_M leaves a tail of
     terms that follow without a pole once M >= N + 1: ``_settle`` takes at
-    least N + 2 items.  Only n <= N can be a pole, so those are checked
-    before the sum.  A |1 - c q^n| = 2^-m below 1/2 scales the rounding of
-    the terms before t_(n+1) by 2^m, so the terms carry m - 1 more bits.
+    least N + 2 items.  Only n <= N can be a pole, so the scan for N stops
+    at the first, and ``_phi21_terms`` raises there unless a zero numerator
+    factor has ended the series before it.  A |1 - c q^n| = 2^-m below 1/2
+    scales the rounding of the terms before t_(n+1) by 2^m, so the terms
+    carry m - 1 more bits.
     """
     ctx = prec.context()
     values = tuple(cv_real(ctx, v) for v in (params.a, params.b, params.c, params.q, params.z))
@@ -106,12 +110,13 @@ def _phi21_sum(params: Phi21Params, prec: PrecisionSpec):
     gap, zf, qf = 1 - abs(z), float(abs(z)), float(abs(q))
     logs = (math.log2(float(gap) + zf * (1 - qf**k)) for k in range(1, _SHIFTS))
     g = math.ceil(-_log2(gap) - sum(logs))
-    n, cqn, pole_bits, tiny = 0, c, 0, ctx.ldexp(1, 2 - ctx.prec)
+    n, cqn, pole_bits, pole = 0, c, 0, None
     # n <= N: mag(x) >= 0 holds at |x| >= 1/2, and at an mpf only there
     while ctx.mag(cqn) >= 0:
         distance = abs(1 - cqn)
-        if distance <= (n + 2) * tiny:
-            raise DomainError(f"lower parameter c = q^(-{n}) is a pole")
+        if distance <= (n + 2) * ctx.ldexp(1, 2 - ctx.prec):
+            pole = n
+            break
         pole_bits = max(pole_bits, math.ceil(-_log2(distance)) - 1)
         n, cqn = n + 1, cqn * q
     if any(isinstance(v, ctx.mpc) for v in values):
@@ -125,11 +130,12 @@ def _phi21_sum(params: Phi21Params, prec: PrecisionSpec):
         work, one = ctx, 1 << wp
         mul, div = lambda x, y: x * y >> wp, lambda x, y: (x << wp) // y
         a, b, c, q, z = (to_fixed(v._mpf_, wp) for v in values)
-    terms = _phi21_terms(a, b, c, q, z, one, mul, div)
+    terms = _phi21_terms(a, b, c, q, z, one, mul, div, pole)
     lams = list(itertools.accumulate([z] + [q] * (_SHIFTS - 1), mul))  # z q^k
     # stop at eps (1 - r), 1 - r = 1 - |z q^K| as above
     eps = ctx.ldexp(prec.work_eps(ctx), -g) * (gap + zf * (1 - qf**_SHIFTS))
-    total, lost = _settle(work, eps, _differenced(terms, lams, mul), wp=wp, least=n + 1)  # N + 2
+    least = n + 1 if pole is None else pole + 2  # N + 2
+    total, lost = _settle(work, eps, _differenced(terms, lams, mul), wp=wp, least=least)
     divisor = math.prod(one - lam for lam in lams)  # one**K times the product
     if wp is None:  # unary + rounds; mag(x) >= log2 |x|, where a float can underflow
         return +ctx.convert(total / divisor), lost + work.mag(divisor) * math.log10(2)
@@ -146,14 +152,22 @@ def _differenced(terms, lams, mul):
         yield t
 
 
-def _phi21_terms(a, b, c, q, z, one, mul, div):
+def _phi21_terms(a, b, c, q, z, one, mul, div, pole):
     """The 2-phi-1 terms, t_(n+1) = t_n (1 - a q^n) (1 - b q^n) z / ((1 - c
     q^n)(1 - q^(n+1))), in numbers (one = 1) or fixed-point integers (one =
-    2^wp) with their mul and div."""
+    2^wp) with their mul and div; c q^pole is 1 to working precision, which
+    raises DomainError unless a numerator factor was exactly 0 before it."""
     term = qn = one
-    while True:
+    ended = False
+    for n in itertools.count():
         yield term
-        numer = mul(mul(term, z), mul(one - mul(a, qn), one - mul(b, qn)))
+        if n == pole:
+            if not ended:
+                raise DomainError(f"lower parameter c = q^(-{n}) is a pole")
+            yield from itertools.repeat(term)  # 0 since the factor that ended the series
+        factor_a, factor_b = one - mul(a, qn), one - mul(b, qn)
+        ended = ended or not (factor_a and factor_b)
+        numer = mul(mul(term, z), mul(factor_a, factor_b))
         denom_c = one - mul(c, qn)
         qn = mul(qn, q)
         term = div(numer, mul(denom_c, one - qn))

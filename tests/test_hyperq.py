@@ -235,6 +235,17 @@ def test_phi21_counts_a_c_within_working_ulps_of_q_to_the_minus_n_as_a_pole():
         phi21(Phi21Params(*args), PrecisionSpec(60))
 
 
+@pytest.mark.parametrize("n", [3, 8, 12, 20])
+def test_phi21_ends_before_a_pole_past_its_last_term(n):
+    # a = 2 = q^-1 ends the series after t_1 = 1 / (2 (2^n - 1)), so c =
+    # q^-n is no pole of the sum; phi21 raised at n = 3 and 8, where its
+    # stop came after n, and summed at n = 12 and 20
+    prec = PrecisionSpec(30)
+    ctx = prec.context()
+    value = phi21(Phi21Params(2, Fraction(1, 4), 2**n, Fraction(1, 2), Fraction(1, 3)), prec)
+    assert abs(value - cv(ctx, 1 + Fraction(1, 2 * (2**n - 1)))) <= prec.work_eps(ctx)
+
+
 @pytest.mark.parametrize("digits", [20, 50, 200])
 @pytest.mark.parametrize("c, q, n", [
     (1, Fraction(1, 5), 0),
