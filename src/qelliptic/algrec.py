@@ -92,9 +92,6 @@ class MinPolyResult:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts) if parts else "0"
 
-    def as_json(self) -> list:
-        return [int(c) for c in self.coeffs]
-
 
 def verify_root(coeffs: Sequence[int], x, prec: PrecisionSpec):
     """|sum_i coeffs[i] x^i| by Horner evaluation at working precision."""

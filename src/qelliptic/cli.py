@@ -53,7 +53,7 @@ from .rquantity import (
 )
 from .hyperq import Phi21Params, phi21, psi_small
 from .algrec import NOT_FOUND, find_minpoly, verify_root
-from .verify import DERIV_POLY_125, deriv_closed_forms, intro_product_rows, run_suite
+from .verify import DERIV_POLY_125, IdentityCheck, deriv_closed_forms, intro_product_rows, run_suite
 
 __all__ = ["NomeExpr", "main"]
 
@@ -376,7 +376,7 @@ def cmd_table(args) -> int:
         raise UsageError("table needs --digits >= 30")
     prec = PrecisionSpec(args.digits)
     ctx = prec.context()
-    tol = ctx.mpf(10) ** (-args.digits + 15)
+    tol = ctx.mpf(10) ** IdentityCheck.tolerance_exponent(args.digits)
     qpi = ctx.exp(-ctx.pi)
     closed124, factor125 = deriv_closed_forms(prec)
     rows = intro_product_rows(prec) + [

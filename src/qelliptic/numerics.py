@@ -26,14 +26,14 @@ series and bilateral sum at real q (theta2/3/4, ``theta_sum_S``,
 shift), runs to ``gaussian_cutoff``, a term count fixed in advance from |q|,
 the shift and the working digits, with no per-term test.
 
-Every real-input series and product but ``cfrac.m_series`` and three of
-``verify``'s own readings advances its items in Python integers scaled by
-2^wp, wp at least ctx.prec + ``_FIXED_GUARD`` bits, the way mpmath's own
-jtheta and hypsum do, and all but the Gaussian kernel hand them to
-``_settle(..., wp=wp)``, which adds or multiplies them with no mpf per
-item; a product carries a binary exponent, so a small partial product
-keeps its relative digits.  An mpc with zero imaginary part counts as real
-(``cv_real``).  Each route rounds once.
+Every real-input series and product but ``cfrac.m_series`` and the
+printed fraction of ``verify``'s ``deriv.eq53-printed`` advances its items
+in Python integers scaled by 2^wp, wp at least ctx.prec + ``_FIXED_GUARD``
+bits, the way mpmath's own jtheta and hypsum do, and all but the Gaussian
+kernel hand them to ``_settle(..., wp=wp)``, which adds or multiplies them
+with no mpf per item; a product carries a binary exponent, so a small
+partial product keeps its relative digits.  An mpc with zero imaginary part
+counts as real (``cv_real``).  Each route rounds once.
 
 A series whose terms cancel loses digits that no stopping rule sees:
 ``_settle`` returns each series total with the digits its items lost, and
@@ -45,7 +45,8 @@ before their first term) use it; plain ``_settle`` serves
 ``hyperbolic_log_sum`` (positive terms), ``rq_theta``'s exp sum
 (exponentiated, so only its absolute error counts), ``eval_cf``'s
 approximant increments (a backward pass from twice the depth cross-checks
-them) and ``verify``'s readings.
+them), ``verify``'s cosh/sinh sum and its agile derivative's
+log-derivative (which does not cancel at its one nome, e^-pi).
 
 One report computes each primitive value once.  ``verify.run_suite`` sets
 ``_report_memo`` to a fresh dict for the length of one report, and the

@@ -251,7 +251,10 @@ def drq_dq(params: RQParams, q, prec: PrecisionSpec):
     if not (0 < a < p and 0 < b < p):
         raise DomainError("derivative route needs a, b in (0, p)")
 
-    bracket = _resummed(prec, lambda pr: _log_derivative(pr.context(), a, b, p, qv), cap=prec.workdps)
+    fa, fb, fp = (_fraction(v) for v in (a, b, p))
+    c = (fa - fb) * (fa + fb - fp) / (2 * fp)
+    signed = [(a, 1), (ctx.fsub(p, a, exact=True), 1), (b, -1), (ctx.fsub(p, b, exact=True), -1)]
+    bracket = _resummed(prec, lambda pr: _log_derivative(pr.context(), c, signed, p, qv), cap=prec.workdps)
     value = rq(params, qv, prec) * bracket
 
     # Independent confirmation by central difference at raised precision.
@@ -270,29 +273,30 @@ def drq_dq(params: RQParams, q, prec: PrecisionSpec):
     return value
 
 
-def _log_derivative(ctx, a, b, p, q):
-    """R'(q) / R(q) = (C - sum_{n>=0} (g(pn+a) + g(pn+p-a) - g(pn+b) -
-    g(pn+p-b))) / q, g(m) = m q^m / (1 - q^m), for mpf a, b in (0, p), q in
-    (0, 1), in fixed-point integers rounded once: C exactly, and each q^e
-    from a ln q at wp + 10 bits, then advancing by q^p per term.  Returns
-    it with the digits C and the sum cancel, counted from the larger of |C|
-    and the sum's largest term."""
+def _log_derivative(ctx, c, signed, p, q):
+    """(c - sum_{n>=0} sum_{(e, s) in signed} s g(pn+e)) / q, g(m) = m q^m /
+    (1 - q^m), for a Fraction c, exponents e in (0, p) with signs s = +1 or
+    -1, mpf e and p, and q in (0, 1), in fixed-point integers rounded once:
+    c exactly, and each q^e from a ln q at wp + 10 bits, then advancing by
+    q^p per term.  With c = C and the exponents a, p-a (+) and b, p-b (-)
+    it is R'(q) / R(q); with the exponent of q^e [a,p;q] and a, p-a (+) it
+    is that function's log-derivative.  Returns it with the digits c and
+    the sum cancel, counted from the larger of |c| and the sum's largest
+    term."""
     wp = ctx.prec + _FIXED_GUARD
     one, lp, log_q = 1 << wp, wp + 10, mpf_log(q._mpf_, wp + 10)
-    exps = [v._mpf_ for v in (a, ctx.fsub(p, a, exact=True), b, ctx.fsub(p, b, exact=True), p)]
+    exps = [e._mpf_ for e, _ in signed] + [p._mpf_]
+    signs = [s for _, s in signed]
     *ms, p_fixed = [to_fixed(e, wp) for e in exps]
     *powers, step = [to_fixed(mpf_exp(mpf_mul(e, log_q, lp), wp), wp) for e in exps]
 
     def terms():
         m, x = ms, powers
         while True:
-            ga, gpa, gb, gpb = (mi * xi // (one - xi) for mi, xi in zip(m, x))
-            yield ga + gpa - gb - gpb
+            yield sum(s * (mi * xi // (one - xi)) for s, mi, xi in zip(signs, m, x))
             m, x = [mi + p_fixed for mi in m], [xi * step >> wp for xi in x]
 
     total, lost = _settle(ctx, tail_eps(ctx, _from_fixed(ctx, step, wp)), terms(), wp=wp)
-    fa, fb, fp = (_fraction(v) for v in (a, b, p))
-    c = (fa - fb) * (fa + fb - fp) / (2 * fp)
     c = (c.numerator << wp) // c.denominator
     diff = c - total
     if not diff:

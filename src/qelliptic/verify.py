@@ -81,6 +81,7 @@ from .cfrac import (
 )
 from .rquantity import (
     RQParams,
+    _log_derivative,
     drq_dq,
     drq_normalized,
     rq,
@@ -137,8 +138,8 @@ class IdentityCheck:
 
     ``run(prec, rng)`` yields the absolute residuals it measures.
     ``covers`` lists the equation tokens this check exercises.  ``formula``
-    is a short ASCII statement of what is being compared.  ``tol_exponent``
-    overrides the default tolerance exponent (-digits + 15) when set.
+    is a short ASCII statement of what is being compared.  Every check is
+    judged by one tolerance, 10^tolerance_exponent(digits) = 10^(15 - digits).
     """
 
     id: str
@@ -148,12 +149,10 @@ class IdentityCheck:
     severity: str
     run: Callable[[PrecisionSpec, random.Random], Iterator]
     min_digits: int = 10
-    tol_exponent: Callable[[int], int] | None = None
 
-    def tolerance_exponent(self, digits: int) -> int:
-        if self.tol_exponent is not None:
-            return self.tol_exponent(digits)
-        return -digits + 15
+    @staticmethod
+    def tolerance_exponent(digits: int) -> int:
+        return 15 - digits
 
 
 # check id -> IdentityCheck, filled by @check as this module is imported
@@ -168,16 +167,13 @@ def check(
     formula: str,
     severity: str = NORMATIVE,
     min_digits: int = 10,
-    tol_exponent: Callable[[int], int] | None = None,
 ):
     """Register the decorated function as the ``run`` of check ``id``."""
 
     def register(run):
         if id in _REGISTRY:
             raise ValueError(f"duplicate check id {id!r} in the registry")
-        _REGISTRY[id] = IdentityCheck(
-            id, description, formula, covers, severity, run, min_digits, tol_exponent
-        )
+        _REGISTRY[id] = IdentityCheck(id, description, formula, covers, severity, run, min_digits)
         return run
 
     return register
@@ -241,7 +237,7 @@ class Report:
         misses).  "-" for a skip or an error, which measured nothing."""
         if outcome.status in ("skip", "error"):
             return "-"
-        tol_exp = _REGISTRY[outcome.id].tolerance_exponent(self.digits)
+        tol_exp = IdentityCheck.tolerance_exponent(self.digits)
         spare = tol_exp - mpmath.log10(mpmath.mpf(outcome.max_abs_error))
         return f"{float(spare):.2f}"
 
@@ -671,18 +667,7 @@ def _chk_theta_eq19(prec, rng):
 def _chk_theta_def_printed(prec, rng):
     ctx = prec.context()
     z, q = cv(ctx, Fraction(3, 10)), cv(ctx, Fraction(1, 5))
-
-    def terms():  # (-1)^n q^(n^2) by its ratio -q^(2n-1), cos(2nz) by Chebyshev
-        term, ratio, q2 = 1, -q, q * q
-        c1 = ctx.cos(2 * z)
-        cos_prev, cos_n = 1, c1
-        while True:
-            term *= ratio
-            ratio *= q2
-            yield term * cos_n
-            cos_prev, cos_n = cos_n, 2 * c1 * cos_n - cos_prev
-
-    printed = 1 + _settle(ctx, prec.work_eps(ctx), terms())[0]
+    printed = (1 + theta4(z, q, prec)) / 2  # theta4 = 1 + 2 sum (-1)^n q^(n^2) cos 2nz
     yield abs(printed - theta4_product(z, q, prec))
 
 
@@ -982,17 +967,18 @@ def _chk_app3_eq4142(prec, rng):
     covers=("eq43",),
     description="vanishing derivative at integer arguments",
     formula="d tau0/da = 0 at a in Z (central difference at h = 10^(-digits/3))",
-    tol_exponent=lambda digits: -digits + digits // 3 + 12,
 )
 def _chk_app3_eq43(prec, rng):
     # The ratio is symmetric about integer a, so a central difference of
-    # width h measures pure evaluation roundoff divided by 2h; the residual
-    # scales like 10^(-workdps+digits/3), not like 10^(-digits).
-    ctx = prec.context()
+    # width h measures pure evaluation roundoff divided by 2h, about
+    # 10^(digits/3) ulps; tau0 is evaluated digits/3 + 5 digits higher so
+    # that this stays below the residual floor.
+    hi = prec.bumped(prec.digits // 3 + 5)
+    ctx = hi.context()
     qv = cv(ctx, Fraction(1, 5))
     h = ctx.mpf(10) ** (-(prec.digits // 3))
     for a0 in (1, 2):
-        d = (tau0(a0 + h, qv, prec) - tau0(a0 - h, qv, prec)) / (2 * h)
+        d = (tau0(a0 + h, qv, hi) - tau0(a0 - h, qv, hi)) / (2 * h)
         yield abs(d)
 
 
@@ -1125,23 +1111,16 @@ def _chk_deriv_eq54(prec, rng):
 
 
 def _agile_deriv_normalized(a, p, prec):
-    """d/dq of q^(p/12 - a/2 + a^2/(2p)) [a,p;q] at q = exp(-pi), normalized
-    by q pi^2 / K^2, via the exact logarithmic derivative of the product.
-    Since K = (pi/2) theta3(0, q)^2, pi^2 / K^2 is 4 / theta3(0, q)^4."""
+    """d/dq of q^e [a,p;q], e = p/12 - a/2 + a^2/(2p), at q = exp(-pi),
+    normalized by q pi^2 / K^2, via the exact logarithmic derivative of the
+    product by ``rquantity._log_derivative``.  Since K = (pi/2)
+    theta3(0, q)^2, pi^2 / K^2 is 4 / theta3(0, q)^4."""
     ctx = prec.context()
     q = ctx.exp(-ctx.pi)
     e = _agile_exponent(a, p)
     g = qpow(ctx, q, e) * agile(AgileParams(a, p), q, prec)
-
-    def dlogs(base):  # d/dq log(1 - q^m) for m = base + p n, from a running q^m
-        qm, step = q**base, q**p
-        for m in itertools.count(base, p):
-            yield -m * qm / (q * (1 - qm))
-            qm *= step
-
-    eps = prec.work_eps(ctx)
-    s = sum(_settle(ctx, eps, dlogs(base))[0] for base in (p - a, a))
-    dg = g * (cv(ctx, e) / q + s)
+    signed = [(cv(ctx, a), 1), (cv(ctx, p - a), 1)]
+    dg = g * _log_derivative(ctx, e, signed, cv(ctx, p), q)[0]
     return ctx.re(dg * q * 4 / theta3(0, q, prec) ** 4)
 
 
@@ -1413,14 +1392,15 @@ def _chk_thm7_eq66_printed(prec, rng):
     covers=("eq67",),
     description="even-multiple arguments give 1 (checked as a limit; both factors vanish there)",
     formula="R(2 m1 p + eps, 2 m2 p + eps, p; q) -> 1 as eps -> 0",
-    tol_exponent=lambda digits: -((3 * digits) // 5) + 10,
 )
 def _chk_thm7_eq67(prec, rng):
     # Both bilateral sums vanish identically at eps = 0, so the value is
-    # checked as a limit.  Their O(1) terms cancel to O(eps), which agile's
-    # theta route sums again with the digits lost, so the residual is the
-    # Taylor term O(eps^2), eps = 10^(-2 digits/5), or roundoff below it:
-    # more than 10^10 smaller per 20 extra digits, as escalation needs.
+    # checked as a limit.  R is invariant under a -> a + 2p, since
+    # [a + 2p, p; q] = q^(-2a-p) [a, p; q] and C(a + 2p, b) - C(a, b) =
+    # 2a + p, so R(2 m1 p + eps, 2 m2 p + eps, p; q) = R(eps, eps, p; q) = 1
+    # for every eps: the residual is rounding alone.  The O(1) terms of
+    # the two sums cancel to O(eps), which agile's theta route sums again
+    # with the digits lost.
     ctx = prec.context()
     eps = Fraction(1, 10 ** ((2 * prec.digits) // 5))
     for m1, m2, p in ((1, 2, 3), (2, 1, 2)):

@@ -399,7 +399,6 @@ def test_verify_root_horner():
 def test_result_rendering():
     res = MinPolyResult(coeffs=(-1, 2, 1), degree=2, residual=0, confidence="unverified")
     assert res.as_text() == "-1 + 2*t + t^2"
-    assert res.as_json() == [-1, 2, 1]
     res = MinPolyResult(coeffs=(-2, 0, 0, 1), degree=3, residual=0, confidence="unverified")
     assert res.as_text() == "-2 + t^3"
 

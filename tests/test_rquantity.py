@@ -183,11 +183,17 @@ def test_character_product_and_log_derivative_are_correctly_rounded(digits):
         for a, b, p in ((1, 2, 5), (1, 5, 12), (1, 3, 4), (2, 3, 7)):
             ref = rq_charprod(a, b, p, q, hi)
             assert abs(rq_charprod(a, b, p, q, prec) - ref) <= abs(ref) * 2 ** (1 - ctx.prec)
+    # R'/R as drq_dq sums it: C with a, p-a (+) and b, p-b (-); and the
+    # agile derivative's (a, p) = (1, 4): e = -1/24 with 1, 3 (+)
+    shapes = [(Fraction(-1, 24), ((1, 1), (3, 1)), 4)]
+    for a, b, p in ((1, 2, 5), (1, 3, 8), (Fraction(1, 3), Fraction(5, 2), 3)):
+        c = (a - b) * (a + b - p) / Fraction(2 * p)
+        shapes.append((c, ((a, 1), (p - a, 1), (b, -1), (p - b, -1)), p))
     for q in nomes[:2]:  # nearer q = 1, C and the sum cancel to R'/R
-        for args in ((1, 2, 5), (1, 3, 8), (Fraction(1, 3), Fraction(5, 2), 3)):
-            a, b, p = (cv(ctx, v) for v in args)
-            ref = _log_derivative(hi.context(), a, b, p, q)[0]
-            assert abs(_log_derivative(ctx, a, b, p, q)[0] - ref) <= abs(ref) * 2 ** (1 - ctx.prec)
+        for c, signed, p in shapes:
+            args = (c, [(cv(ctx, e), s) for e, s in signed], cv(ctx, p), q)
+            ref = _log_derivative(hi.context(), *args)[0]
+            assert abs(_log_derivative(ctx, *args)[0] - ref) <= abs(ref) * 2 ** (1 - ctx.prec)
 
 
 @pytest.mark.parametrize("digits", [30, 60, 200])

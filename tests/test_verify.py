@@ -10,10 +10,12 @@ import pytest
 
 import qelliptic.verify
 from qelliptic import cfrac, hyperq, qfunctions, rquantity
+from qelliptic.algrec import NOT_FOUND, MinPolyResult
 from qelliptic.numerics import NonConvergence, PrecisionSpec, UnknownSelector, _report_memo
 from qelliptic.verify import (
     DISCREPANCY_ALLOWED,
     NORMATIVE,
+    _recognition_residual,
     _run_one,
     register_builtin_checks,
     run_suite,
@@ -146,15 +148,45 @@ def test_a_shared_memo_changes_no_outcome():
         ], outcome.id
 
 
-def test_tolerance_exponent_default_and_override():
-    checks = register_builtin_checks()
-    by_id = {c.id: c for c in checks}
-    # default: -digits + 15
-    assert by_id["lemma1.k"].tolerance_exponent(60) == -45
-    # overridden models shrink strictly as digits grow
-    for cid in ("thm7.eq67", "app3.eq43"):
-        c = by_id[cid]
-        assert c.tolerance_exponent(60) < c.tolerance_exponent(40) < 0
+def test_tolerance_exponent_is_one_rule_for_every_check():
+    for check in register_builtin_checks():
+        for digits in (10, 16, 20, 40, 60, 120, 200):
+            assert check.tolerance_exponent(digits) == 15 - digits, check.id
+
+
+@pytest.mark.parametrize("digits", [20, 60, 200])
+def test_limit_checks_reach_the_residual_floor(digits):
+    # the central difference of app3.eq43 and the eps-shifted quotient of
+    # thm7.eq67 measure rounding alone, within a digit of 10^-(digits + guard)
+    floor = mpmath.mpf(10) ** -(digits + PrecisionSpec(digits).guard)
+    for cid in ("app3.eq43", "thm7.eq67"):
+        (outcome,) = run_suite(cid, digits).checks
+        assert outcome.status == "pass", cid
+        assert mpmath.mpf(outcome.max_abs_error) <= 10 * floor, (cid, outcome.max_abs_error)
+
+
+def test_a_primitive_off_in_its_20th_digit_fails_the_report(monkeypatch):
+    # theta.eq19 compares theta4's series with its triple product; a series
+    # off by 10^-20 relative must fail it at 40 digits
+    theta4 = qelliptic.verify.theta4
+
+    def off(z, q, prec):
+        return theta4(z, q, prec) * (1 + prec.context().mpf(10) ** -20)
+
+    monkeypatch.setattr(qelliptic.verify, "theta4", off)
+    rep = run_suite("theta", 40)
+    by_id = {c.id: c for c in rep.checks}
+    assert by_id["theta.eq19"].status == "fail"
+    assert not rep.ok
+    assert rep.to_text().endswith("FAIL")
+
+
+def test_recognition_residual_sentinels():
+    found = MinPolyResult(coeffs=(-2, 0, 1), degree=2, residual=mpmath.mpf("1e-50"), confidence="verified")
+    assert _recognition_residual(NOT_FOUND) == 1.0
+    assert _recognition_residual(found, expected=(-3, 0, 1)) == 1.0
+    assert _recognition_residual(dataclasses.replace(found, confidence="unverified")) == 0.5
+    assert _recognition_residual(found, expected=(-2, 0, 1)) == found.residual
 
 
 def test_unknown_selector():
@@ -325,10 +357,8 @@ MPF_SETTLE_ALLOWED = {
     # in integers, thm1.app's residual at 60 digits went from 7.4e-68 to
     # 1.5e-64: its two routes shared their rounding in mpf numbers
     "m_series": "the M series of thm1.app",
-    # verify's own readings of printed formulas, not library kernels
-    "_chk_theta_def_printed": "the printed theta series of theta.def-printed",
+    # verify's own reading of a printed formula, not a library kernel
     "_chk_deriv_eq53_printed": "the printed fraction of deriv.eq53-printed, by eval_cf",
-    "_agile_deriv_normalized": "the log-derivative series of the agile derivative",
 }
 
 
@@ -352,9 +382,8 @@ def test_real_input_series_and_products_run_in_integers(monkeypatch):
         monkeypatch.setattr(module, "_settle", recording(module._settle))
     report = run_suite("all", 40)
     assert all(c.status in ("pass", "discrepancy", "skip") for c in report.checks)
-    # m_series and two of the readings run at 40 digits; the agile
-    # derivative only from RECOGNITION_MIN_DIGITS
-    assert len(offenders) >= 3
+    # m_series and the printed fraction
+    assert len(offenders) >= 2
     unexplained = {caller for caller, stack in offenders.items() if not MPF_SETTLE_ALLOWED.keys() & stack}
     assert unexplained == set()
 
