@@ -525,15 +525,23 @@ def find_minpoly(
     degree-d one with zero top coefficients, and PSLQ gives up only once
     its bound on every relation's norm passes sqrt(d + 1) times the height
     bound, the largest norm of a relation within it.
-    So degrees 1, 2, 4, 8, ... are probed until a relation turns up.  An
-    accepted relation P is put to the root-subset test (``_factor``): if P
-    is irreducible, no relation of lower degree exists and the search ends;
-    if P splits, the factor that vanishes at x (residual below the accept
-    tolerance, height within the bound) takes its place and is tested in
-    turn.  A relation that is not accepted, or one the test cannot settle,
-    is followed by a search at e - 1, e its degree, down to the first
-    failure or to a degree already searched, whose result and descent are
-    known.
+    So degrees 4, 8, 16, ... (the first capped at the top degree) are
+    probed until a relation turns up.  The ladder starts at 4 because the
+    values recognized here are mostly of degree 2, 4 or 8: one degree-4
+    search meets any relation of degree <= 4, where probes at 1 and 2 would
+    fail for every value above them, while a first probe at 8 returns
+    degree-7 and degree-8 multiples of quartics that the test below cannot
+    always split.  A rational or a quadratic costs one search at 4 instead
+    of one or two at 1 and 2.
+
+    An accepted relation P is put to the root-subset test (``_factor``): if
+    P is irreducible, no relation of lower degree exists and the search
+    ends; if P splits, the factor that vanishes at x (residual below the
+    accept tolerance, height within the bound) takes its place and is
+    tested in turn.  A relation that is not accepted, or one the test
+    cannot settle, is followed by a search at e - 1, e its degree, down to
+    the first failure or to a degree already searched, whose result and
+    descent are known.
 
     confidence is "verified" only when a ``recompute`` callable is supplied:
     it is invoked with a PrecisionSpec 30 digits higher, and the polynomial's
@@ -569,7 +577,8 @@ def find_minpoly(
         top = len(xs) - 1
         # no relation has degree <= failed; probe is the galloping degree;
         # searching a degree in searched again would repeat it and its descent
-        best, failed, probe, d, searched = None, 0, 1, 1, set()
+        probe = d = min(4, top)
+        best, failed, searched = None, 0, set()
         while True:
             searched.add(d)
             # the smallest power, x^d or 1, at least 10 times the search's

@@ -192,6 +192,21 @@ def _kinds(values) -> tuple:
     return tuple(kinds)
 
 
+class _HashedKey(list):
+    """A call key that hashes its items once, as ``functools.lru_cache``'s
+    ``_HashedSeq`` does: mpmath hashes an mpf in Python, and a miss looks
+    the key up and then stores it."""
+
+    __slots__ = ("hashvalue",)
+
+    def __init__(self, items: tuple) -> None:
+        self[:] = items
+        self.hashvalue = hash(items)
+
+    def __hash__(self) -> int:
+        return self.hashvalue
+
+
 def memoized(fn):
     """fn, computed once per typed call key while a report memo is set."""
 
@@ -201,13 +216,14 @@ def memoized(fn):
         if memo is None:
             return fn(*args, **kwargs)
         named = tuple(sorted(kwargs.items()))
-        key = (fn, args, named, _kinds(args), _kinds(value for _, value in named))
+        try:
+            key = _HashedKey((fn, args, named, _kinds(args), _kinds(value for _, value in named)))
+        except TypeError:  # an unhashable argument
+            return fn(*args, **kwargs)
         try:
             return memo[key]
         except KeyError:
             pass
-        except TypeError:  # an unhashable argument
-            return fn(*args, **kwargs)
         value = memo[key] = fn(*args, **kwargs)
         return value
 

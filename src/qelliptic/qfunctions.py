@@ -190,7 +190,27 @@ def _euler_series(prec: PrecisionSpec, a, q):
     term advanced in fixed-point integers (value * 2^wp, wp = ctx.prec +
     ``_FIXED_GUARD``) and added by ``_settle`` as integers; returns the
     total, rounded once, and ``_settle``'s reading of the digits it lost to
-    cancellation."""
+    cancellation.
+
+    Three negligible terms stop it only where the terms can only shrink.
+    The ratio t_(n+1) / t_n is -a q^n / (1 - q^(n+1)).  At q in (0, 1) its
+    modulus r_n = |a| q^n / (1 - q^(n+1)) falls with n, so the terms rise
+    while r_n >= 1 and then fall for good.  A term on the rise is the
+    largest so far, at least |total| / count, so it is not negligible while
+    count < 1 / eps.  The three therefore lie past the peak, every later
+    ratio is at most the r at the last of them, and the tail is at most
+    eps max(1, |total|) r / (1 - r).
+
+    At q in (-1, 0), with x = |q|, r_n = |a| x^n / (1 + x^(n+1)) < 1 at
+    even n, while r_n = |a| x^n / (1 - x^(n+1)) at odd n can exceed 1.  So
+    each odd term is below the even term before it, and at even n the even
+    terms advance by P_n = r_n r_(n+1) = |a|^2 x^(2n+1) / ((1 + x^(n+1))
+    (1 - x^(n+2))), which falls with n (P_(n+2) <= x^2 P_n): they rise
+    while P_n >= 1 and then fall for good.  An even term on the rise is the
+    largest so far, hence not negligible.  Three terms in a row hold an
+    even one; the last, t_e, is past the peak, every later term is below
+    |t_e|, and the tail is at most eps max(1, |total|) (1 + P_e) / (1 -
+    P_e)."""
     ctx = prec.context()
     wp = ctx.prec + _FIXED_GUARD
     one = 1 << wp
@@ -566,6 +586,11 @@ def hyperbolic_log_sum(t, a, prec: PrecisionSpec):
     rho = e^(-4|t|) and w = e^(-2 pi a), none above 1; the sum is u times
     that of u^(k-1) (1 + rho^k) / (k (1 - w^k)), whose powers advance by one
     multiplication each in fixed-point integers, and it is rounded once.
+
+    The items are positive, and item k + 1 over item k is u times k / (k +
+    1), (1 + rho^(k+1)) / (1 + rho^k) and (1 - w^k) / (1 - w^(k+1)), none
+    above 1: every ratio is below u < 1 from the first item on, so three
+    items below ``tail_eps(ctx, u)`` leave a tail below one working ulp.
     """
     ctx = prec.context()
     t = cv_real(ctx, t)

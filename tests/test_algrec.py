@@ -107,9 +107,9 @@ def test_one_search_per_degree_tried(monkeypatch):
 
     monkeypatch.setattr(qelliptic.algrec, "_lll_reduce", counting)
     prec = PrecisionSpec(120)
-    res = find_minpoly(prec.context().sqrt(2), 4, prec=prec)
-    assert res.coeffs == (-2, 0, 1)
-    assert len(calls) == 2
+    res = find_minpoly(prec.context().root(2, 5), 8, prec=prec)
+    assert res.coeffs == (-2, 0, 0, 0, 0, 1)
+    assert len(calls) == 2  # the probes at 4 and 8
 
 
 class Searches(list):
@@ -142,21 +142,55 @@ def test_no_relation_costs_the_galloping_probes_only(searched):
     # working digits, with the accept rule's tolerance at those digits
     prec = PrecisionSpec(120)
     assert find_minpoly(prec.context().pi, 8, prec=prec) is NOT_FOUND
-    assert searched == [1, 2, 4, 8]
-    assert searched.dps == [50, 60, 80, 120]
+    assert searched == [4, 8]
+    assert searched.dps == [80, 120]
     for dps, tol in zip(searched.dps, searched.tols):
         assert tol == PrecisionSpec(dps, 0).context().mpf(10) ** (15 - dps)
 
 
+@pytest.mark.parametrize(
+    "value, coeffs",
+    [
+        (lambda ctx: Fraction(3, 7), (-3, 7)),
+        (lambda ctx: Fraction(-5, 2), (5, 2)),
+        (lambda ctx: ctx.sqrt(5) - 3, (4, 6, 1)),
+        (lambda ctx: (1 + ctx.sqrt(5)) / 2, (-1, -1, 1)),
+        (lambda ctx: ctx.cbrt(2), (-2, 0, 0, 1)),
+        (lambda ctx: ctx.cos(2 * ctx.pi / 7), (-1, -4, 4, 8)),
+        (lambda ctx: ctx.sqrt(2) + ctx.sqrt(3), (1, 0, -10, 0, 1)),
+        (lambda ctx: ctx.root(2, 5), (-2, 0, 0, 0, 0, 1)),
+        (lambda ctx: ctx.root(2, 6) + 1, (-1, -6, 15, -20, 15, -6, 1)),
+        (lambda ctx: ctx.root(3, 7), (-3, 0, 0, 0, 0, 0, 0, 1)),
+        (lambda ctx: ctx.cos(2 * ctx.pi / 17), (1, -8, -40, 80, 240, -192, -448, 128, 256)),
+        (lambda ctx: ctx.pi, None),
+    ],
+    ids=[
+        "3/7", "-5/2", "sqrt5-3", "golden", "cbrt2", "cos(2pi/7)", "sqrt2+sqrt3",
+        "2^(1/5)", "2^(1/6)+1", "3^(1/7)", "cos(2pi/17)", "pi",
+    ],
+)
+def test_ladder_starts_at_degree_four(searched, value, coeffs):
+    # one search at 4 settles every value of degree <= 4; a higher degree,
+    # or no relation at all, takes the probe at 8 as well
+    prec = PrecisionSpec(120)
+    res = find_minpoly(value(prec.context()), 8, prec=prec)
+    if coeffs is None:
+        assert res is NOT_FOUND
+    else:
+        assert res.coeffs == coeffs
+    assert searched == ([4] if coeffs is not None and len(coeffs) <= 5 else [4, 8])
+
+
 @pytest.mark.parametrize("exponent, top", [(40, 2), (70, 1)])
 def test_tiny_powers_raise_the_search_precision(searched, exponent, top):
-    # 10^-70 is 0 in fixed point at the 50 digits of a degree-1 search, and
-    # 10^-40 below its tolerance / 100; each search takes the digits that
-    # put its smallest power 10 times above its tolerance
+    # the top degree caps the first probe.  10^-70 is 0 in fixed point at
+    # the 50 digits of a degree-1 search, and (10^-40)^2 lies below the
+    # tolerance / 100 of a degree-2 search at 60 digits; each search takes
+    # the digits that put its smallest power 10 times above its tolerance
     prec = PrecisionSpec(120)
     x = prec.context().mpf(10) ** -exponent
     assert find_minpoly(x, 8, prec=prec) is NOT_FOUND
-    assert searched == [1, 2][:top]
+    assert searched == [top]
     for degree, dps, tol in zip(searched, searched.dps, searched.tols):
         assert 10 * degree + 40 < dps < prec.workdps
         assert x**degree >= 10 * tol
@@ -227,7 +261,7 @@ def test_octic_is_proved_irreducible_without_a_search_below_it(searched):
     prec = PrecisionSpec(120)
     res = find_minpoly(prec.context().root(2, 8), 8, prec=prec)
     assert res.coeffs == (-2, 0, 0, 0, 0, 0, 0, 0, 1)
-    assert searched == [1, 2, 4, 8]
+    assert searched == [4, 8]
 
 
 def test_no_degree_is_searched_twice(searched):
@@ -247,23 +281,24 @@ def test_overshooting_probe_is_split_without_a_search_below_it(searched):
     ctx = prec.context()
     res = find_minpoly(ctx.sqrt(2) + ctx.cbrt(3) - 3, 8, prec=prec)
     assert res.coeffs == (82, 684, 849, 462, 129, 18, 1)
-    assert searched == [1, 2, 4, 8]
+    assert searched == [4, 8]
 
 
 def test_reducible_relation_at_the_degree_bound(searched):
     # the degree-4 search returns t (t^3 - 2)
     res = find_minpoly(P80.context().cbrt(2), 4, prec=P80)
     assert res.coeffs == (-2, 0, 0, 1)
-    assert searched == [1, 2, 4]
+    assert searched == [4]
 
 
 def test_factor_above_the_height_bound_leaves_the_degree_to_the_descent(searched):
     # sqrt 5 - 3 is a root of t^2 + 6t + 4, of height 6; the degree-4 search
     # returns it times t^2 - t + 1 (height 5), so the descent finds its
-    # multiple by t - 1, as it did before the irreducibility test
+    # multiple by t - 1, as it did before the irreducibility test, and ends
+    # at the failure at 2
     res = find_minpoly(P80.context().sqrt(5) - 3, 4, height_bound=5, prec=P80)
     assert res.coeffs == (-4, -2, 5, 1)
-    assert searched == [1, 2, 4, 3]
+    assert searched == [4, 3, 2]
 
 
 def test_inconclusive_irreducibility_falls_back_to_the_descent(searched):
@@ -276,7 +311,7 @@ def test_inconclusive_irreducibility_falls_back_to_the_descent(searched):
     ctx = prec.context()
     x = ctx.findroot(lambda t: ctx.polyval(mignotte[::-1], t), ctx.mpf(1) / 100 + 7e-11)
     assert find_minpoly(x, 8, prec=prec).coeffs == mignotte
-    assert searched == [1, 2, 4, 8, 7]
+    assert searched == [4, 8, 7]
 
 
 def _mul(a, b):

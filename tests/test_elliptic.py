@@ -1,9 +1,11 @@
 """Modulus / nome / complete-integral layer."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+import qelliptic.elliptic
 from qelliptic.elliptic import (
     K_of_k,
     landen_chain,
@@ -12,7 +14,7 @@ from qelliptic.elliptic import (
     nome_from_r,
     singular_modulus,
 )
-from qelliptic.numerics import DomainError, PrecisionSpec, cv, gamma
+from qelliptic.numerics import DomainError, PrecisionSpec, VerificationError, cv, gamma
 
 
 def test_K_at_zero():
@@ -35,6 +37,21 @@ def test_K_domain():
         K_of_k(1, p)
     with pytest.raises(DomainError):
         K_of_k(Fraction(3, 2), p)
+
+
+def test_singular_modulus_raises_on_a_wrong_modulus(monkeypatch):
+    # a k off by 10^-20 relative moves K(k) but not K' = K(k'), so the
+    # period ratio misses sqrt(r) far past its 10^-(digits - guard/2) bound.
+    # A wrong K_of_k would not show: it scales both sides of the ratio
+    exact = qelliptic.elliptic.modulus_from_nome
+
+    def skewed(nome, prec):
+        mod = exact(nome, prec)
+        return dataclasses.replace(mod, k=mod.k * (1 + prec.context().mpf(10) ** -20))
+
+    monkeypatch.setattr(qelliptic.elliptic, "modulus_from_nome", skewed)
+    with pytest.raises(VerificationError):
+        singular_modulus(2, PrecisionSpec(60))
 
 
 def test_singular_modulus_r1():

@@ -189,6 +189,18 @@ def test_pochhammer_near_unit_q_is_relatively_accurate(digits, q, k, r, theta):
         assert _agree_relative(ctx, pochhammer(a, qv, INF, prec), reference, digits)
 
 
+@pytest.mark.parametrize("q", [Fraction(-1, 2), Fraction(-9, 10), Fraction(-99, 100)])
+@pytest.mark.parametrize("a", [Fraction(-99, 100), Fraction(1, 1000), Fraction(9, 10)])
+def test_pochhammer_at_negative_q_is_relatively_accurate(q, a):
+    # at q < 0 Euler's terms zigzag: an odd step can multiply a term by
+    # |a| |q|^n / (1 - |q|^(n+1)) > 1 after an even step shrank it, and the
+    # series must not stop in a dip
+    digits = 60
+    ctx = _oracle(digits)
+    reference = ctx.qp(_num(ctx, a), _num(ctx, q), maxterms=QP_MAXTERMS)
+    assert _agree_relative(ctx, pochhammer(a, q, INF, PrecisionSpec(digits)), reference, digits)
+
+
 @pytest.mark.parametrize("digits", [60, 200])
 @pytest.mark.parametrize("q", [Fraction(97, 100), Fraction(99, 100)])
 def test_pochhammer_resums_a_cancelling_euler_series(digits, q, monkeypatch):

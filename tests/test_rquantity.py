@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import qelliptic.rquantity
-from qelliptic.numerics import DomainError, PrecisionSpec, cv
+from qelliptic.numerics import CrossCheckFailure, DomainError, PrecisionSpec, cv
 from qelliptic.rquantity import (
     Chi2Character,
     RQParams,
@@ -143,6 +143,21 @@ def test_drq_passes_internal_central_difference():
     ctx = P50.context()
     v = drq_dq(RQParams(1, 2, 4), Fraction(1, 5), P50)
     assert ctx.isfinite(v)
+
+
+def test_drq_raises_when_the_central_difference_disagrees(monkeypatch):
+    # a wrong R only at the raised precision of the central difference: its
+    # two calls read 10^-5 relative high, past the 10^-16 tolerance at 50
+    # digits, while the analytic route's R stays right
+    exact = qelliptic.rquantity.rq
+
+    def skewed(params, q, prec):
+        value = exact(params, q, prec)
+        return value * (1 + prec.context().mpf(10) ** -5) if prec.digits > P50.digits else value
+
+    monkeypatch.setattr(qelliptic.rquantity, "rq", skewed)
+    with pytest.raises(CrossCheckFailure):
+        drq_dq(RQParams(1, 2, 4), Fraction(1, 5), P50)
 
 
 def test_drq_domain():
