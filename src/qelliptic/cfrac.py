@@ -8,14 +8,15 @@ fraction.
 At real input every constructor hands ``eval_cf`` its a_n and b_n as
 fixed-point integers scaled by 2^wp, wp = ctx.prec + ``_FIXED_GUARD`` plus
 the bits of the largest |a_n| and |b_n|, with its powers of q from
-``_qpowers(..., wp)``; both passes then run in integers and the value is
-rounded once.  Complex input to ``p_cf`` keeps the passes in mpc numbers.
+``_qpowers(..., wp)``; the value is rounded once.  Complex input to
+``p_cf`` runs the same passes in mpc numbers.
 
 Notation: value = b0 + a1/(b1 + a2/(b2 + a3/(b3 + ...))).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -49,7 +50,9 @@ class ContinuedFraction:
     A partial numerator that is exactly zero terminates the fraction exactly
     at that depth; that is normal, not an error.  ``wp`` states the scale of
     the items, as it does for ``numerics._settle``: with it given, b0, a_n
-    and b_n are real fixed-point values, Python ints scaled by 2^wp.
+    and b_n are real fixed-point values, Python ints scaled by 2^wp;
+    without it, anything ``numerics.cv`` converts to ctx numbers.  Both
+    kinds run through the same passes of ``eval_cf``.
     """
 
     b0: object
@@ -61,100 +64,42 @@ class ContinuedFraction:
 def eval_cf(cf: ContinuedFraction, prec: PrecisionSpec):
     """Evaluate a continued fraction to the requested precision.
 
-    A forward pass stops by the rule of ``numerics._settle``; it is then
-    re-confirmed by a backward recurrence from twice the depth where it
-    settled, which reuses the a_n and b_n of the forward pass and requests
-    only deeper ones.  Disagreement between the two passes raises
-    CrossCheckFailure; ``MAX_LEVELS`` levels without settling raise
-    NonConvergence.
+    Both passes evaluate g = b1 + a2/(b2 + ...), from level 1, and return
+    b0 + a1/g.  The forward pass keeps Lentz's D_n = 1/(b_n + a_n D_(n-1))
+    and advances the increments g_n - g_(n-1) = (b_n D_n - 1)(g_(n-1) -
+    g_(n-2)) (Steed's form, one division a level), which ``_settle`` adds
+    as a series; ``MAX_LEVELS`` levels without settling raise
+    NonConvergence.  A backward recurrence from twice the depth where it
+    settled, reusing the forward pass's a_n and b_n, re-confirms it;
+    disagreement raises CrossCheckFailure.  The passes are written once over
+    one, mul and div: with ``cf.wp`` given, in integers scaled by 2^wp, a
+    zero denominator floored at 2^-wp and the value rounded once; otherwise
+    in ctx's numbers (mpf or mpc, through ``cv``), a zero denominator
+    floored at 10^(-digits-guard-10).
 
-    With ``cf.wp`` given, both passes run in integers (``_eval_fixed``) and
-    the value is rounded once; otherwise in ctx's numbers (``_eval_ctx``).
+    The tail: the increments have the ratio b_n D_n - 1 = -a_n D_(n-1) D_n.
+    Where every a_n >= 0 and b_n > 0 (``rr_cf``, ``r2_cf``, ``r3_cf`` and
+    ``h_cf`` at q in (0, 1)), every D_n > 0 and that is -x / (b_n + x), x =
+    a_n D_(n-1) >= 0: past the first, the increments alternate in sign and
+    fall in modulus, so the tail is below the last, negligible, increment.
+    Elsewhere no level is known past which |ratio| < 1: it tends to 0 for
+    ``m_cf`` and to -ab for ``p_cf``, but can exceed 1 before (1.24 at
+    level 301 of m_cf(-5, 99/100)).  The backward pass turns a jump before
+    twice the depth into a CrossCheckFailure; one past it goes unseen.
     """
     ctx = prec.context()
-    tol = ctx.mpf(10) ** (-(prec.digits + 2))
-    f, back = (_eval_ctx if cf.wp is None else _eval_fixed)(cf, prec, ctx)
-    if f is not None and abs(back - f) > 100 * tol * max(ctx.mpf(1), abs(back)):
-        raise CrossCheckFailure(
-            f"forward pass gave {f} but backward recurrence gave {back}"
-        )
-    return back
-
-
-def _eval_ctx(cf: ContinuedFraction, prec: PrecisionSpec, ctx):
-    """Forward and backward values of ``eval_cf`` in ctx's numbers; the
-    forward value is None when the fraction terminates exactly.
-
-    Modified Lentz with a tiny-value floor of 10^(-digits-guard-10).  Its
-    ratios C_n D_n of consecutive approximants tend to 1, so the forward
-    pass stops by the factor rule of ``_settle``.
-    """
-    tiny = ctx.mpf(10) ** (-(prec.digits + prec.guard + 10))
-    b0 = cv(ctx, cf.b0)
-    f0 = b0 if b0 != 0 else tiny
-    nums, dens = [None], [None]  # a_n and b_n for n >= 1, kept for the backward pass
-    exact = False
-
-    def lentz_ratios():
-        nonlocal exact
-        c_acc, d_acc = f0, ctx.mpf(0)
-        for n in itertools.count(1):
-            a = cv(ctx, cf.partial_num(n))
-            if a == 0:
-                exact = True  # tail is exactly zero from here on
-                return
-            b = cv(ctx, cf.partial_den(n))
-            nums.append(a)
-            dens.append(b)
-            d_acc = b + a * d_acc
-            if d_acc == 0:
-                d_acc = tiny
-            c_acc = b + a / c_acc
-            if c_acc == 0:
-                c_acc = tiny
-            d_acc = 1 / d_acc
-            yield c_acc * d_acc
-
-    f = f0 * _settle(
-        ctx, prec.work_eps(ctx), lentz_ratios(), product=True, max_terms=MAX_LEVELS
-    )
-
-    # Independent confirmation: plain backward recurrence from deeper down,
-    # reusing the forward pass's a_j and b_j for j <= depth.
-    if not exact:
-        depth = len(nums) - 1
-        for j in range(depth + 1, 2 * depth + 1):
-            nums.append(cv(ctx, cf.partial_num(j)))
-            dens.append(cv(ctx, cf.partial_den(j)))
-    tail = ctx.mpf(0)
-    for j in range(len(nums) - 1, 0, -1):
-        den = dens[j] + tail
-        if den == 0:
-            den = tiny
-        tail = nums[j] / den
-    return (None if exact else f), b0 + tail
-
-
-def _eval_fixed(cf: ContinuedFraction, prec: PrecisionSpec, ctx):
-    """Forward and backward values of ``eval_cf`` for items scaled by
-    2^wp; the forward value is None when the fraction terminates exactly.
-
-    Both passes evaluate g = b1 + a2/(b2 + ...), starting at level 1, and
-    the value b0 + a1/g is rounded once.  The forward pass keeps Lentz's
-    D_n = 1/(b_n + a_n D_(n-1)) and advances the approximant increments
-    g_n - g_(n-1) = (b_n D_n - 1)(g_(n-1) - g_(n-2)) (Steed's form, one
-    division a level), which ``_settle`` adds as a series of integers.
-    A zero denominator is floored at one unit of 2^-wp.
-
-    Where |g| >= 1 that stops where the ratio rule of ``_eval_ctx`` does,
-    give or take a level; below |g| = 1 the rule on increments is
-    absolute, so the pass may stop earlier (57 levels of 3,830 at
-    p_cf(49/50, 1, 1/2), 20 digits).  The backward pass from twice the
-    depth still returns the value to its relative digits.
-    """
     wp = cf.wp
-    one = 1 << wp
-    nums, dens = [None, cf.partial_num(1)], [None, cf.partial_den(1)]
+    if wp is None:
+        tiny = ctx.mpf(10) ** (-(prec.digits + prec.guard + 10))
+        one, b0, mul = ctx.mpf(1), cv(ctx, cf.b0), operator.mul
+        num, den = lambda n: cv(ctx, cf.partial_num(n)), lambda n: cv(ctx, cf.partial_den(n))
+        div, rounded = lambda x, y: x / (y or tiny), lambda x: x
+    else:
+        one, b0, num, den = 1 << wp, cf.b0, cf.partial_num, cf.partial_den
+        mul, div = lambda x, y: x * y >> wp, lambda x, y: (x << wp) // (y or 1)
+        rounded = functools.partial(_from_fixed, ctx, wp=wp)
+
+    nums, dens = [None, num(1)], [None, den(1)]
     exact = False
 
     def increments():
@@ -162,16 +107,16 @@ def _eval_fixed(cf: ContinuedFraction, prec: PrecisionSpec, ctx):
         yield dens[1]
         d, step = 0, None  # D_1 = 0 makes D_2 = 1/b2
         for n in itertools.count(2):
-            a = cf.partial_num(n)
+            a = num(n)
             if a == 0:
                 exact = True  # tail is exactly zero from here on
                 return
-            b = cf.partial_den(n)
+            b = den(n)
             nums.append(a)
             dens.append(b)
-            d = (one << wp) // ((b + (a * d >> wp)) or 1)
+            d = div(one, b + mul(a, d))
             # g_2 - g_1 = a2 / b2, then Steed's recurrence
-            step = a * d >> wp if step is None else ((b * d >> wp) - one) * step >> wp
+            step = mul(a, d) if step is None else mul(mul(b, d) - one, step)
             yield step
 
     g, _ = _settle(ctx, prec.work_eps(ctx), increments(), max_terms=MAX_LEVELS, wp=wp)
@@ -179,14 +124,20 @@ def _eval_fixed(cf: ContinuedFraction, prec: PrecisionSpec, ctx):
     if not exact:
         depth = len(nums) - 1
         for j in range(depth + 1, 2 * depth + 1):
-            nums.append(cf.partial_num(j))
-            dens.append(cf.partial_den(j))
+            nums.append(num(j))
+            dens.append(den(j))
     tail = 0
     for j in range(len(nums) - 1, 1, -1):
-        tail = (nums[j] << wp) // ((dens[j] + tail) or 1)
-    a1 = nums[1]
-    back = _from_fixed(ctx, cf.b0 + (a1 << wp) // (dens[1] + tail), wp)
-    return (None if exact else _from_fixed(ctx, cf.b0 + (a1 << wp) // g, wp)), back
+        tail = div(nums[j], dens[j] + tail)
+    back = rounded(b0 + div(nums[1], dens[1] + tail))
+    if not exact:
+        f = rounded(b0 + div(nums[1], g))
+        tol = ctx.mpf(10) ** (-(prec.digits + 2))
+        if abs(back - f) > 100 * tol * max(ctx.mpf(1), abs(back)):
+            raise CrossCheckFailure(
+                f"forward pass gave {f} but backward recurrence gave {back}"
+            )
+    return back
 
 
 def _fraction_wp(ctx, bound) -> int:
@@ -278,7 +229,15 @@ def h_cf(q, prec: PrecisionSpec):
 def m_series(c, q, prec: PrecisionSpec):
     """M(c, q) = sum_{n>=0} c^n q^(n(n+1)/2); converges for every c when
     |q| < 1 because the quadratic exponent eventually dominates.  Re-summed
-    while its terms cancel, by 56 digits at c = -5, q = 0.99."""
+    while its terms cancel, by 56 digits at c = -5, q = 0.99.
+
+    Three negligible terms stop it only where the terms can only shrink, as
+    for Euler's series: the ratio t_(n+1) / t_n = c q^(n+1) falls in
+    modulus, so the terms rise while |c q^(n+1)| >= 1 and then fall for
+    good.  A term on the rise is the largest so far, at least t_0 = 1 and
+    |total| / count, so it is not negligible while count < 1 / eps.  The
+    three lie past the peak, and the tail is at most eps max(1, |total|)
+    r / (1 - r), r = |c q^(n+1)| at the last of them."""
 
     def summed(p: PrecisionSpec):
         ctx = p.context()

@@ -199,7 +199,7 @@ def psi_small_product(a, q, z, prec: PrecisionSpec):
     numer = pochhammer(a * z, q, INF, prec)
     denom = pochhammer(z, q, INF, prec)
     if denom == 0:
-        raise ZeroDivisionError("(z; q)_inf is exactly zero (z is a pole)")
+        raise DomainError("(z; q)_inf is exactly zero (z is a pole)")
     return numer / denom
 
 
@@ -215,6 +215,6 @@ def gauss_product(a, b, c, q, prec: PrecisionSpec):
     numer = pochhammer(c / a, q, INF, prec) * pochhammer(c / b, q, INF, prec)
     denom = pochhammer(c, q, INF, prec) * pochhammer(c / (a * b), q, INF, prec)
     if denom == 0:
-        raise ZeroDivisionError("Gauss product denominator is exactly zero")
+        raise DomainError("Gauss product denominator is exactly zero")
     return numer / denom
 

@@ -14,8 +14,8 @@ to pass between contexts.
 Infinite series, products and continued fractions are summed or multiplied
 by ``_settle``: callers hand it an iterable of numbers of their context or
 of fixed-point integers, and it applies the one stopping rule and term
-budget.  A continued fraction hands it either the ratios of its
-approximants, as a product, or their increments, as a series.  A geometric
+budget.  A continued fraction hands it the increments of its
+approximants, as a series, in integers or in ctx numbers.  A geometric
 series stopped there keeps up to eps r/(1 - r) of its tail at ratio r, which
 is why ``hyperq.phi21`` hands it the q-shifted differences of its terms (see
 ``hyperq``) and the routes that round once pass ``tail_eps``.  The Gaussian
@@ -288,8 +288,7 @@ def _settle(
     raise NonConvergence.  Items must already be numbers of ``ctx``.
     Callers pass ``prec.work_eps(ctx)`` or ``tail_eps``; series and products keep
     the default budget ``MAX_TERMS``, and ``cfrac.eval_cf`` passes its own
-    level budget, with the ratios of its approximants as a product or, in
-    fixed point, their increments as a series.
+    level budget, with the increments of its approximants as a series.
 
     With ``wp`` given, the items are fixed-point Python ints scaled by 2^wp,
     and the rule runs as exact integer tests with eps_fixed = eps 2^wp.  A

@@ -88,9 +88,7 @@ def rq_star(params: RQParams, q, prec: PrecisionSpec, route: str | None = None):
     numer = agile(AgileParams(params.a, params.p), q, prec, route=route)
     denom = agile(AgileParams(params.b, params.p), q, prec, route=route)
     if denom == 0:
-        raise ZeroDivisionError(
-            f"[b,p;q] is exactly zero at b={params.b}, p={params.p}"
-        )
+        raise DomainError(f"[b,p;q] is exactly zero at b={params.b}, p={params.p}")
     return numer / denom
 
 
@@ -170,6 +168,14 @@ def rq_charprod(a: int, b: int, p: int, q, prec: PrecisionSpec):
     exponent (an exact 1 would count as negligible to the stopping rule).
     At real q the factors are fixed-point integers, which ``_settle``
     multiplies and renormalizes; complex q multiplies them in ctx's numbers.
+
+    The exponents e lie in [-2, 2], and a factor f = (1 - q^n)^e with v =
+    |q|^n has |f - 1| >= 2v/3 while v <= 1/2 and |f - 1| >= 1/4 above, so
+    the last of the three factors within eps of 1 has v <= 3 eps / 2.  Each
+    later factor has |log f| <= 2 |q|^n / (1 - |q|^n), so the rest of the
+    product lies within about 3 eps |q| / (1 - |q|) of 1: three ulps at
+    ``tail_eps(ctx, |q|)``, and 3 |q| / (1 - |q|) times ``work_eps`` at
+    complex q.
     """
     exponents = Chi2Character(a, b, p).values
     ctx = prec.context()
@@ -282,7 +288,21 @@ def _log_derivative(ctx, c, signed, p, q):
     it is R'(q) / R(q); with the exponent of q^e [a,p;q] and a, p-a (+) it
     is that function's log-derivative.  Returns it with the digits c and
     the sum cancel, counted from the larger of |c| and the sum's largest
-    term."""
+    term.
+
+    The terms can only shrink.  With L = -ln q, g(m) = f(mL) / L for f(x) =
+    x / (e^x - 1), which is positive, falling and convex, and f and f'' are
+    log-concave: (ln f)'' = 1 / (4 sinh^2(x/2)) - 1 / x^2 < 0; f'' was
+    checked at 30 digits on (0, 60], and past 60 f''(x) = (x - 2) e^-x (1 +
+    O(e^-x)).  An all-plus item sum_e g(pn + e) is positive.  The item of
+    R'/R, with alpha = min(a, p - a) and beta = min(b, p - b), is the
+    integral of g''(pn + t) over alpha < y < beta, y < t < p - y when alpha
+    < beta: positive (negative when alpha > beta, zero when they are equal).
+    So item n + 1 is at most item n times the largest g(s + p) / g(s), or
+    g''(s + p) / g''(s), over s >= pn; by log-concavity that is the ratio r
+    at s = pn, which falls with n to q^p.  Three negligible items leave a
+    tail of at most eps max(1, |total|) r / (1 - r), r at the last of them:
+    within (1 - q^p) / (1 - r) of one ulp at ``tail_eps``."""
     wp = ctx.prec + _FIXED_GUARD
     one, lp, log_q = 1 << wp, wp + 10, mpf_log(q._mpf_, wp + 10)
     exps = [e._mpf_ for e, _ in signed] + [p._mpf_]

@@ -731,7 +731,15 @@ def _cosh_sinh_sum(ctx, x):
     """sum_{n>=1} (cosh(nx/2) - cosh(3nx/2)) / (n sinh(5nx/2)) for x > 0.
     Divided by E^5n, E = e^(x/2), a term is (u^2n + u^3n - u^n - u^4n) /
     (n (1 - u^5n)) with u = e^(-x) < 1, whose powers come from a table in
-    fixed-point integers; the sum is rounded once."""
+    fixed-point integers; the sum is rounded once.
+
+    The numerator is -u^n (1 - u^n)(1 - u^2n), so every term is negative
+    and |t_n| = u^n h(u^n) / n, h(v) = (1 - v^2) / (1 + v + v^2 + v^3 +
+    v^4), which falls from 1 to 0 on [0, 1] and stays above 1 - 2v.  The
+    tail past t_N is at most u^N / N * u / (1 - u) = |t_N| u / ((1 - u)
+    h(u^N)), so three terms below ``tail_eps(ctx, u)`` leave at most one
+    working ulp over 1 - 2 u^N, and u^N is at most N eps max(1, |total|) /
+    h(u) there."""
     wp = ctx.prec + _FIXED_GUARD
     u = ctx.make_mpf(mpf_exp(mpf_neg(x._mpf_), wp))  # exact to wp bits
     one, power = 1 << wp, _qpowers(ctx, u, wp)

@@ -82,34 +82,27 @@ def test_rr_cf_depth_follows_convergence(monkeypatch):
     assert len(requested) < 60
 
 
-def test_eval_cf_backward_pass_is_compared(monkeypatch):
+@pytest.mark.parametrize(
+    "one, wp, off",
+    [
+        (1, None, lambda total: total + total * 1e-20),
+        (1 << 300, 300, lambda total: total + (total >> 66)),  # 2^-66 = 1.4e-20
+    ],
+    ids=["ctx", "fixed"],
+)
+def test_eval_cf_backward_pass_is_compared(monkeypatch, one, wp, off):
     # The backward pass reuses the forward pass's terms, so a disagreement
-    # can only come from the forward arithmetic: a forward product off by
-    # 1e-20 relative must be caught at 60 digits.
-    settle = cfrac._settle
-
-    def off_settle(*args, **kwargs):
-        value = settle(*args, **kwargs)
-        return value + value * 1e-20
-
-    monkeypatch.setattr(cfrac, "_settle", off_settle)
-    cf = ContinuedFraction(b0=1, partial_num=lambda n: 1, partial_den=lambda n: 1)
-    with pytest.raises(CrossCheckFailure):
-        eval_cf(cf, P60)
-
-
-def test_eval_cf_fixed_backward_pass_is_compared(monkeypatch):
-    # the same for items in fixed point: a forward total off by 2^-66
-    # (1.4e-20) relative must be caught at 60 digits
+    # can only come from the forward arithmetic: a forward series total off
+    # by about 1e-20 relative must be caught at 60 digits, for items in
+    # ctx's numbers and in fixed point.
     settle = cfrac._settle
 
     def off_settle(*args, **kwargs):
         total, lost = settle(*args, **kwargs)
-        return total + (total >> 66), lost
+        return off(total), lost
 
     monkeypatch.setattr(cfrac, "_settle", off_settle)
-    one = 1 << 300
-    cf = ContinuedFraction(b0=one, partial_num=lambda n: one, partial_den=lambda n: one, wp=300)
+    cf = ContinuedFraction(b0=one, partial_num=lambda n: one, partial_den=lambda n: one, wp=wp)
     with pytest.raises(CrossCheckFailure):
         eval_cf(cf, P60)
 
@@ -260,23 +253,31 @@ def test_p_cf_near_its_q_bound_matches_qp(q):
 
 @pytest.mark.parametrize("digits", [40, 60])
 def test_p_cf_settles_near_unit_ab(digits):
-    # ab = 0.998: a forward pass in ctx's numbers stalls with its Lentz
-    # ratios at |r - 1| = 1.02e-53, just above eps = 1.0e-53 at 40 digits,
-    # and raises NonConvergence after 4.8 s
+    # ab = 0.998: the approximant increments fall like (ab)^n, so the
+    # forward pass runs 61,097 levels at 40 digits and 84,112 at 60; a stop
+    # on the ratios of approximants stalls here just above eps
     ctx = mpmath.mp.__class__()
     ctx.dps = digits + 20
-    a = b = ctx.mpf(999) / 1000
-    q = ctx.mpf(1) / 2
-    q4 = q**4
-    product = (
-        ctx.qp(a * a * q**3, q4) * ctx.qp(b * b * q**3, q4)
-        / (ctx.qp(a * a * q, q4) * ctx.qp(b * b * q, q4))
-    )
+
+    def product(a, b, q):
+        q4 = q**4
+        return (
+            ctx.qp(a * a * q**3, q4) * ctx.qp(b * b * q**3, q4)
+            / (ctx.qp(a * a * q, q4) * ctx.qp(b * b * q, q4))
+        )
+
+    half, near = ctx.mpf(1) / 2, ctx.mpf(999) / 1000
+    expected = product(near, near, half)
     value = p_cf(Fraction(999, 1000), Fraction(999, 1000), Fraction(1, 2), PrecisionSpec(digits))
-    assert abs(value - product) < ctx.mpf(10) ** (-digits) * abs(product)
-    # an mpc with zero imaginary part takes the real pass, not the stalling one
+    assert abs(value - expected) < ctx.mpf(10) ** (-digits) * abs(expected)
+    # an mpc with zero imaginary part takes the real pass
     args = (Fraction(999, 1000), Fraction(1, 2), PrecisionSpec(digits))
     assert p_cf(mpmath.mpc(0.999, 0), *args) == p_cf(0.999, *args)
+    # complex a runs the same passes in mpc numbers
+    a = ctx.mpc(ctx.mpf(9) / 10, ctx.mpf(3) / 10)
+    value = p_cf(a, Fraction(99, 100), Fraction(1, 2), PrecisionSpec(digits))
+    expected = product(a, ctx.mpf(99) / 100, half)
+    assert abs(value - expected) < ctx.mpf(10) ** (-digits) * abs(expected)
 
 
 def test_p_cf_domain():

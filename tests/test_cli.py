@@ -106,6 +106,13 @@ def test_eval_missing_param(capsys):
     assert "needs parameter" in err
 
 
+def test_eval_exact_zero_denominator_is_a_domain_error(capsys):
+    # [b,p;q] is exactly zero at b = p, so R* has no value there
+    code, _, err = run_cli(capsys, "eval", "--fn", "rq", "--params", "a=1,b=2,p=2", "--q", "0.5")
+    assert code == 2
+    assert err.startswith("error:") and "exactly zero" in err
+
+
 def test_eval_nonconvergence_exit_code(capsys):
     # theta growth guard trips: |q| e^(2 Im z) >= 1
     code, _, err = run_cli(
